@@ -89,18 +89,7 @@ def mvn_log_density(x, params: MvnParams) -> float:
 
 def mvn_log_densities(xs, params: MvnParams):
     """Vectorized matrix normal log density for a stack of shape (N, r, p)."""
-    r, p = params.shape
-    if xs.shape[1:] != (r, p):
-        raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {(r, p)}")
-    L_sigma = linalg.cholesky(params.sigma, "sigma")
-    L_psi = linalg.cholesky(params.psi, "psi")
-    delta = linalg.trace_quad_forms(xs, params.m, L_sigma, L_psi)
-    const = (
-        -0.5 * r * p * _LOG_2PI
-        - 0.5 * p * linalg.log_det_from_factor(L_sigma)
-        - 0.5 * r * linalg.log_det_from_factor(L_psi)
-    )
-    return const - 0.5 * delta
+    return _logs_from_distances(*_distances(xs, params), params.m.size)[0]
 
 
 def cmvn_log_density(x, params: CmvnParams) -> float:
@@ -110,29 +99,42 @@ def cmvn_log_density(x, params: CmvnParams) -> float:
 
 def cmvn_log_densities(xs, params: CmvnParams):
     """Vectorized contaminated log density for a stack of shape (N, r, p)."""
-    lg, lb = _component_log_densities(xs, params)
-    return np.logaddexp(np.log(params.alpha) + lg, np.log1p(-params.alpha) + lb)
+    delta, log_det = _distances(xs, params.base)
+    return _logs_from_distances(delta, log_det, params.base.m.size, params.alpha, params.eta)[0]
 
 
-def _component_log_densities(xs, params: CmvnParams):
-    """Log densities of the good and inflated components, sharing one
-    distance computation (the inflated scale only rescales delta and the
-    determinant)."""
-    base = params.base
-    r, p = base.shape
+def _distances(xs, params: MvnParams):
+    """Distances of a stack (N, r, p) to one matrix normal law, and the log
+    determinant of its covariance psi (x) sigma."""
+    r, p = params.shape
     if xs.shape[1:] != (r, p):
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {(r, p)}")
-    L_sigma = linalg.cholesky(base.sigma, "sigma")
-    L_psi = linalg.cholesky(base.psi, "psi")
-    delta = linalg.trace_quad_forms(xs, base.m, L_sigma, L_psi)
-    const = (
-        -0.5 * r * p * _LOG_2PI
-        - 0.5 * p * linalg.log_det_from_factor(L_sigma)
-        - 0.5 * r * linalg.log_det_from_factor(L_psi)
-    )
+    L_sigma = linalg.cholesky(params.sigma, "sigma")
+    L_psi = linalg.cholesky(params.psi, "psi")
+    delta = linalg.trace_quad_forms(xs, params.m, L_sigma, L_psi)
+    log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
+    return delta, log_det
+
+
+def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
+    """Log densities and good-point posteriors from distances.
+
+    delta, log_det, alpha and eta broadcast together (one law, or one column
+    per mixture component).  With alpha None the law is the plain matrix
+    normal and v is None; otherwise the log density mixes the good part
+    (weight alpha) with the eta-inflated part, whose scale only rescales
+    delta and the determinant, and v, the posterior probability of the good
+    part, is clipped into the open unit interval.
+    """
+    const = -0.5 * (rp * _LOG_2PI + log_det)
     log_good = const - 0.5 * delta
-    log_bad = const - 0.5 * r * p * np.log(params.eta) - 0.5 * delta / params.eta
-    return log_good, log_bad
+    if alpha is None:
+        return log_good, None
+    num = np.log(alpha) + log_good
+    log_bad = const - 0.5 * rp * np.log(eta) - 0.5 * delta / eta
+    tot = np.logaddexp(num, np.log1p(-alpha) + log_bad)
+    v = np.clip(np.exp(num - tot), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return tot, v
 
 
 def posterior_good_prob(x, params: CmvnParams) -> float:
@@ -142,11 +144,8 @@ def posterior_good_prob(x, params: CmvnParams) -> float:
 
 def posterior_good_probs(xs, params: CmvnParams):
     """Vectorized posterior good-point probabilities, values in (0, 1)."""
-    lg, lb = _component_log_densities(xs, params)
-    num = np.log(params.alpha) + lg
-    tot = np.logaddexp(num, np.log1p(-params.alpha) + lb)
-    v = np.exp(num - tot)
-    return np.clip(v, np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    delta, log_det = _distances(xs, params.base)
+    return _logs_from_distances(delta, log_det, params.base.m.size, params.alpha, params.eta)[1]
 
 
 def _check_weight_args(delta, alpha, eta, r, p):

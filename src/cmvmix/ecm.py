@@ -17,13 +17,7 @@ from scipy.special import logsumexp
 
 from . import linalg
 from .data import Dataset
-from .distributions import (
-    ETA_MIN,
-    CmvnParams,
-    MvnParams,
-    mvn_log_densities,
-    _component_log_densities,
-)
+from .distributions import ETA_MIN, CmvnParams, MvnParams, _distances, _logs_from_distances
 from .errors import (
     AllStartsFailed,
     DegenerateCluster,
@@ -32,7 +26,6 @@ from .errors import (
 )
 
 _ALPHA_EPS = 1e-12
-_V_CEIL = np.nextafter(1.0, 0.0)
 
 
 class Kind(str, enum.Enum):
@@ -118,10 +111,14 @@ class FitConfig:
             raise ValueError("g must be >= 1")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.eta_min <= 1:
-            raise ValueError("eta_min must be > 1")
+        if self.eta_min < ETA_MIN:
+            raise ValueError(f"eta_min must be >= {ETA_MIN}")
+        if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
+            raise ValueError("min_cluster_weight must be > 0")
 
 
 @dataclass(frozen=True)
@@ -145,47 +142,39 @@ class FitResult:
         return float(self.loglik_trace[-1])
 
 
-def _component_stack_logs(samples, model):
-    """Per-component log densities, shape (N, G); for CMVN also the
-    good-component posteriors v, else None."""
-    n = samples.shape[0]
-    g = model.g
-    logf = np.empty((n, g))
-    v = None
-    if model.kind is Kind.CMVN:
-        v = np.empty((n, g))
-        for j, comp in enumerate(model.components):
-            lg, lb = _component_log_densities(samples, comp)
-            num = np.log(comp.alpha) + lg
-            tot = np.logaddexp(num, np.log1p(-comp.alpha) + lb)
-            logf[:, j] = tot
-            v[:, j] = np.clip(np.exp(num - tot), np.finfo(float).tiny, _V_CEIL)
-    else:
-        for j, comp in enumerate(model.components):
-            logf[:, j] = mvn_log_densities(samples, comp)
-    return logf, v
+def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
+    """Posteriors z, v and the observed log-likelihood from the (N, G)
+    distances and the per-component log determinants; alphas None is the
+    plain matrix normal (v None)."""
+    logf, v = _logs_from_distances(delta, log_det, rp, alphas, etas)
+    logw = logf + log_weights
+    lse = logsumexp(logw, axis=1, keepdims=True)
+    z = np.exp(logw - lse)
+    z /= z.sum(axis=1, keepdims=True)
+    return z, v, float(lse.sum())
+
+
+def _model_e_pass(data: Dataset, model: MixtureModel):
+    """E-pass at the parameters of a model record."""
+    cmvn = model.kind is Kind.CMVN
+    bases = [c.base for c in model.components] if cmvn else model.components
+    terms = [_distances(data.samples, b) for b in bases]
+    delta = np.stack([t[0] for t in terms], axis=1)
+    log_det = np.array([t[1] for t in terms])
+    alphas = np.array([c.alpha for c in model.components]) if cmvn else None
+    etas = np.array([c.eta for c in model.components]) if cmvn else None
+    return _e_pass(delta, log_det, np.log(model.weights), data.r * data.p, alphas, etas)
 
 
 def e_step(data: Dataset, model: MixtureModel) -> Responsibilities:
     """Posterior cluster memberships (and good-point posteriors for CMVN)."""
-    logf, v = _component_stack_logs(data.samples, model)
-    logw = logf + np.log(model.weights)[None, :]
-    z = np.exp(logw - logsumexp(logw, axis=1, keepdims=True))
-    z /= z.sum(axis=1, keepdims=True)
+    z, v, _ = _model_e_pass(data, model)
     return Responsibilities(z=z, v=v)
 
 
 def observed_loglik(data: Dataset, model: MixtureModel) -> float:
     """Observed-data log-likelihood of the mixture."""
-    logf, _ = _component_stack_logs(data.samples, model)
-    return float(logsumexp(logf + np.log(model.weights)[None, :], axis=1).sum())
-
-
-def _effective_weights(z, v, etas):
-    """Per-observation M-step weights z * (v + (1 - v)/eta)."""
-    if v is None:
-        return z.copy()
-    return z * (v + (1.0 - v) / etas[None, :])
+    return _model_e_pass(data, model)[2]
 
 
 def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
@@ -201,7 +190,8 @@ def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
     alphas = None
     if v is not None:
         alphas = np.clip((z * v).sum(axis=0) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
-    u = _effective_weights(z, v, etas_prev)
+    # per-observation M-step weights z * (v + (1 - v)/eta)
+    u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[None, :])
     s = u.sum(axis=0)
     means = np.einsum("ig,irp->grp", u, data.samples) / s[:, None, None]
     return weights, alphas, means, u
@@ -240,26 +230,43 @@ def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min, rp_divisor=True):
     The default divides by r*p (the stationary point of the complete-data
     objective in eta); rp_divisor=False reproduces the plain ratio.
     """
-    n, r, p = samples.shape
+    _, r, p = samples.shape
+    divisor = r * p if rp_divisor else 1
     etas = []
     for j in range(means.shape[0]):
         L_sigma = linalg.cholesky(sigmas[j], "sigma")
         L_psi = linalg.cholesky(psis[j], "psi")
         delta = linalg.trace_quad_forms(samples, means[j], L_sigma, L_psi)
-        bad_mass = z[:, j] * (1.0 - v[:, j])
-        denom = bad_mass.sum()
-        if denom < 1e-12:
-            etas.append(eta_min)
-            continue
-        eta = float((bad_mass * delta).sum() / denom)
-        if rp_divisor:
-            eta /= r * p
-        etas.append(max(eta_min, eta))
+        etas.append(_eta(z[:, j] * (1.0 - v[:, j]), delta, eta_min, divisor))
     return np.array(etas)
+
+
+def _eta(bad_mass, delta, eta_min, divisor):
+    """One component's inflation: mean distance under its bad mass over
+    divisor, floored at eta_min (eta_min itself when there is no bad mass)."""
+    denom = bad_mass.sum()
+    if denom < 1e-12:
+        return eta_min
+    return max(eta_min, float((bad_mass * delta).sum() / denom) / divisor)
+
+
+def _factor(a, name):
+    """Cholesky factor of a scatter built inside the chain (symmetric by
+    construction, so only positive definiteness can fail)."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
 
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities.
+
+    Parameters live in stacked arrays; per component and iteration the row
+    and column scales are factored once each (the column factor is carried
+    into the next row-scale update) and one distance pass feeds the eta
+    update, the posteriors and the log-likelihood.  Plain MVN is the case
+    v = 1 with no alpha or eta.  Model records are built once, at the end.
 
     Raises DegenerateCluster / NotPositiveDefinite when the chain collapses;
     fit() treats that as a failed start.
@@ -267,54 +274,49 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     samples = data.samples
     n, r, p = samples.shape
     g = config.g
+    cmvn = kind is Kind.CMVN
     mcw = config.min_cluster_weight
     if mcw is None:
         mcw = r * p / 2.0
+    divisor = 1 if config.unscaled_eta_update else r * p
 
     z = np.asarray(init_z, dtype=float)
-    v = np.asarray(init_v, dtype=float) if kind is Kind.CMVN else None
+    v = np.asarray(init_v, dtype=float) if cmvn else None
     etas = np.full(g, config.init_eta)
-    psis = [np.eye(p)] * g
+    sigmas = np.empty((g, r, r))
+    psis = np.empty((g, p, p))
+    L_psi = np.tile(np.eye(p), (g, 1, 1))
+    delta = np.empty((n, g))
+    log_det = np.empty(g)
 
     trace = []
-    prev_ll = None
     converged = False
-    model = None
-    resp = None
-    iterations = 0
-
     for it in range(1, config.max_iter + 1):
         ng = z.sum(axis=0)
         if np.any(ng < mcw):
             raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
-        resp_in = Responsibilities(z=z, v=v)
-        weights, alphas, means, u = cm_step_1(data, resp_in, etas)
-        sigmas = cm_step_2_sigma(samples, u, ng, means, psis)
-        psis = cm_step_3_psi(samples, u, ng, means, sigmas)
-        if kind is Kind.CMVN:
-            etas = cm_step_4_eta(samples, z, v, means, sigmas, psis, config.eta_min,
-                           rp_divisor=not config.unscaled_eta_update)
-            comps = tuple(
-                CmvnParams(MvnParams(means[j], sigmas[j], psis[j]),
-                           float(alphas[j]), float(etas[j]))
-                for j in range(g)
-            )
-        else:
-            comps = tuple(MvnParams(means[j], sigmas[j], psis[j]) for j in range(g))
-        model = MixtureModel(kind=kind, weights=weights / weights.sum(), components=comps)
-
-        resp = e_step(data, model)
-        ll = observed_loglik(data, model)
+        weights, alphas, means, u = cm_step_1(data, Responsibilities(z=z, v=v), etas)
+        for j in range(g):
+            sigmas[j] = linalg.weighted_row_scatter(samples, means[j], u[:, j], L_psi[j]) / (p * ng[j])
+            L_sigma = _factor(sigmas[j], "sigma")
+            psis[j] = linalg.weighted_col_scatter(samples, means[j], u[:, j], L_sigma) / (r * ng[j])
+            L_psi[j] = _factor(psis[j], "psi")
+            delta[:, j] = linalg.trace_quad_forms(samples, means[j], L_sigma, L_psi[j])
+            log_det[j] = (p * linalg.log_det_from_factor(L_sigma)
+                          + r * linalg.log_det_from_factor(L_psi[j]))
+            if cmvn:
+                etas[j] = _eta(z[:, j] * (1.0 - v[:, j]), delta[:, j], config.eta_min, divisor)
+        weights = weights / weights.sum()
+        z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)
-        z, v = resp.z, resp.v
-        iterations = it
-
-        if prev_ll is not None and abs(ll - prev_ll) / (1.0 + abs(ll)) < config.tol:
+        if len(trace) > 1 and abs(ll - trace[-2]) / (1.0 + abs(ll)) < config.tol:
             converged = True
             break
-        prev_ll = ll
 
-    return model, resp, np.array(trace), converged, iterations
+    bases = [MvnParams(means[j], sigmas[j], psis[j]) for j in range(g)]
+    comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
+    model = MixtureModel(kind=kind, weights=weights, components=comps)
+    return model, Responsibilities(z=z, v=v), np.array(trace), converged, it
 
 
 def _initial_responsibilities(rng, n, g, kind):
@@ -398,8 +400,7 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
     Used to check that each conditional maximization weakly increases the
     objective it optimizes.
     """
-    samples = data.samples
-    n, r, p = samples.shape
+    n, rp = data.n, data.r * data.p
     z = resp.z
     total = float((z * np.log(model.weights)[None, :]).sum())
     for j, comp in enumerate(model.components):
@@ -409,9 +410,7 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
         else:
             base, alpha, eta = comp, None, 1.0
             v = np.ones(n)
-        L_sigma = linalg.cholesky(base.sigma, "sigma")
-        L_psi = linalg.cholesky(base.psi, "psi")
-        delta = linalg.trace_quad_forms(samples, base.m, L_sigma, L_psi)
+        delta, log_det = _distances(data.samples, base)
         zj = z[:, j]
         if alpha is not None:
             total += float((zj * (v * np.log(alpha) + (1 - v) * np.log1p(-alpha))).sum())
@@ -419,10 +418,9 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
             (
                 zj
                 * (
-                    -0.5 * r * p * np.log(2 * np.pi)
-                    - 0.5 * p * linalg.log_det_from_factor(L_sigma)
-                    - 0.5 * r * linalg.log_det_from_factor(L_psi)
-                    - 0.5 * r * p * (1 - v) * np.log(eta)
+                    -0.5 * rp * np.log(2 * np.pi)
+                    - 0.5 * log_det
+                    - 0.5 * rp * (1 - v) * np.log(eta)
                     - 0.5 * (v + (1 - v) / eta) * delta
                 )
             ).sum()

@@ -89,6 +89,11 @@ class TestFit:
     def test_bad_g(self, dataset_file):
         assert main(["fit", "--data", str(dataset_file), "--g", "0"]) == 2
 
+    def test_zero_max_iter(self, dataset_file, capsys):
+        assert main(["fit", "--data", str(dataset_file), "--g", "1", "--max-iter", "0"]) == 4
+        err = capsys.readouterr().err
+        assert "max_iter must be >= 1" in err and "Traceback" not in err
+
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.json"), "--g", "1"]) == 3
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.stats import multivariate_normal
+from scipy.special import logsumexp
+from scipy.stats import matrix_normal, multivariate_normal
 
 from cmvmix.data import Dataset
-from cmvmix.distributions import CmvnParams, MvnParams
+from cmvmix.distributions import ETA_MIN, CmvnParams, MvnParams, sample_mvn_stack
 from cmvmix.ecm import (
     FitConfig,
     Kind,
@@ -419,6 +420,126 @@ class TestFit:
         _, _, trace_a, _, _ = _run_chain(data, Kind.CMVN, cfg, init_z, init_v)
         _, _, trace_b, _, _ = _run_chain(data_p, Kind.CMVN, cfg, init_z[perm], init_v[perm])
         assert trace_a[-1] == pytest.approx(trace_b[-1], rel=1e-9)
+
+
+def reference_chain(data, kind, config, init_z, init_v):
+    """The per-record ECM loop: public CM steps, frozen model records every
+    iteration, and an E-step from scipy's matrix normal density (row scale
+    inflated by eta for the bad part).  Returns (z, v, loglik trace)."""
+    samples = data.samples
+    n, r, p = samples.shape
+    g = config.g
+    cmvn = kind is Kind.CMVN
+    mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
+    z, v = init_z, (init_v if cmvn else None)
+    etas = np.full(g, config.init_eta)
+    psis = [np.eye(p)] * g
+    trace = []
+    for _ in range(config.max_iter):
+        ng = z.sum(axis=0)
+        if np.any(ng < mcw):
+            raise DegenerateCluster(f"mass {ng}")
+        weights, alphas, means, u = cm_step_1(data, Responsibilities(z=z, v=v), etas)
+        sigmas = cm_step_2_sigma(samples, u, ng, means, psis)
+        psis = cm_step_3_psi(samples, u, ng, means, sigmas)
+        bases = [MvnParams(means[j], sigmas[j], psis[j]) for j in range(g)]
+        logf = np.empty((n, g))
+        if cmvn:
+            etas = cm_step_4_eta(samples, z, v, means, sigmas, psis, config.eta_min)
+            comps = tuple(CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas))
+            v = np.empty((n, g))
+        else:
+            comps = tuple(bases)
+        model = MixtureModel(kind=kind, weights=weights / weights.sum(), components=comps)
+        for j, b in enumerate(bases):
+            try:
+                good = matrix_normal(b.m, b.sigma, b.psi).logpdf(samples)
+                if cmvn:
+                    bad = matrix_normal(b.m, etas[j] * b.sigma, b.psi).logpdf(samples)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise NotPositiveDefinite(str(exc)) from None
+            if cmvn:
+                num = np.log(alphas[j]) + good
+                logf[:, j] = np.logaddexp(num, np.log1p(-alphas[j]) + bad)
+                v[:, j] = np.exp(num - logf[:, j])
+            else:
+                logf[:, j] = good
+        logw = logf + np.log(model.weights)
+        lse = logsumexp(logw, axis=1)
+        z = np.exp(logw - lse[:, None])
+        trace.append(lse.sum())
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) / (1.0 + abs(trace[-1])) < config.tol:
+            break
+    return z, v, np.array(trace)
+
+
+def _outcome(chain, *args):
+    try:
+        return chain(*args), None
+    except (DegenerateCluster, NotPositiveDefinite) as exc:
+        return None, type(exc)
+
+
+class TestChainAgainstReference:
+    """_run_chain against the per-record reference loop from the same starts.
+
+    Tolerances are fixed in advance: the two differ only in roundoff (the
+    chain factors the unnormalized scales and sums the density constant in
+    another order), far below these bounds over 60 iterations.
+    """
+
+    LOGLIK_RTOL = 1e-10
+    POSTERIOR_ATOL = 1e-8
+
+    # with the default floor some G=3 starts end NotPositiveDefinite, with
+    # a floor of 5 the same starts end DegenerateCluster
+    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("min_cluster_weight", [None, 5.0])
+    def test_same_chain(self, kind, g, shape, min_cluster_weight):
+        r, p = shape
+        rng = np.random.default_rng(100 * r + 10 * p + g)
+        groups = [sample_mvn_stack(MvnParams(4.0 * k * np.ones((r, p)), random_spd(rng, r),
+                                             random_spd(rng, p)), 25, rng) for k in range(2)]
+        outliers = 6.0 * rng.standard_normal((3, r, p))
+        data = Dataset(np.concatenate(groups + [outliers]))
+        config = FitConfig(g=g, max_iter=60, min_cluster_weight=min_cluster_weight)
+        for start in range(3):
+            srng = np.random.default_rng(start)
+            init_z = srng.dirichlet(np.ones(g), size=data.n)
+            init_v = srng.uniform(0.5, 1.0, size=(data.n, g))
+            got, got_exc = _outcome(_run_chain, data, kind, config, init_z, init_v)
+            want, want_exc = _outcome(reference_chain, data, kind, config, init_z, init_v)
+            assert got_exc is want_exc
+            if want_exc is not None:
+                continue
+            _, resp, trace, _, iterations = got
+            z_ref, v_ref, trace_ref = want
+            k = min(len(trace), len(trace_ref))
+            np.testing.assert_allclose(trace[:k], trace_ref[:k], rtol=self.LOGLIK_RTOL, atol=0)
+            assert len(trace) == len(trace_ref) == iterations
+            np.testing.assert_allclose(resp.z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            if kind is Kind.CMVN:
+                np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            else:
+                assert resp.v is None
+
+
+class TestFitConfig:
+    def test_eta_min_below_floor_rejected(self):
+        with pytest.raises(ValueError, match="eta_min"):
+            FitConfig(eta_min=1.00005)
+        assert FitConfig(eta_min=ETA_MIN).eta_min == ETA_MIN
+
+    def test_zero_max_iter_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            FitConfig(max_iter=0)
+
+    def test_zero_min_cluster_weight_rejected(self):
+        # an empty component would otherwise turn its means into NaN
+        with pytest.raises(ValueError, match="min_cluster_weight"):
+            FitConfig(min_cluster_weight=0.0)
 
 
 class TestClassify:
