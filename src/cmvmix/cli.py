@@ -13,7 +13,6 @@ import numpy as np
 
 from . import dataio
 from .data import Dataset
-from .distributions import MvnParams
 from .ecm import FitConfig, Kind, MixtureModel, fit
 from .errors import (
     AllStartsFailed,
@@ -82,15 +81,7 @@ def _parse_g_range(text):
 def _read_model_spec(path) -> MixtureModel:
     doc = dataio._load_json(path)
     try:
-        comps = tuple(
-            MvnParams(np.asarray(rec["m"], dtype=float),
-                      np.asarray(rec["sigma"], dtype=float),
-                      np.asarray(rec["psi"], dtype=float))
-            for rec in doc["components"]
-        )
-        return MixtureModel(kind=Kind.MVN,
-                            weights=np.asarray(doc["weights"], dtype=float),
-                            components=comps)
+        return dataio._model_from_doc(doc, Kind.MVN)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model spec: {exc}") from None
 

@@ -220,7 +220,7 @@ def write_fit(result: FitResult, path) -> None:
             rec["eta"] = float(comp.eta)
         comps.append(rec)
     n_obs = int(result.resp.z.shape[0])
-    r, p = model.components[0].shape if model.kind is Kind.MVN else model.components[0].base.shape
+    r, p = model.components[0].shape
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": model.kind.value,
@@ -247,6 +247,28 @@ def write_fit(result: FitResult, path) -> None:
     _dump_canonical(doc, path)
 
 
+def _model_from_doc(doc, kind: Kind) -> MixtureModel:
+    """Mixture from the "weights" and "components" fields of a fit document
+    or a model spec; CMVN component records also carry alpha and eta.
+
+    Missing or malformed fields raise KeyError, TypeError or ValueError for
+    the caller to report against its file.
+    """
+    comps = []
+    for rec in doc["components"]:
+        base = MvnParams(
+            np.asarray(rec["m"], dtype=float),
+            np.asarray(rec["sigma"], dtype=float),
+            np.asarray(rec["psi"], dtype=float),
+        )
+        if kind is Kind.CMVN:
+            comps.append(CmvnParams(base, float(rec["alpha"]), float(rec["eta"])))
+        else:
+            comps.append(base)
+    return MixtureModel(kind=kind, weights=np.asarray(doc["weights"], dtype=float),
+                        components=tuple(comps))
+
+
 def read_fit(path) -> FitResult:
     """Load a fit written by write_fit; the round trip is exact."""
     doc = _load_json(path)
@@ -255,20 +277,7 @@ def read_fit(path) -> FitResult:
     _check_version(doc, path)
     _warn_unknown(doc, _FIT_KEYS, path)
     try:
-        kind = Kind(doc["kind"])
-        comps = []
-        for rec in doc["components"]:
-            base = MvnParams(
-                np.asarray(rec["m"], dtype=float),
-                np.asarray(rec["sigma"], dtype=float),
-                np.asarray(rec["psi"], dtype=float),
-            )
-            if kind is Kind.CMVN:
-                comps.append(CmvnParams(base, float(rec["alpha"]), float(rec["eta"])))
-            else:
-                comps.append(base)
-        model = MixtureModel(kind=kind, weights=np.asarray(doc["weights"], dtype=float),
-                             components=tuple(comps))
+        model = _model_from_doc(doc, Kind(doc["kind"]))
         resp = Responsibilities(
             z=np.asarray(doc["z"], dtype=float),
             v=np.asarray(doc["v"], dtype=float) if "v" in doc else None,

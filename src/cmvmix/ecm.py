@@ -250,15 +250,6 @@ def _eta(bad_mass, delta, eta_min, divisor):
     return max(eta_min, float((bad_mass * delta).sum() / denom) / divisor)
 
 
-def _factor(a, name):
-    """Cholesky factor of a scatter built inside the chain (symmetric by
-    construction, so only positive definiteness can fail)."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
-
-
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities.
 
@@ -298,9 +289,9 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
         weights, alphas, means, u = cm_step_1(data, Responsibilities(z=z, v=v), etas)
         for j in range(g):
             sigmas[j] = linalg.weighted_row_scatter(samples, means[j], u[:, j], L_psi[j]) / (p * ng[j])
-            L_sigma = _factor(sigmas[j], "sigma")
+            L_sigma = linalg.factor(sigmas[j], "sigma")
             psis[j] = linalg.weighted_col_scatter(samples, means[j], u[:, j], L_sigma) / (r * ng[j])
-            L_psi[j] = _factor(psis[j], "psi")
+            L_psi[j] = linalg.factor(psis[j], "psi")
             delta[:, j] = linalg.trace_quad_forms(samples, means[j], L_sigma, L_psi[j])
             log_det[j] = (p * linalg.log_det_from_factor(L_sigma)
                           + r * linalg.log_det_from_factor(L_psi[j]))
@@ -330,7 +321,8 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
 
     Start s draws its initial responsibilities from a generator seeded with
     seed XOR s, so results are reproducible and independent of execution
-    order.  Raises AllStartsFailed when every chain degenerates.
+    order.  A chain that degenerates or ends at a non-finite log-likelihood
+    is a failed start; raises AllStartsFailed when every start fails.
     """
     kind = Kind(kind)
     if data.n < config.g:
@@ -350,6 +342,9 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
             model, resp, trace, converged, iters = _run_chain(data, kind, config, init_z, init_v)
         except (DegenerateCluster, NotPositiveDefinite) as exc:
             failures.append(f"start {s}: {exc}")
+            continue
+        if not np.isfinite(trace[-1]):
+            failures.append(f"start {s}: non-finite log-likelihood")
             continue
         admissible = kind is Kind.MVN or all(c.alpha > 0.5 for c in model.components)
         key = (admissible, converged, trace[-1])

@@ -43,28 +43,32 @@ def as_spd(a, name="matrix"):
     return (a + a.T) / 2.0
 
 
-def cholesky(a, name="matrix"):
-    """Lower Cholesky factor L with L @ L.T == a.
+def factor(a, name="matrix"):
+    """Lower Cholesky factor of a symmetric matrix built by the program
+    itself, without validation.
 
     Raises NotPositiveDefinite when any pivot is non-positive; the caller
     decides whether to jitter, restart or abort.
     """
-    a = as_spd(a, name)
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
 
 
-def log_det_spd(a):
-    """log determinant of an SPD matrix via its Cholesky factor."""
-    L = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+def cholesky(a, name="matrix"):
+    """Lower Cholesky factor L with L @ L.T == a, after validating a."""
+    return factor(as_spd(a, name), name)
 
 
 def log_det_from_factor(L):
     """log determinant given a precomputed lower Cholesky factor."""
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def log_det_spd(a):
+    """log determinant of an SPD matrix via its Cholesky factor."""
+    return log_det_from_factor(cholesky(a))
 
 
 def trace_quad_form(x, m, sigma, psi):

@@ -1,7 +1,5 @@
 """BIC model selection and sweeps over component counts and model kinds."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -68,46 +66,29 @@ class SweepResult:
 _KIND_ORDER = {Kind.MVN: 0, Kind.CMVN: 1}
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CMVMIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep(data: Dataset, kinds: Sequence[Kind], g_range: Sequence[int],
           config: FitConfig) -> SweepResult:
     """Fit every (kind, G) cell and pick the maximal-BIC entry.
 
     A failing cell (all starts degenerate) is recorded with its error and
-    does not abort the sweep.  Cells may run on CMVMIX_THREADS worker
-    threads; assembly order is fixed, so the result is deterministic.
+    does not abort the sweep.  Cells run one after another, kinds outer
+    and G inner.
     """
     kinds = [Kind(k) for k in kinds]
     gs = list(g_range)
     if not gs or not kinds:
         raise ValueError("kinds and g_range must be non-empty")
-    cells = [(k, g) for k in kinds for g in gs]
-
-    def run(cell):
-        kind, g = cell
-        cfg = replace(config, g=g)
-        try:
-            res = fit(data, cfg, kind)
-            return SweepEntry(kind=kind, g=g, bic=bic_of(res, data), result=res)
-        except (AllStartsFailed, CmvmixError) as exc:
-            return SweepEntry(kind=kind, g=g, bic=None, result=None, error=str(exc))
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = tuple(pool.map(run, cells))
-    else:
-        entries = tuple(run(c) for c in cells)
+    entries = []
+    for kind in kinds:
+        for g in gs:
+            try:
+                res = fit(data, replace(config, g=g), kind)
+                entries.append(SweepEntry(kind=kind, g=g, bic=bic_of(res, data), result=res))
+            except CmvmixError as exc:
+                entries.append(SweepEntry(kind=kind, g=g, bic=None, result=None, error=str(exc)))
 
     ok = [(i, e) for i, e in enumerate(entries) if e.bic is not None]
     if not ok:
         raise AllStartsFailed("every sweep cell failed")
     best = min(ok, key=lambda ie: (-ie[1].bic, ie[1].g, _KIND_ORDER[ie[1].kind]))[0]
-    return SweepResult(entries=entries, best=best)
+    return SweepResult(entries=tuple(entries), best=best)

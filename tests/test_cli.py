@@ -69,6 +69,31 @@ class TestSimulate:
         assert flagged == 15
         assert np.all(np.abs(data.samples[~data.good_flags]) <= 8.0)
 
+    def test_spec_two_components(self, tmp_path, capsys):
+        model = reference_model()
+        spec = {
+            "weights": [float(w) for w in model.weights],
+            "components": [{"m": c.m.tolist(), "sigma": c.sigma.tolist(), "psi": c.psi.tolist()}
+                           for c in model.components],
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--spec", str(spec_path), "--n", "40",
+                     "--seed", "3", "--out", str(out)]) == 0
+        data = read_dataset(out)
+        expected = generate(model, 40, seed=3)
+        np.testing.assert_array_equal(data.samples, expected.samples)
+        np.testing.assert_array_equal(data.true_labels, expected.true_labels)
+        assert "n=40" in capsys.readouterr().out
+
+    def test_spec_top_level_list(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1, 2]")
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
     def test_bad_perturb_descriptor(self, tmp_path):
         assert main(["simulate", "--paper-table1", "--n", "10",
                      "--perturb", "obs=6", "--out", str(tmp_path / "x.json")]) == 2

@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.stats import matrix_normal, multivariate_normal
 
+from cmvmix import ecm
 from cmvmix.data import Dataset
 from cmvmix.distributions import ETA_MIN, CmvnParams, MvnParams, sample_mvn_stack
 from cmvmix.ecm import (
@@ -420,6 +421,32 @@ class TestFit:
         _, _, trace_a, _, _ = _run_chain(data, Kind.CMVN, cfg, init_z, init_v)
         _, _, trace_b, _, _ = _run_chain(data_p, Kind.CMVN, cfg, init_z[perm], init_v[perm])
         assert trace_a[-1] == pytest.approx(trace_b[-1], rel=1e-9)
+
+    @staticmethod
+    def _stub_chains(monkeypatch, model, resp, final_logliks):
+        """Replace the chain by one that ends start s at final_logliks[s]."""
+        starts = iter(range(len(final_logliks)))
+
+        def stub(data, kind, config, init_z, init_v):
+            s = next(starts)
+            return model, resp, np.array([-1e3, final_logliks[s]]), True, 2
+
+        monkeypatch.setattr(ecm, "_run_chain", stub)
+
+    def test_non_finite_loglik_never_wins(self, monkeypatch):
+        data = generate(reference_model(), 50, seed=4)
+        real = fit(data, FitConfig(g=2, n_starts=1, seed=5), Kind.MVN)
+        self._stub_chains(monkeypatch, real.model, real.resp, [np.nan, -101.0, -102.0, -103.0])
+        res = fit(data, FitConfig(g=2, n_starts=4), Kind.MVN)
+        assert res.start_index == 1
+        assert res.loglik == -101.0
+
+    def test_all_non_finite_starts_fail(self, monkeypatch):
+        data = generate(reference_model(), 50, seed=4)
+        real = fit(data, FitConfig(g=2, n_starts=1, seed=5), Kind.MVN)
+        self._stub_chains(monkeypatch, real.model, real.resp, [np.nan, np.inf, -np.inf, np.nan])
+        with pytest.raises(AllStartsFailed, match="start 3: non-finite log-likelihood"):
+            fit(data, FitConfig(g=2, n_starts=4), Kind.MVN)
 
 
 def reference_chain(data, kind, config, init_z, init_v):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from cmvmix import selection
 from cmvmix.data import Dataset
 from cmvmix.ecm import FitConfig, Kind
+from cmvmix.errors import AllStartsFailed
 from cmvmix.selection import bic, count_free_params, sweep
 from cmvmix.simulate import generate, reference_model
 
@@ -107,10 +109,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(clean_data, [Kind.MVN], [], FitConfig())
 
-    def test_threaded_matches_sequential(self, clean_data, monkeypatch):
-        cfg = FitConfig(n_starts=2, seed=3)
-        seq = sweep(clean_data, [Kind.MVN], [1, 2], cfg)
-        monkeypatch.setenv("CMVMIX_THREADS", "4")
-        par = sweep(clean_data, [Kind.MVN], [1, 2], cfg)
-        assert [e.bic for e in seq.entries] == [e.bic for e in par.entries]
-        assert seq.best == par.best
+    def test_sweep_ranks_equal_bic_cells_and_records_failures(self, clean_data, monkeypatch):
+        calls = []
+
+        def stub_fit(data, config, kind):
+            calls.append((kind, config.g))
+            if (kind, config.g) == (Kind.CMVN, 3):
+                raise AllStartsFailed("start 0: stub failure")
+            return (kind, config.g)
+
+        monkeypatch.setattr(selection, "fit", stub_fit)
+        monkeypatch.setattr(selection, "bic_of", lambda result, data: -10.0)
+        res = sweep(clean_data, [Kind.CMVN, Kind.MVN], [3, 2], FitConfig(n_starts=1))
+        cells = [(Kind.CMVN, 3), (Kind.CMVN, 2), (Kind.MVN, 3), (Kind.MVN, 2)]
+        assert calls == cells
+        assert [(e.kind, e.g) for e in res.entries] == cells
+        assert (res.best_entry.kind, res.best_entry.g) == (Kind.MVN, 2)
+        failed = res.entries[0]
+        assert failed.bic is None and failed.result is None
+        assert failed.error == "start 0: stub failure"
