@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import xlog1py, xlogy
 
 from . import linalg
 from .data import Dataset
@@ -145,17 +145,21 @@ class FitResult:
 def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
     """Posteriors z, v and the observed log-likelihood from the (N, G)
     distances and the per-component log determinants; alphas None is the
-    plain matrix normal (v None)."""
+    plain matrix normal (v None).  Each row's log-sum-exp is shifted by its
+    largest entry, so a row with no finite entry gives a NaN log-likelihood.
+    """
     logf, v = _logs_from_distances(delta, log_det, rp, alphas, etas)
     logw = logf + log_weights
-    lse = logsumexp(logw, axis=1, keepdims=True)
-    z = np.exp(logw - lse)
-    z /= z.sum(axis=1, keepdims=True)
-    return z, v, float(lse.sum())
+    top = logw.max(axis=1, keepdims=True)
+    w = np.exp(logw - top)
+    tot = w.sum(axis=1, keepdims=True)
+    return w / tot, v, float((np.log(tot) + top).sum())
 
 
-def _model_e_pass(data: Dataset, model: MixtureModel):
-    """E-pass at the parameters of a model record."""
+def _model_terms(data: Dataset, model: MixtureModel):
+    """The arguments of _e_pass at the parameters of a model record: (N, G)
+    distances, log determinants, log weights, r*p, alphas and etas (None for
+    the plain matrix normal)."""
     cmvn = model.kind is Kind.CMVN
     bases = [c.base for c in model.components] if cmvn else model.components
     terms = [_distances(data.samples, b) for b in bases]
@@ -163,18 +167,18 @@ def _model_e_pass(data: Dataset, model: MixtureModel):
     log_det = np.array([t[1] for t in terms])
     alphas = np.array([c.alpha for c in model.components]) if cmvn else None
     etas = np.array([c.eta for c in model.components]) if cmvn else None
-    return _e_pass(delta, log_det, np.log(model.weights), data.r * data.p, alphas, etas)
+    return delta, log_det, np.log(model.weights), data.r * data.p, alphas, etas
 
 
 def e_step(data: Dataset, model: MixtureModel) -> Responsibilities:
     """Posterior cluster memberships (and good-point posteriors for CMVN)."""
-    z, v, _ = _model_e_pass(data, model)
+    z, v, _ = _e_pass(*_model_terms(data, model))
     return Responsibilities(z=z, v=v)
 
 
 def observed_loglik(data: Dataset, model: MixtureModel) -> float:
     """Observed-data log-likelihood of the mixture."""
-    return _model_e_pass(data, model)[2]
+    return _e_pass(*_model_terms(data, model))[2]
 
 
 def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
@@ -183,18 +187,26 @@ def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
     Returns (weights, alphas, means, u) where u are the effective weights
     reused by the scale updates; alphas is None for plain MVN.
     """
-    z, v = resp.z, resp.v
-    n = data.n
+    return _cm_step_1(data.samples, resp.z, resp.v, etas_prev)
+
+
+def _cm_step_1(samples, z, v, etas_prev):
+    """cm_step_1 on the posterior arrays; v None is plain MVN."""
     ng = z.sum(axis=0)
-    weights = ng / n
+    weights = ng / samples.shape[0]
     alphas = None
     if v is not None:
         alphas = np.clip((z * v).sum(axis=0) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
     u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[None, :])
     s = u.sum(axis=0)
-    means = np.einsum("ig,irp->grp", u, data.samples) / s[:, None, None]
+    means = np.einsum("ig,irp->grp", u, samples) / s[:, None, None]
     return weights, alphas, means, u
+
+
+def _factors(mats, name):
+    """Validated Cholesky factors of a sequence of matrices, stacked."""
+    return np.stack([linalg.cholesky(a, name) for a in mats])
 
 
 def cm_step_2_sigma(samples, u, ng, means, prev_psis):
@@ -204,24 +216,15 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     when the component record is built, after the column scale is also
     updated, so the Kronecker product is preserved exactly.
     """
-    p = samples.shape[2]
-    sigmas = []
-    for j in range(means.shape[0]):
-        L_psi = linalg.cholesky(prev_psis[j], "psi")
-        acc = linalg.weighted_row_scatter(samples, means[j], u[:, j], L_psi)
-        sigmas.append(acc / (p * ng[j]))
-    return sigmas
+    d = linalg._residuals(samples, means)
+    t = linalg._whiten(_factors(prev_psis, "psi"), d.transpose(0, 1, 3, 2))
+    return list(linalg._scatter(t, u, np.asarray(ng, dtype=float)))
 
 
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
-    r = samples.shape[1]
-    psis = []
-    for j in range(means.shape[0]):
-        L_sigma = linalg.cholesky(new_sigmas[j], "sigma")
-        acc = linalg.weighted_col_scatter(samples, means[j], u[:, j], L_sigma)
-        psis.append(acc / (r * ng[j]))
-    return psis
+    s = linalg._whiten(_factors(new_sigmas, "sigma"), linalg._residuals(samples, means))
+    return list(linalg._scatter(s, u, np.asarray(ng, dtype=float)))
 
 
 def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min, rp_divisor=True):
@@ -231,39 +234,38 @@ def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min, rp_divisor=True):
     objective in eta); rp_divisor=False reproduces the plain ratio.
     """
     _, r, p = samples.shape
-    divisor = r * p if rp_divisor else 1
-    etas = []
-    for j in range(means.shape[0]):
-        L_sigma = linalg.cholesky(sigmas[j], "sigma")
-        L_psi = linalg.cholesky(psis[j], "psi")
-        delta = linalg.trace_quad_forms(samples, means[j], L_sigma, L_psi)
-        etas.append(_eta(z[:, j] * (1.0 - v[:, j]), delta, eta_min, divisor))
-    return np.array(etas)
+    s = linalg._whiten(_factors(sigmas, "sigma"), linalg._residuals(samples, means))
+    delta = linalg._whitened_distances(s, _factors(psis, "psi"))
+    return _eta(z * (1.0 - v), delta, eta_min, r * p if rp_divisor else 1)
 
 
 def _eta(bad_mass, delta, eta_min, divisor):
-    """One component's inflation: mean distance under its bad mass over
-    divisor, floored at eta_min (eta_min itself when there is no bad mass)."""
-    denom = bad_mass.sum()
-    if denom < 1e-12:
-        return eta_min
-    return max(eta_min, float((bad_mass * delta).sum() / denom) / divisor)
+    """Per-component inflations from (N, G) bad masses and distances: the
+    mean distance under each column's bad mass over divisor, floored at
+    eta_min (eta_min itself for a column with no bad mass)."""
+    denom = bad_mass.sum(axis=0)
+    empty = denom < 1e-12
+    mean = (bad_mass * delta).sum(axis=0) / np.where(empty, 1.0, denom)
+    return np.where(empty, eta_min, np.maximum(eta_min, mean / divisor))
 
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities.
 
-    Parameters live in stacked arrays; per component and iteration the row
-    and column scales are factored once each (the column factor is carried
-    into the next row-scale update) and one distance pass feeds the eta
-    update, the posteriors and the log-likelihood.  Plain MVN is the case
-    v = 1 with no alpha or eta.  Model records are built once, at the end.
+    Parameters live in arrays with a leading component axis, and each step
+    is one call over all G components: per iteration the row and column
+    scales are factored once each (the column factor is carried into the
+    next row-scale update), and the column scatter's whitened residuals
+    L_sigma^-1 D are solved once more against the new column factor to give
+    the distances that feed the eta update, the posteriors and the
+    log-likelihood.  Plain MVN is the case v = 1 with no alpha or eta.
+    Model records are built once, at the end.
 
     Raises DegenerateCluster / NotPositiveDefinite when the chain collapses;
     fit() treats that as a failed start.
     """
     samples = data.samples
-    n, r, p = samples.shape
+    _, r, p = samples.shape
     g = config.g
     cmvn = kind is Kind.CMVN
     mcw = config.min_cluster_weight
@@ -274,11 +276,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     z = np.asarray(init_z, dtype=float)
     v = np.asarray(init_v, dtype=float) if cmvn else None
     etas = np.full(g, config.init_eta)
-    sigmas = np.empty((g, r, r))
-    psis = np.empty((g, p, p))
     L_psi = np.tile(np.eye(p), (g, 1, 1))
-    delta = np.empty((n, g))
-    log_det = np.empty(g)
 
     trace = []
     converged = False
@@ -286,17 +284,17 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
         ng = z.sum(axis=0)
         if np.any(ng < mcw):
             raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
-        weights, alphas, means, u = cm_step_1(data, Responsibilities(z=z, v=v), etas)
-        for j in range(g):
-            sigmas[j] = linalg.weighted_row_scatter(samples, means[j], u[:, j], L_psi[j]) / (p * ng[j])
-            L_sigma = linalg.factor(sigmas[j], "sigma")
-            psis[j] = linalg.weighted_col_scatter(samples, means[j], u[:, j], L_sigma) / (r * ng[j])
-            L_psi[j] = linalg.factor(psis[j], "psi")
-            delta[:, j] = linalg.trace_quad_forms(samples, means[j], L_sigma, L_psi[j])
-            log_det[j] = (p * linalg.log_det_from_factor(L_sigma)
-                          + r * linalg.log_det_from_factor(L_psi[j]))
-            if cmvn:
-                etas[j] = _eta(z[:, j] * (1.0 - v[:, j]), delta[:, j], config.eta_min, divisor)
+        weights, alphas, means, u = _cm_step_1(samples, z, v, etas)
+        d = linalg._residuals(samples, means)
+        sigmas = linalg._scatter(linalg._whiten(L_psi, d.transpose(0, 1, 3, 2)), u, ng)
+        L_sigma = linalg.factor(sigmas, "sigma")
+        s = linalg._whiten(L_sigma, d)
+        psis = linalg._scatter(s, u, ng)
+        L_psi = linalg.factor(psis, "psi")
+        delta = linalg._whitened_distances(s, L_psi)
+        log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
+        if cmvn:
+            etas = _eta(z * (1.0 - v), delta, config.eta_min, divisor)
         weights = weights / weights.sum()
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)
@@ -395,29 +393,17 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
     Used to check that each conditional maximization weakly increases the
     objective it optimizes.
     """
-    n, rp = data.n, data.r * data.p
-    z = resp.z
-    total = float((z * np.log(model.weights)[None, :]).sum())
-    for j, comp in enumerate(model.components):
-        if model.kind is Kind.CMVN:
-            base, alpha, eta = comp.base, comp.alpha, comp.eta
-            v = resp.v[:, j]
-        else:
-            base, alpha, eta = comp, None, 1.0
-            v = np.ones(n)
-        delta, log_det = _distances(data.samples, base)
-        zj = z[:, j]
-        if alpha is not None:
-            total += float((zj * (v * np.log(alpha) + (1 - v) * np.log1p(-alpha))).sum())
-        total += float(
-            (
-                zj
-                * (
-                    -0.5 * rp * np.log(2 * np.pi)
-                    - 0.5 * log_det
-                    - 0.5 * rp * (1 - v) * np.log(eta)
-                    - 0.5 * (v + (1 - v) / eta) * delta
-                )
-            ).sum()
-        )
-    return total
+    delta, log_det, log_weights, rp, alphas, etas = _model_terms(data, model)
+    if alphas is None:  # plain matrix normal: every point good, alpha = eta = 1
+        v, alphas, etas = 1.0, 1.0, 1.0
+    else:
+        v = resp.v
+    terms = (
+        log_weights
+        + xlogy(v, alphas)
+        + xlog1py(1 - v, -alphas)
+        - 0.5 * (rp * np.log(2 * np.pi) + log_det)
+        - 0.5 * rp * (1 - v) * np.log(etas)
+        - 0.5 * (v + (1 - v) / etas) * delta
+    )
+    return float((resp.z * terms).sum())

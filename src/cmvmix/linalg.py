@@ -1,13 +1,14 @@
 """Dense-matrix kernels shared by the density and estimation code.
 
-All inverse-weighted quantities go through Cholesky factors and triangular
-solves; explicit matrix inversion is never used.  Matrices are plain numpy
+All inverse-weighted quantities go through Cholesky factors: residuals are
+whitened by LU solves against stacks of lower-triangular factors, one
+(G, k, k) stack per call with every right-hand side of a component in one
+solve; explicit matrix inversion is never used.  Matrices are plain numpy
 arrays; the helpers below validate shape, finiteness, symmetry and positive
 definiteness at the boundaries where user data enters.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -45,7 +46,7 @@ def as_spd(a, name="matrix"):
 
 def factor(a, name="matrix"):
     """Lower Cholesky factor of a symmetric matrix built by the program
-    itself, without validation.
+    itself (or of a stack of them, shape (..., k, k)), without validation.
 
     Raises NotPositiveDefinite when any pivot is non-positive; the caller
     decides whether to jitter, restart or abort.
@@ -62,8 +63,9 @@ def cholesky(a, name="matrix"):
 
 
 def log_det_from_factor(L):
-    """log determinant given a precomputed lower Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    """log determinant given a precomputed lower Cholesky factor, or one per
+    factor of a stack (..., k, k)."""
+    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def log_det_spd(a):
@@ -74,8 +76,8 @@ def log_det_spd(a):
 def trace_quad_form(x, m, sigma, psi):
     """Squared Mahalanobis-type distance for an r x p observation.
 
-    Computes ``tr[sigma^-1 (x - m) psi^-1 (x - m)']`` through two triangular
-    solves, which equals the squared Frobenius norm of
+    Computes ``tr[sigma^-1 (x - m) psi^-1 (x - m)']`` through two solves
+    against the Cholesky factors, which equals the squared Frobenius norm of
     ``L_sigma^-1 (x - m) L_psi^-T``.  Always >= 0; zero iff x == m.
     """
     x = as_matrix(x, "x")
@@ -105,35 +107,41 @@ def trace_quad_forms(xs, m, L_sigma, L_psi):
     -------
     ndarray, shape (N,), the distances delta_i >= 0.
     """
-    n, r, p = xs.shape
-    d = xs - m[None, :, :]
-    # S_i = L_sigma^-1 D_i, solved for all i at once
-    s = solve_triangular(L_sigma, d.transpose(1, 0, 2).reshape(r, n * p), lower=True)
-    s = s.reshape(r, n, p).transpose(1, 0, 2)
-    # W_i = L_psi^-1 S_i', then delta_i = ||W_i||_F^2
-    w = solve_triangular(L_psi, s.transpose(2, 0, 1).reshape(p, n * r), lower=True)
-    w = w.reshape(p, n, r)
-    return np.einsum("pnr,pnr->n", w, w)
+    s = _whiten(L_sigma[None], _residuals(xs, m[None]))
+    return _whitened_distances(s, L_psi[None])[:, 0]
 
 
-def weighted_row_scatter(xs, m, weights, L_psi):
-    """Accumulate ``sum_i w_i D_i psi^-1 D_i'`` via triangular solves.
+def _residuals(xs, means):
+    """D_gi = X_i - M_g for units xs (N, r, p) and means (G, r, p): (G, N, r, p)."""
+    return xs[None] - means[:, None]
 
-    Returns an r x r symmetric matrix (symmetrized against roundoff).
+
+def _whiten(L, d):
+    """L_g^-1 D_gi for factors L (G, k, k) and residuals d (G, N, k, m).
+
+    One LU solve per factor takes all N*m right-hand sides; the result is
+    laid out (G, k, N, m).
     """
-    n, r, p = xs.shape
-    d = xs - m[None, :, :]
-    t = solve_triangular(L_psi, d.transpose(2, 0, 1).reshape(p, n * r), lower=True)
-    t = t.reshape(p, n, r)
-    out = np.einsum("n,pnr,pns->rs", weights, t, t)
-    return (out + out.T) / 2.0
+    g, n, k, m = d.shape
+    rhs = d.transpose(0, 2, 1, 3).reshape(g, k, n * m)
+    return np.linalg.solve(L, rhs).reshape(g, k, n, m)
 
 
-def weighted_col_scatter(xs, m, weights, L_sigma):
-    """Accumulate ``sum_i w_i D_i' sigma^-1 D_i``; p x p symmetric."""
-    n, r, p = xs.shape
-    d = xs - m[None, :, :]
-    s = solve_triangular(L_sigma, d.transpose(1, 0, 2).reshape(r, n * p), lower=True)
-    s = s.reshape(r, n, p)
-    out = np.einsum("n,rnp,rnq->pq", weights, s, s)
-    return (out + out.T) / 2.0
+def _scatter(w, u, ng):
+    """sum_i u_ig W_gi' W_gi / (k ng_g) for whitened residuals w (G, k, N, m)
+    and weights u (N, G); a (G, m, m) stack, symmetrized against roundoff.
+
+    With w = L_psi^-1 D' this is the row-scale update (k = p), with
+    w = L_sigma^-1 D the column-scale update (k = r).
+    """
+    g, k, n, m = w.shape
+    a = (w * np.sqrt(u.T)[:, None, :, None]).reshape(g, k * n, m)
+    out = np.matmul(a.transpose(0, 2, 1), a)
+    return (out + out.transpose(0, 2, 1)) / (2.0 * k * ng[:, None, None])
+
+
+def _whitened_distances(s, L_psi):
+    """Distances delta (N, G) from s = L_sigma^-1 D (G, r, N, p): the squared
+    Frobenius norm of L_psi^-1 S_gi' per unit and component."""
+    w = _whiten(L_psi, s.transpose(0, 2, 3, 1))
+    return np.square(w).sum(axis=(1, 3)).T

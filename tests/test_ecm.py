@@ -116,6 +116,45 @@ class TestEStep:
             np.testing.assert_allclose(resp.z[i], dens / dens.sum(), rtol=1e-9)
 
 
+class TestEPass:
+    """The E-pass's shifted log-sum-exp against scipy's logsumexp."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+    def test_matches_logsumexp(self, kind):
+        rng = np.random.default_rng(40)
+        n, g, rp = 8, 3, 8
+        # each row's log densities spread over about 1e3 nats
+        delta = rng.uniform(0.0, 2000.0, size=(n, g))
+        delta[0] = [1.0, 3.0, 2.0]
+        log_det = rng.standard_normal(g)
+        log_w = np.log(rng.dirichlet(np.ones(g)))
+        alphas = rng.uniform(0.6, 0.95, g) if kind is Kind.CMVN else None
+        etas = rng.uniform(2.0, 8.0, g) if kind is Kind.CMVN else None
+        z, v, ll = ecm._e_pass(delta, log_det, log_w, rp, alphas, etas)
+        from cmvmix.distributions import _logs_from_distances
+        logw = _logs_from_distances(delta, log_det, rp, alphas, etas)[0] + log_w
+        lse = logsumexp(logw, axis=1)
+        assert ll == pytest.approx(lse.sum(), rel=1e-14)
+        np.testing.assert_allclose(z, np.exp(logw - lse[:, None]), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(z.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+    def test_minus_inf_entries(self):
+        delta = np.array([[1.0, np.inf, 4.0], [2.0, 5.0, 3.0]])
+        log_w = np.log(np.full(3, 1 / 3))
+        z, _, ll = ecm._e_pass(delta, np.zeros(3), log_w, 4, None, None)
+        assert z[0, 1] == 0.0
+        assert np.isfinite(ll)
+        logw = -0.5 * (4 * np.log(2 * np.pi) + delta) + log_w
+        np.testing.assert_allclose(z[0], np.exp(logw[0] - logsumexp(logw[0])), rtol=1e-14)
+        # a unit that no component can explain leaves the log-likelihood
+        # non-finite, which fit() counts as a failed start
+        delta[1] = np.inf
+        with np.errstate(invalid="ignore"):
+            _, _, ll = ecm._e_pass(delta, np.zeros(3), log_w, 4, None, None)
+        assert not np.isfinite(ll)
+
+
 class TestCmSteps:
     def _setup(self, seed=4, n=30, g=2, r=2, p=3):
         rng = np.random.default_rng(seed)
@@ -278,6 +317,16 @@ class TestCmSteps:
         means = samples.mean(axis=0)[None, :, :]
         etas = cm_step_4_eta(samples, z, v, means, [np.eye(2)], [np.eye(2)], 1.0001)
         assert etas[0] >= 1.0001
+
+    def test_eta_floor_applies_per_component(self):
+        # component 0 has no bad mass, component 1 one bad point at distance 40
+        x = np.zeros((2, 2, 4))
+        x[1, 0, 0] = np.sqrt(40.0)
+        z = np.array([[1.0, 0.0], [0.0, 1.0]])
+        v = np.array([[1.0, 1.0], [1.0, 0.0]])
+        etas = cm_step_4_eta(x, z, v, np.zeros((2, 2, 4)), [np.eye(2)] * 2, [np.eye(4)] * 2, 1.0001)
+        assert etas[0] == 1.0001
+        assert etas[1] == pytest.approx(5.0, rel=1e-12)
 
     def test_unscaled_variant_omits_divisor(self):
         x = np.zeros((1, 2, 4))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from cmvmix import linalg
 from cmvmix.errors import DimensionMismatch, NotPositiveDefinite
@@ -131,3 +132,79 @@ class TestTraceQuadForm:
         with pytest.raises(ValueError):
             linalg.trace_quad_form(np.array([[np.nan, 0.0]]), np.zeros((1, 2)),
                                    np.eye(1), np.eye(2))
+
+
+def per_component_steps(xs, means, u, ng, L_psi_prev):
+    """Oracle for the stacked kernels: one component and one unit at a time,
+    with scipy's triangular solves.  Returns (sigmas, psis, delta, log_det)
+    of the row update through L_psi_prev, the column update through the new
+    row factor, and the distances and log det(psi (x) sigma) at both."""
+    n, r, p = xs.shape
+    sigmas, psis, delta, log_det = [], [], np.empty((n, len(means))), []
+    for j, m in enumerate(means):
+        d = xs - m
+        sigma = np.zeros((r, r))
+        for i in range(n):
+            t = solve_triangular(L_psi_prev[j], d[i].T, lower=True)
+            sigma += u[i, j] * t.T @ t
+        sigma /= p * ng[j]
+        L_s = np.linalg.cholesky(sigma)
+        psi = np.zeros((p, p))
+        for i in range(n):
+            s = solve_triangular(L_s, d[i], lower=True)
+            psi += u[i, j] * s.T @ s
+        psi /= r * ng[j]
+        L_p = np.linalg.cholesky(psi)
+        for i in range(n):
+            s = solve_triangular(L_s, d[i], lower=True)
+            delta[i, j] = np.sum(solve_triangular(L_p, s.T, lower=True) ** 2)
+        log_det.append(2 * p * np.log(np.diag(L_s)).sum() + 2 * r * np.log(np.diag(L_p)).sum())
+        sigmas.append(sigma)
+        psis.append(psi)
+    return np.array(sigmas), np.array(psis), delta, np.array(log_det)
+
+
+class TestStackedKernels:
+    """The stacked whiten/scatter/distance kernels, in the order the ECM
+    chain calls them, against the per-component oracle."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
+    def test_against_per_component_oracle(self, g, shape):
+        r, p = shape
+        rng = np.random.default_rng(10 * g + r)
+        n = 20
+        xs = rng.standard_normal((n, r, p)) * rng.uniform(0.5, 3.0)
+        means = rng.standard_normal((g, r, p))
+        z = rng.dirichlet(np.ones(g), size=n)
+        u = z * rng.uniform(0.3, 1.0, size=(n, g))
+        ng = z.sum(axis=0)
+        L_psi_prev = np.stack([linalg.cholesky(random_spd(rng, p)) for _ in range(g)])
+
+        d = linalg._residuals(xs, means)
+        sigmas = linalg._scatter(linalg._whiten(L_psi_prev, d.transpose(0, 1, 3, 2)), u, ng)
+        L_sigma = linalg.factor(sigmas)
+        s = linalg._whiten(L_sigma, d)
+        psis = linalg._scatter(s, u, ng)
+        L_psi = linalg.factor(psis)
+        delta = linalg._whitened_distances(s, L_psi)
+        log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
+
+        want = per_component_steps(xs, means, u, ng, L_psi_prev)
+        for got, ref in zip((sigmas, psis, delta), want[:3]):
+            assert got.shape == ref.shape
+            assert self.rel(got, ref) < self.RTOL
+        np.testing.assert_allclose(log_det, want[3], rtol=self.RTOL, atol=self.RTOL)
+        np.testing.assert_array_equal(sigmas, sigmas.transpose(0, 2, 1))
+        np.testing.assert_array_equal(psis, psis.transpose(0, 2, 1))
+
+    def test_one_failing_factor_raises(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(NotPositiveDefinite, match="psi"):
+            linalg.factor(stack, "psi")
