@@ -14,18 +14,7 @@ import numpy as np
 from . import dataio
 from .data import Dataset
 from .ecm import FitConfig, Kind, MixtureModel, fit
-from .errors import (
-    AllStartsFailed,
-    CmvmixError,
-    DegenerateCluster,
-    DimensionMismatch,
-    KindMismatch,
-    LengthMismatch,
-    NotPositiveDefinite,
-    ParseError,
-    SchemaError,
-    ShapeError,
-)
+from .errors import CmvmixError, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, count_free_params, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
@@ -270,8 +259,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (AllStartsFailed, DegenerateCluster, NotPositiveDefinite,
-            DimensionMismatch, KindMismatch, LengthMismatch, ValueError) as exc:
+    except (CmvmixError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -9,7 +9,7 @@ byte-identical files, and every read(write(x)) is exact.
 import csv
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .distributions import CmvnParams, MvnParams
 from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
-from .errors import ParseError, SchemaError, ShapeError
+from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
 
 SCHEMA_VERSION = 1
 
@@ -124,23 +124,26 @@ def _read_dataset_json(path) -> Dataset:
     try:
         n, r, p = int(doc["n"]), int(doc["r"]), int(doc["p"])
         flat = doc["samples"]
+        if len(flat) != n:
+            raise ShapeError(f"{path}: expected {n} samples, found {len(flat)}")
+        samples = np.empty((n, r, p))
+        for i, values in enumerate(flat):
+            if len(values) != r * p:
+                raise ShapeError(
+                    f"{path}: sample {i + 1} has {len(values)} values, expected {r * p}")
+            samples[i] = np.asarray(values, dtype=float).reshape(r, p)
+        if not np.all(np.isfinite(samples)):
+            raise ParseError(f"{path}: samples contain non-finite values")
+        return Dataset(
+            samples=samples,
+            true_labels=doc.get("labels"),
+            good_flags=doc.get("good_flags"),
+            unit_names=doc.get("names"),
+        )
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
-    if len(flat) != n:
-        raise ShapeError(f"{path}: expected {n} samples, found {len(flat)}")
-    samples = np.empty((n, r, p))
-    for i, values in enumerate(flat):
-        if len(values) != r * p:
-            raise ShapeError(f"{path}: sample {i + 1} has {len(values)} values, expected {r * p}")
-        samples[i] = np.asarray(values, dtype=float).reshape(r, p)
-    if not np.all(np.isfinite(samples)):
-        raise ParseError(f"{path}: samples contain non-finite values")
-    return Dataset(
-        samples=samples,
-        true_labels=doc.get("labels"),
-        good_flags=doc.get("good_flags"),
-        unit_names=doc.get("names"),
-    )
+    except (DimensionMismatch, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed dataset: {exc}") from None
 
 
 def _read_dataset_csv(path) -> Dataset:
@@ -181,6 +184,8 @@ def _read_dataset_csv(path) -> Dataset:
     n = max(k[0] for k in cells)
     r = max(k[1] for k in cells)
     p = max(k[2] for k in cells)
+    if min(n, r, p) < 1:
+        raise _index_below_one(path, cells)
     samples = np.empty((n, r, p))
     for i in range(1, n + 1):
         for a in range(1, r + 1):
@@ -188,10 +193,18 @@ def _read_dataset_csv(path) -> Dataset:
                 if (i, a, b) not in cells:
                     raise ShapeError(f"{path}: missing cell (unit={i}, row={a}, col={b})")
                 samples[i - 1, a - 1, b - 1] = cells[(i, a, b)]
+    # every in-range cell is present, so any other cell has an index below 1
+    if len(cells) != n * r * p:
+        raise _index_below_one(path, cells)
     true_labels = None
     if labels:
         true_labels = [labels[i] for i in range(1, n + 1)]
     return Dataset(samples=samples, true_labels=true_labels)
+
+
+def _index_below_one(path, cells):
+    unit, a, b = next(k for k in cells if min(k) < 1)
+    return ShapeError(f"{path}: cell (unit={unit}, row={a}, col={b}) has an index below 1")
 
 
 _FIT_KEYS = {
@@ -282,7 +295,10 @@ def read_fit(path) -> FitResult:
             z=np.asarray(doc["z"], dtype=float),
             v=np.asarray(doc["v"], dtype=float) if "v" in doc else None,
         )
-        config = FitConfig(**doc["config"])
+        cfg = dict(doc["config"])
+        known = {f.name for f in fields(FitConfig)}
+        _warn_unknown(cfg, known, f"{path}: config")
+        config = FitConfig(**{k: v for k, v in cfg.items() if k in known})
         return FitResult(
             model=model,
             resp=resp,

@@ -89,7 +89,7 @@ def mvn_log_density(x, params: MvnParams) -> float:
 
 def mvn_log_densities(xs, params: MvnParams):
     """Vectorized matrix normal log density for a stack of shape (N, r, p)."""
-    return _logs_from_distances(*_distances(xs, params), params.m.size)[0]
+    return _one_law_logs(xs, params)[0]
 
 
 def cmvn_log_density(x, params: CmvnParams) -> float:
@@ -99,21 +99,27 @@ def cmvn_log_density(x, params: CmvnParams) -> float:
 
 def cmvn_log_densities(xs, params: CmvnParams):
     """Vectorized contaminated log density for a stack of shape (N, r, p)."""
-    delta, log_det = _distances(xs, params.base)
-    return _logs_from_distances(delta, log_det, params.base.m.size, params.alpha, params.eta)[0]
+    return _one_law_logs(xs, params.base, params.alpha, params.eta)[0]
 
 
-def _distances(xs, params: MvnParams):
-    """Distances of a stack (N, r, p) to one matrix normal law, and the log
-    determinant of its covariance psi (x) sigma."""
-    r, p = params.shape
-    if xs.shape[1:] != (r, p):
-        raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {(r, p)}")
-    L_sigma = linalg.cholesky(params.sigma, "sigma")
-    L_psi = linalg.cholesky(params.psi, "psi")
-    delta = linalg.trace_quad_forms(xs, params.m, L_sigma, L_psi)
-    log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
-    return delta, log_det
+def _one_law_logs(xs, base: MvnParams, alpha=None, eta=None):
+    """_logs_from_distances for a stack (N, r, p) under one law: the G = 1
+    case of _distances."""
+    delta, log_det = _distances(xs, [base])
+    return _logs_from_distances(delta[:, 0], log_det[0], base.m.size, alpha, eta)
+
+
+def _distances(xs, bases):
+    """Distances (N, G) of a stack (N, r, p) to G matrix normal laws and the
+    log determinants (G,) of their covariances psi (x) sigma.  The records
+    were validated on construction, so their stacked scales are only factored."""
+    shapes = {b.shape for b in bases}
+    if shapes != {xs.shape[1:]}:
+        raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
+    L_sigma = linalg.factor(np.stack([b.sigma for b in bases]), "sigma")
+    L_psi = linalg.factor(np.stack([b.psi for b in bases]), "psi")
+    delta = linalg._distances(xs, np.stack([b.m for b in bases]), L_sigma, L_psi)
+    return delta, linalg._log_det_kron(L_sigma, L_psi)
 
 
 def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
@@ -144,11 +150,15 @@ def posterior_good_prob(x, params: CmvnParams) -> float:
 
 def posterior_good_probs(xs, params: CmvnParams):
     """Vectorized posterior good-point probabilities, values in (0, 1)."""
-    delta, log_det = _distances(xs, params.base)
-    return _logs_from_distances(delta, log_det, params.base.m.size, params.alpha, params.eta)[1]
+    return _one_law_logs(xs, params.base, params.alpha, params.eta)[1]
 
 
-def _check_weight_args(delta, alpha, eta, r, p):
+def h_weight(delta, alpha, eta, r, p):
+    """Posterior good-point probability as a closed form in the distance.
+
+    h(delta) = 1 / (1 + ((1-alpha)/alpha) eta^(-rp/2) exp[(delta/2)(1 - 1/eta)]),
+    strictly decreasing in delta; value in (0, 1), clipped like posterior_good_prob.
+    """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if not (0.0 < alpha < 1.0):
@@ -157,25 +167,7 @@ def _check_weight_args(delta, alpha, eta, r, p):
         raise ValueError(f"eta must be > 1, got {eta}")
     if r < 1 or p < 1:
         raise ValueError("r and p must be positive")
-
-
-def h_weight(delta, alpha, eta, r, p):
-    """Posterior good-point probability as a closed form in the distance.
-
-    h(delta) = 1 / (1 + ((1-alpha)/alpha) eta^(-rp/2) exp[(delta/2)(1 - 1/eta)]),
-    strictly decreasing in delta; value in (0, 1).
-    """
-    _check_weight_args(delta, alpha, eta, r, p)
-    log_odds = (
-        np.log1p(-alpha)
-        - np.log(alpha)
-        - 0.5 * r * p * np.log(eta)
-        + 0.5 * delta * (1.0 - 1.0 / eta)
-    )
-    # 1 / (1 + exp(log_odds)), stable for both signs
-    if log_odds > 0:
-        return float(np.exp(-log_odds) / (1.0 + np.exp(-log_odds)))
-    return float(1.0 / (1.0 + np.exp(log_odds)))
+    return float(_logs_from_distances(delta, 0.0, r * p, alpha, eta)[1])
 
 
 def w_weight(delta, alpha, eta, r, p):

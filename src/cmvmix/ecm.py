@@ -90,10 +90,6 @@ class FitConfig:
 
     min_cluster_weight defaults to r*p/2 effective observations at fit time;
     chains dropping below it abort and the next start runs.
-    unscaled_eta_update switches the inflation update to the plain
-    bad-mass-weighted mean distance without the rp divisor (for comparison
-    only; the default form is the stationary point of the complete-data
-    objective).
     """
 
     g: int = 1
@@ -103,7 +99,6 @@ class FitConfig:
     eta_min: float = ETA_MIN
     seed: int = 0
     min_cluster_weight: Optional[float] = None
-    unscaled_eta_update: bool = False
     init_eta: float = 2.0
 
     def __post_init__(self):
@@ -160,13 +155,11 @@ def _model_terms(data: Dataset, model: MixtureModel):
     """The arguments of _e_pass at the parameters of a model record: (N, G)
     distances, log determinants, log weights, r*p, alphas and etas (None for
     the plain matrix normal)."""
+    comps = model.components
     cmvn = model.kind is Kind.CMVN
-    bases = [c.base for c in model.components] if cmvn else model.components
-    terms = [_distances(data.samples, b) for b in bases]
-    delta = np.stack([t[0] for t in terms], axis=1)
-    log_det = np.array([t[1] for t in terms])
-    alphas = np.array([c.alpha for c in model.components]) if cmvn else None
-    etas = np.array([c.eta for c in model.components]) if cmvn else None
+    delta, log_det = _distances(data.samples, [c.base for c in comps] if cmvn else comps)
+    alphas = np.array([c.alpha for c in comps]) if cmvn else None
+    etas = np.array([c.eta for c in comps]) if cmvn else None
     return delta, log_det, np.log(model.weights), data.r * data.p, alphas, etas
 
 
@@ -227,26 +220,23 @@ def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     return list(linalg._scatter(s, u, np.asarray(ng, dtype=float)))
 
 
-def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min, rp_divisor=True):
-    """Inflation update: bad-mass-weighted mean distance, floored at eta_min.
-
-    The default divides by r*p (the stationary point of the complete-data
-    objective in eta); rp_divisor=False reproduces the plain ratio.
-    """
+def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
+    """Inflation update: bad-mass-weighted mean distance over r*p (the
+    stationary point of the complete-data objective in eta), floored at
+    eta_min."""
     _, r, p = samples.shape
-    s = linalg._whiten(_factors(sigmas, "sigma"), linalg._residuals(samples, means))
-    delta = linalg._whitened_distances(s, _factors(psis, "psi"))
-    return _eta(z * (1.0 - v), delta, eta_min, r * p if rp_divisor else 1)
+    delta = linalg._distances(samples, means, _factors(sigmas, "sigma"), _factors(psis, "psi"))
+    return _eta(z * (1.0 - v), delta, eta_min, r * p)
 
 
-def _eta(bad_mass, delta, eta_min, divisor):
+def _eta(bad_mass, delta, eta_min, rp):
     """Per-component inflations from (N, G) bad masses and distances: the
-    mean distance under each column's bad mass over divisor, floored at
-    eta_min (eta_min itself for a column with no bad mass)."""
+    mean distance under each column's bad mass over rp, floored at eta_min
+    (eta_min itself for a column with no bad mass)."""
     denom = bad_mass.sum(axis=0)
     empty = denom < 1e-12
     mean = (bad_mass * delta).sum(axis=0) / np.where(empty, 1.0, denom)
-    return np.where(empty, eta_min, np.maximum(eta_min, mean / divisor))
+    return np.where(empty, eta_min, np.maximum(eta_min, mean / rp))
 
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
@@ -271,7 +261,6 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     mcw = config.min_cluster_weight
     if mcw is None:
         mcw = r * p / 2.0
-    divisor = 1 if config.unscaled_eta_update else r * p
 
     z = np.asarray(init_z, dtype=float)
     v = np.asarray(init_v, dtype=float) if cmvn else None
@@ -292,9 +281,9 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
         psis = linalg._scatter(s, u, ng)
         L_psi = linalg.factor(psis, "psi")
         delta = linalg._whitened_distances(s, L_psi)
-        log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
+        log_det = linalg._log_det_kron(L_sigma, L_psi)
         if cmvn:
-            etas = _eta(z * (1.0 - v), delta, config.eta_min, divisor)
+            etas = _eta(z * (1.0 - v), delta, config.eta_min, r * p)
         weights = weights / weights.sum()
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)

@@ -107,8 +107,19 @@ def trace_quad_forms(xs, m, L_sigma, L_psi):
     -------
     ndarray, shape (N,), the distances delta_i >= 0.
     """
-    s = _whiten(L_sigma[None], _residuals(xs, m[None]))
-    return _whitened_distances(s, L_psi[None])[:, 0]
+    return _distances(xs, m[None], L_sigma[None], L_psi[None])[:, 0]
+
+
+def _log_det_kron(L_sigma, L_psi):
+    """log det(psi (x) sigma) from stacks of factors (..., r, r), (..., p, p)."""
+    r, p = L_sigma.shape[-1], L_psi.shape[-1]
+    return p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
+
+
+def _distances(xs, means, L_sigma, L_psi):
+    """Distances delta (N, G) of units xs (N, r, p) to G laws with means
+    (G, r, p) and scale factors L_sigma (G, r, r), L_psi (G, p, p)."""
+    return _whitened_distances(_whiten(L_sigma, _residuals(xs, means)), L_psi)
 
 
 def _residuals(xs, means):

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 from scipy.stats import multivariate_normal
 
 from cmvmix.data import Dataset
@@ -144,6 +144,11 @@ def _eta_objective(eta, deltas, zb, r, p):
     return float(np.sum(zb * (-(r * p) / 2.0 * np.log(eta) - deltas / (2.0 * eta))))
 
 
+def _eta_objective_slope(eta, deltas, zb, r, p):
+    # derivative of _eta_objective in eta
+    return float(np.sum(zb * (-(r * p) / (2.0 * eta) + deltas / (2.0 * eta ** 2))))
+
+
 def test_criterion_3_eta_stationarity(report):
     t0 = time.monotonic()
     rng = np.random.default_rng(30)
@@ -162,11 +167,14 @@ def test_criterion_3_eta_stationarity(report):
                              eta_min=1.0001)
         deltas = np.array([trace_quad_form(x, mean, sigma, psi) for x in samples])
         zb = (z * (1.0 - v))[:, 0]
-        opt = minimize_scalar(
-            lambda e: -_eta_objective(e, deltas, zb, r, p),
-            bounds=(1.0001, 1e4), method="bounded",
-            options={"xatol": 1e-10})
-        numeric = max(1.0001, opt.x)
+        # the objective is unimodal in eta: its maximizer on [1.0001, 1e4] is
+        # the floor when the slope there is not positive, else the slope's
+        # root, found to brentq's relative tolerance of 4 machine epsilons
+        if _eta_objective_slope(1.0001, deltas, zb, r, p) <= 0:
+            numeric = 1.0001
+        else:
+            numeric = brentq(_eta_objective_slope, 1.0001, 1e4, args=(deltas, zb, r, p),
+                             xtol=1e-300)
         worst = max(worst, abs(etas[0] - numeric) / numeric)
     elapsed = time.monotonic() - t0
     report("criterion 3 (eta update vs numeric maximizer, 50 configs)",

@@ -127,6 +127,14 @@ class TestFit:
         path.write_text('{"schema_version": 9, "n": 1, "r": 1, "p": 1, "samples": [[1.0]]}')
         assert main(["fit", "--data", str(path), "--g", "1"]) == 5
 
+    @pytest.mark.parametrize("fields", ['"samples": 5', '"samples": [["x"]]'],
+                             ids=["samples-number", "value-text"])
+    def test_malformed_dataset_is_io_error(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 1, ' + fields + '}')
+        assert main(["fit", "--data", str(path), "--g", "1"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_infeasible_fit(self, tmp_path):
         # four observations cannot support four 2x4 clusters
         write_dataset(generate(reference_model(), 4, seed=9), tmp_path / "tiny.json")

@@ -94,6 +94,19 @@ class TestDatasetJson:
         with pytest.raises(ParseError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("fields", [
+        '"n": 1, "r": 1, "p": 1, "samples": 5',
+        '"n": "one", "r": 1, "p": 1, "samples": [[1.0]]',
+        '"n": 1, "r": 1, "p": 1, "samples": [["x"]]',
+        '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "labels": ["a"]',
+        '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [1]',
+    ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short"])
+    def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1, ' + fields + '}')
+        with pytest.raises(ParseError, match="malformed dataset"):
+            read_dataset(path)
+
     def test_optionals_omitted(self, tmp_path):
         data = Dataset(np.ones((1, 1, 1)))
         path = tmp_path / "bare.json"
@@ -122,6 +135,19 @@ class TestDatasetCsv:
         path = tmp_path / "dup.csv"
         path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,1,2.0\n")
         with pytest.raises(ShapeError, match="duplicate"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("rows, cell", [
+        # units 1-2 are complete 1x1 matrices; the extra cell used to be dropped
+        ("1,1,1,1.0\n0,1,1,5.0\n2,1,1,2.0", "unit=0, row=1, col=1"),
+        ("1,1,1,1.0\n1,-1,1,5.0\n2,1,1,2.0", "unit=1, row=-1, col=1"),
+        ("1,1,1,1.0\n2,1,0,5.0\n2,1,1,2.0", "unit=2, row=1, col=0"),
+        ("1,-1,1,1.0", "unit=1, row=-1, col=1"),
+    ], ids=["unit-0", "row-negative", "col-0", "every-cell-bad"])
+    def test_index_below_one_named(self, tmp_path, rows, cell):
+        path = tmp_path / "zero.csv"
+        path.write_text(f"unit,row,col,value\n{rows}\n")
+        with pytest.raises(ShapeError, match=rf"\({cell}\) has an index below 1"):
             read_dataset(path)
 
     def test_malformed_value(self, tmp_path):
@@ -194,6 +220,18 @@ class TestFitRoundTrip:
         with pytest.warns(UserWarning, match="a_future_extension"):
             back = read_fit(path)
         assert back.model.g == result.model.g
+
+    def test_unknown_config_field_ignored_with_warning(self, tmp_path, fitted):
+        # e.g. a FitConfig option that an older version wrote and this one lacks
+        _, result = fitted
+        path = tmp_path / "old.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["unscaled_eta_update"] = False
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="config: ignoring unknown fields.*unscaled_eta_update"):
+            back = read_fit(path)
+        assert back.config == result.config
 
     def test_schema_mismatch_typed_error(self, tmp_path, fitted):
         _, result = fitted

@@ -160,6 +160,15 @@ class TestWeights:
         assert vals[0] > vals[1] >= vals[2]
         assert vals[2] < 1e-300 or vals[2] == 0.0
 
+    def test_h_far_tail_stays_in_open_interval(self):
+        # the good-part posterior is clipped at the smallest normal float
+        h = h_weight(1e4, 0.9, 4.0, 2, 2)
+        assert 0.0 < h < 1.0
+        x = np.zeros((2, 2))
+        x[0, 0] = 100.0  # delta = 1e4 under identity scales
+        params = CmvnParams(MvnParams(np.zeros((2, 2)), np.eye(2), np.eye(2)), 0.9, 4.0)
+        assert h == posterior_good_prob(x, params)
+
     def test_h_matches_posterior_on_random_instances(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -27,7 +27,7 @@ from cmvmix.ecm import (
 )
 from cmvmix.errors import AllStartsFailed, DegenerateCluster, NotPositiveDefinite
 from cmvmix.metrics import adjusted_rand_index
-from cmvmix.simulate import generate, reference_model
+from cmvmix.simulate import generate, perturb, reference_model
 
 from test_linalg import random_spd
 
@@ -114,6 +114,27 @@ class TestEStep:
                 dens.append(comp.alpha * good + (1 - comp.alpha) * bad)
             dens = np.array(dens) * model.weights
             np.testing.assert_allclose(resp.z[i], dens / dens.sum(), rtol=1e-9)
+
+
+class TestRecordsReproduceChain:
+    """e_step and observed_loglik on a fit's model record give back the
+    chain's own posteriors and log-likelihood.  Posteriors far below 1 are
+    exponentials of logs tens of nats down, so they are compared with an
+    absolute floor far below any probability that matters."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return perturb(generate(reference_model(), 60, seed=7), 6, 10.0)
+
+    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_same_posteriors_and_loglik(self, data, kind, g):
+        res = fit(data, FitConfig(g=g, n_starts=3, seed=0), kind)
+        resp = e_step(data, res.model)
+        np.testing.assert_allclose(resp.z, res.resp.z, rtol=1e-12, atol=1e-15)
+        if kind is Kind.CMVN:
+            np.testing.assert_allclose(resp.v, res.resp.v, rtol=1e-12, atol=1e-15)
+        assert observed_loglik(data, res.model) == pytest.approx(res.loglik, rel=1e-12)
 
 
 class TestEPass:
@@ -327,14 +348,6 @@ class TestCmSteps:
         etas = cm_step_4_eta(x, z, v, np.zeros((2, 2, 4)), [np.eye(2)] * 2, [np.eye(4)] * 2, 1.0001)
         assert etas[0] == 1.0001
         assert etas[1] == pytest.approx(5.0, rel=1e-12)
-
-    def test_unscaled_variant_omits_divisor(self):
-        x = np.zeros((1, 2, 4))
-        x[0, 0, 0] = np.sqrt(40.0)
-        means = np.zeros((1, 2, 4))
-        etas = cm_step_4_eta(x, np.ones((1, 1)), np.zeros((1, 1)), means,
-                             [np.eye(2)], [np.eye(4)], 1.0001, rp_divisor=False)
-        assert etas[0] == pytest.approx(40.0, rel=1e-12)
 
 
 class TestFit:
