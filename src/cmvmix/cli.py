@@ -14,7 +14,7 @@ import numpy as np
 from . import dataio
 from .data import Dataset
 from .ecm import FitConfig, Kind, MixtureModel, fit
-from .errors import CmvmixError, ParseError, SchemaError, ShapeError
+from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, count_free_params, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
@@ -71,7 +71,7 @@ def _read_model_spec(path) -> MixtureModel:
     doc = dataio._load_json(path)
     try:
         return dataio._model_from_doc(doc, Kind.MVN)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model spec: {exc}") from None
 
 

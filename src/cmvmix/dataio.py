@@ -8,8 +8,11 @@ byte-identical files, and every read(write(x)) is exact.
 
 import csv
 import json
+import math
 import warnings
+from array import array
 from dataclasses import asdict, fields
+from itertools import chain, cycle, repeat
 from typing import Optional
 
 import numpy as np
@@ -22,10 +25,6 @@ from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
 SCHEMA_VERSION = 1
 
 _DATASET_KEYS = {"schema_version", "n", "r", "p", "samples", "labels", "good_flags", "names"}
-
-
-def _matrix_to_rows(a):
-    return [[float(x) for x in row] for row in np.asarray(a)]
 
 
 def _check_finite(a, what):
@@ -76,30 +75,30 @@ def write_dataset(data: Dataset, path, fmt: Optional[str] = None) -> None:
             "n": data.n,
             "r": data.r,
             "p": data.p,
-            "samples": [[float(x) for x in s.reshape(-1)] for s in data.samples],
+            "samples": data.samples.reshape(data.n, -1).tolist(),
         }
         if data.true_labels is not None:
-            doc["labels"] = [int(x) for x in data.true_labels]
+            doc["labels"] = data.true_labels.tolist()
         if data.good_flags is not None:
-            doc["good_flags"] = [bool(x) for x in data.good_flags]
+            doc["good_flags"] = data.good_flags.tolist()
         if data.unit_names is not None:
             doc["names"] = list(data.unit_names)
         _dump_canonical(doc, path)
     elif fmt == "csv-long":
+        # csv writes a float as str(), its shortest repr; every column but the
+        # values is an iterator, so a write makes no other per-cell objects
+        rp = data.r * data.p
+        rows, cols = (np.indices((data.r, data.p)).reshape(2, -1) + 1).tolist()
+        header = ["unit", "row", "col", "value"]
+        columns = [chain.from_iterable(map(repeat, range(1, data.n + 1), repeat(rp))),
+                   cycle(rows), cycle(cols), data.samples.reshape(-1).tolist()]
+        if data.true_labels is not None:
+            header.append("label")
+            columns.append(chain.from_iterable(map(repeat, data.true_labels.tolist(), repeat(rp))))
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["unit", "row", "col", "value"]
-            with_label = data.true_labels is not None
-            if with_label:
-                header.append("label")
             writer.writerow(header)
-            for i in range(data.n):
-                for a in range(data.r):
-                    for b in range(data.p):
-                        row = [i + 1, a + 1, b + 1, repr(float(data.samples[i, a, b]))]
-                        if with_label:
-                            row.append(int(data.true_labels[i]))
-                        writer.writerow(row)
+            writer.writerows(zip(*columns))
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -126,12 +125,11 @@ def _read_dataset_json(path) -> Dataset:
         flat = doc["samples"]
         if len(flat) != n:
             raise ShapeError(f"{path}: expected {n} samples, found {len(flat)}")
-        samples = np.empty((n, r, p))
         for i, values in enumerate(flat):
             if len(values) != r * p:
                 raise ShapeError(
                     f"{path}: sample {i + 1} has {len(values)} values, expected {r * p}")
-            samples[i] = np.asarray(values, dtype=float).reshape(r, p)
+        samples = np.array(flat, dtype=float).reshape(n, r, p)
         if not np.all(np.isfinite(samples)):
             raise ParseError(f"{path}: samples contain non-finite values")
         return Dataset(
@@ -147,7 +145,8 @@ def _read_dataset_json(path) -> Dataset:
 
 
 def _read_dataset_csv(path) -> Dataset:
-    cells = {}
+    cells = array("q")  # unit, row, col of each record, in file order
+    values = array("d")
     labels = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -162,16 +161,14 @@ def _read_dataset_csv(path) -> Dataset:
             if not row:
                 continue
             try:
-                unit, a, b = int(row[0]), int(row[1]), int(row[2])
+                unit = int(row[0])
+                cells.extend((unit, int(row[1]), int(row[2])))
                 value = float(row[3])
-            except (ValueError, IndexError):
+            except (ValueError, IndexError, OverflowError):
                 raise ParseError(f"{path}: line {lineno}: malformed record {row!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(f"{path}: line {lineno}: non-finite value")
-            key = (unit, a, b)
-            if key in cells:
-                raise ShapeError(f"{path}: duplicate cell (unit={unit}, row={a}, col={b})")
-            cells[key] = value
+            values.append(value)
             if with_label:
                 try:
                     lab = int(row[4])
@@ -179,32 +176,40 @@ def _read_dataset_csv(path) -> Dataset:
                     raise ParseError(f"{path}: line {lineno}: malformed label") from None
                 if labels.setdefault(unit, lab) != lab:
                     raise ParseError(f"{path}: line {lineno}: inconsistent label for unit {unit}")
-    if not cells:
+    if not values:
         raise ShapeError(f"{path}: no data cells")
-    n = max(k[0] for k in cells)
-    r = max(k[1] for k in cells)
-    p = max(k[2] for k in cells)
-    if min(n, r, p) < 1:
-        raise _index_below_one(path, cells)
-    samples = np.empty((n, r, p))
-    for i in range(1, n + 1):
-        for a in range(1, r + 1):
-            for b in range(1, p + 1):
-                if (i, a, b) not in cells:
-                    raise ShapeError(f"{path}: missing cell (unit={i}, row={a}, col={b})")
-                samples[i - 1, a - 1, b - 1] = cells[(i, a, b)]
-    # every in-range cell is present, so any other cell has an index below 1
-    if len(cells) != n * r * p:
-        raise _index_below_one(path, cells)
-    true_labels = None
-    if labels:
-        true_labels = [labels[i] for i in range(1, n + 1)]
+    cells = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3)
+    below = np.flatnonzero(np.any(cells < 1, axis=1))
+    if below.size:
+        unit, a, b = cells[below[0]]
+        raise ShapeError(f"{path}: cell (unit={unit}, row={a}, col={b}) has an index below 1")
+    distinct, first = np.unique(cells, axis=0, return_index=True)
+    if len(distinct) < len(cells):
+        repeated = np.ones(len(cells), dtype=bool)
+        repeated[first] = False
+        unit, a, b = cells[np.argmax(repeated)]
+        raise ShapeError(f"{path}: duplicate cell (unit={unit}, row={a}, col={b})")
+    n, r, p = (int(k) for k in distinct.max(axis=0))
+    if len(distinct) != n * r * p:
+        unit, a, b = _first_missing(distinct, r, p)
+        raise ShapeError(f"{path}: missing cell (unit={unit}, row={a}, col={b})")
+    # the distinct cells are sorted, so a complete set is the grid in row-major order
+    samples = np.frombuffer(values)[first].reshape(n, r, p)
+    true_labels = [labels[i] for i in range(1, n + 1)] if labels else None
     return Dataset(samples=samples, true_labels=true_labels)
 
 
-def _index_below_one(path, cells):
-    unit, a, b = next(k for k in cells if min(k) < 1)
-    return ShapeError(f"{path}: cell (unit={unit}, row={a}, col={b}) has an index below 1")
+def _first_missing(cells, r, p):
+    """First (unit, row, col) in row-major order absent from the sorted,
+    distinct, in-range cells: the successor of the cell before the first gap."""
+    prev = np.vstack([[1, 1, 0], cells])  # (1, 1, 0) comes just before (1, 1, 1)
+    end_col = prev[:, 2] == p
+    end_row = end_col & (prev[:, 1] == r)
+    succ = np.stack([prev[:, 0] + end_row,
+                     np.where(end_row, 1, prev[:, 1] + end_col),
+                     np.where(end_col, 1, prev[:, 2] + 1)], axis=1)
+    gap = np.flatnonzero(np.any(succ[:-1] != cells, axis=1))
+    return succ[gap[0] if gap.size else -1]
 
 
 _FIT_KEYS = {
@@ -223,11 +228,7 @@ def write_fit(result: FitResult, path) -> None:
     comps = []
     for comp in model.components:
         base = comp.base if model.kind is Kind.CMVN else comp
-        rec = {
-            "m": _matrix_to_rows(base.m),
-            "sigma": _matrix_to_rows(base.sigma),
-            "psi": _matrix_to_rows(base.psi),
-        }
+        rec = {"m": base.m.tolist(), "sigma": base.sigma.tolist(), "psi": base.psi.tolist()}
         if model.kind is Kind.CMVN:
             rec["alpha"] = float(comp.alpha)
             rec["eta"] = float(comp.eta)
@@ -238,25 +239,25 @@ def write_fit(result: FitResult, path) -> None:
         "schema_version": SCHEMA_VERSION,
         "kind": model.kind.value,
         "g": model.g,
-        "weights": [float(w) for w in model.weights],
+        "weights": model.weights.tolist(),
         "components": comps,
         "loglik": result.loglik,
-        "loglik_trace": [float(x) for x in result.loglik_trace],
+        "loglik_trace": result.loglik_trace.tolist(),
         "n_obs": n_obs,
         "n_params": count_free_params(model.kind, model.g, r, p),
         "seed": int(result.seed),
         "config": asdict(result.config),
-        "z": [[float(x) for x in row] for row in result.resp.z],
-        "labels": [int(x) for x in result.hard_labels],
+        "z": result.resp.z.tolist(),
+        "labels": result.hard_labels.tolist(),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "start_index": int(result.start_index),
         "warnings": list(result.warnings),
     }
     if result.resp.v is not None:
-        doc["v"] = [[float(x) for x in row] for row in result.resp.v]
+        doc["v"] = result.resp.v.tolist()
     if result.bad_flags is not None:
-        doc["bad_flags"] = [bool(x) for x in result.bad_flags]
+        doc["bad_flags"] = result.bad_flags.tolist()
     _dump_canonical(doc, path)
 
 
@@ -264,8 +265,8 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
     """Mixture from the "weights" and "components" fields of a fit document
     or a model spec; CMVN component records also carry alpha and eta.
 
-    Missing or malformed fields raise KeyError, TypeError or ValueError for
-    the caller to report against its file.
+    Missing or malformed fields raise KeyError, TypeError, ValueError or
+    DimensionMismatch for the caller to report against its file.
     """
     comps = []
     for rec in doc["components"]:
@@ -312,7 +313,7 @@ def read_fit(path) -> FitResult:
             start_index=int(doc["start_index"]),
             warnings=tuple(doc["warnings"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit document: {exc}") from None
 
 

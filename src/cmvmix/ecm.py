@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _ALPHA_EPS = 1e-12
+_INIT_ETA = 2.0
 
 
 class Kind(str, enum.Enum):
@@ -55,6 +56,8 @@ class MixtureModel:
         want = CmvnParams if self.kind is Kind.CMVN else MvnParams
         if any(not isinstance(c, want) for c in comps):
             raise TypeError(f"{self.kind.value} model requires {want.__name__} components")
+        if len({c.shape for c in comps}) > 1:
+            raise DimensionMismatch(f"components differ in shape: {[c.shape for c in comps]}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
@@ -96,10 +99,8 @@ class FitConfig:
     n_starts: int = 20
     max_iter: int = 1000
     tol: float = 1e-8
-    eta_min: float = ETA_MIN
     seed: int = 0
     min_cluster_weight: Optional[float] = None
-    init_eta: float = 2.0
 
     def __post_init__(self):
         if self.g < 1:
@@ -110,8 +111,6 @@ class FitConfig:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.eta_min < ETA_MIN:
-            raise ValueError(f"eta_min must be >= {ETA_MIN}")
         if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
             raise ValueError("min_cluster_weight must be > 0")
 
@@ -264,7 +263,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
 
     z = np.asarray(init_z, dtype=float)
     v = np.asarray(init_v, dtype=float) if cmvn else None
-    etas = np.full(g, config.init_eta)
+    etas = np.full(g, _INIT_ETA)
     L_psi = np.tile(np.eye(p), (g, 1, 1))
 
     trace = []
@@ -283,7 +282,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
         delta = linalg._whitened_distances(s, L_psi)
         log_det = linalg._log_det_kron(L_sigma, L_psi)
         if cmvn:
-            etas = _eta(z * (1.0 - v), delta, config.eta_min, r * p)
+            etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
         weights = weights / weights.sum()
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)

@@ -9,7 +9,7 @@ outcomes, detection sets, monotone trends), never digit-matching.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,10 +41,6 @@ class Check:
     observed: str
     tolerance: str
 
-    def to_dict(self):
-        return {"name": self.name, "mode": self.mode, "passed": self.passed,
-                "observed": self.observed, "tolerance": self.tolerance}
-
 
 @dataclass
 class ReplicationReport:
@@ -60,15 +56,7 @@ class ReplicationReport:
         return all(c.passed for c in self.checks if c.mode == "asserted")
 
     def to_dict(self):
-        return {
-            "schema_version": 1,
-            "study": self.study,
-            "seed": self.seed,
-            "starts": self.starts,
-            "rows": self.rows,
-            "checks": [c.to_dict() for c in self.checks],
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 def _sweep_best(data, kind, seed, starts):

@@ -94,6 +94,19 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("components", [
+        [{"m": [[0.0, 0.0]], "sigma": [[1.0, 0.0], [0.0, 1.0]], "psi": [[1.0, 0.0], [0.0, 1.0]]}],
+        [{"m": [[0.0, 0.0, 0.0]] * 2, "sigma": np.eye(2).tolist(), "psi": np.eye(3).tolist()},
+         {"m": [[0.0, 0.0]] * 3, "sigma": np.eye(3).tolist(), "psi": np.eye(2).tolist()}],
+    ], ids=["sigma-vs-mean", "components-differ"])
+    def test_spec_shape_mismatch_is_parse_error(self, tmp_path, capsys, components):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"weights": [1.0 / len(components)] * len(components),
+                                         "components": components}))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
+
     def test_bad_perturb_descriptor(self, tmp_path):
         assert main(["simulate", "--paper-table1", "--n", "10",
                      "--perturb", "obs=6", "--out", str(tmp_path / "x.json")]) == 2

@@ -30,6 +30,10 @@ def random_dataset(rng, with_extras=True):
                    good_flags=flags, unit_names=names)
 
 
+def two_unit_dataset():
+    return Dataset(np.array([[[1.5, -0.25]], [[3.0, 1e-07]]]), true_labels=[1, 2])
+
+
 def assert_datasets_equal(a, b):
     np.testing.assert_array_equal(a.samples, b.samples)
     for attr in ("true_labels", "good_flags"):
@@ -107,6 +111,14 @@ class TestDatasetJson:
         with pytest.raises(ParseError, match="malformed dataset"):
             read_dataset(path)
 
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "two.json"
+        write_dataset(two_unit_dataset(), path)
+        assert path.read_text() == (
+            '{\n "schema_version": 1,\n "n": 2,\n "r": 1,\n "p": 2,\n "samples": [\n'
+            '  [\n   1.5,\n   -0.25\n  ],\n  [\n   3.0,\n   1e-07\n  ]\n ],\n'
+            ' "labels": [\n  1,\n  2\n ]\n}\n')
+
     def test_optionals_omitted(self, tmp_path):
         data = Dataset(np.ones((1, 1, 1)))
         path = tmp_path / "bare.json"
@@ -125,16 +137,46 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(data.samples, back.samples)
         np.testing.assert_array_equal(data.true_labels, back.true_labels)
 
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "two.csv"
+        write_dataset(two_unit_dataset(), path)
+        assert path.read_bytes() == (b"unit,row,col,value,label\r\n1,1,1,1.5,1\r\n1,1,2,-0.25,1\r\n"
+                                     b"2,1,1,3.0,2\r\n2,1,2,1e-07,2\r\n")
+
+    def test_shuffled_rows_read_equal(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((5, 2, 3)), true_labels=[1, 2, 2, 1, 3])
+        path = tmp_path / "ordered.csv"
+        write_dataset(data, path)
+        header, *records = path.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rng.permutation(records)))
+        assert_datasets_equal(read_dataset(path), read_dataset(shuffled))
+
     def test_missing_cell_named(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,2,2.0\n1,2,1,3.0\n")
         with pytest.raises(ShapeError, match=r"unit=1, row=2, col=2"):
             read_dataset(path)
 
+    def test_missing_cell_beside_huge_index(self, tmp_path):
+        # found from the records alone: no array as large as the index is made
+        path = tmp_path / "huge.csv"
+        path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,1000000000000,2.0\n")
+        with pytest.raises(ShapeError, match=r"missing cell \(unit=1, row=1, col=2\)"):
+            read_dataset(path)
+
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,1,2.0\n")
         with pytest.raises(ShapeError, match="duplicate"):
+            read_dataset(path)
+
+    def test_duplicate_names_earliest_repeated_record(self, tmp_path):
+        # records A, B, B, A: the first record that repeats a cell is the second B
+        path = tmp_path / "abba.csv"
+        path.write_text("unit,row,col,value\n1,1,1,1.0\n2,1,1,2.0\n2,1,1,3.0\n1,1,1,4.0\n")
+        with pytest.raises(ShapeError, match=r"duplicate cell \(unit=2, row=1, col=1\)"):
             read_dataset(path)
 
     @pytest.mark.parametrize("rows, cell", [
@@ -154,6 +196,12 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("unit,row,col,value\n1,1,1,abc\n")
         with pytest.raises(ParseError, match="line 2"):
+            read_dataset(path)
+
+    def test_index_beyond_64_bits_malformed(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,99999999999999999999,2.0\n")
+        with pytest.raises(ParseError, match="line 3: malformed record"):
             read_dataset(path)
 
     def test_bad_header(self, tmp_path):
@@ -232,6 +280,16 @@ class TestFitRoundTrip:
         with pytest.warns(UserWarning, match="config: ignoring unknown fields.*unscaled_eta_update"):
             back = read_fit(path)
         assert back.config == result.config
+
+    def test_component_shape_mismatch_is_parse_error(self, tmp_path, fitted):
+        _, result = fitted
+        path = tmp_path / "sigma1x1.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc["components"][0]["sigma"] = [[1.0]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="malformed fit document"):
+            read_fit(path)
 
     def test_schema_mismatch_typed_error(self, tmp_path, fitted):
         _, result = fitted

@@ -14,6 +14,7 @@ from cmvmix.ecm import (
     Kind,
     MixtureModel,
     Responsibilities,
+    _INIT_ETA,
     _run_chain,
     classify_from,
     cm_step_1,
@@ -401,7 +402,7 @@ class TestFit:
         ng = resp.z.sum(axis=0)
         sigmas = cm_step_2_sigma(data.samples, u, ng, means, [c.base.psi for c in model.components])
         psis = cm_step_3_psi(data.samples, u, ng, means, sigmas)
-        new_etas = cm_step_4_eta(data.samples, resp.z, resp.v, means, sigmas, psis, cfg.eta_min)
+        new_etas = cm_step_4_eta(data.samples, resp.z, resp.v, means, sigmas, psis, ETA_MIN)
         comps = tuple(
             CmvnParams(MvnParams(means[j], sigmas[j], psis[j]), float(alphas[j]), float(new_etas[j]))
             for j in range(2)
@@ -521,7 +522,7 @@ def reference_chain(data, kind, config, init_z, init_v):
     cmvn = kind is Kind.CMVN
     mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
     z, v = init_z, (init_v if cmvn else None)
-    etas = np.full(g, config.init_eta)
+    etas = np.full(g, _INIT_ETA)
     psis = [np.eye(p)] * g
     trace = []
     for _ in range(config.max_iter):
@@ -534,7 +535,7 @@ def reference_chain(data, kind, config, init_z, init_v):
         bases = [MvnParams(means[j], sigmas[j], psis[j]) for j in range(g)]
         logf = np.empty((n, g))
         if cmvn:
-            etas = cm_step_4_eta(samples, z, v, means, sigmas, psis, config.eta_min)
+            etas = cm_step_4_eta(samples, z, v, means, sigmas, psis, ETA_MIN)
             comps = tuple(CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas))
             v = np.empty((n, g))
         else:
@@ -616,11 +617,6 @@ class TestChainAgainstReference:
 
 
 class TestFitConfig:
-    def test_eta_min_below_floor_rejected(self):
-        with pytest.raises(ValueError, match="eta_min"):
-            FitConfig(eta_min=1.00005)
-        assert FitConfig(eta_min=ETA_MIN).eta_min == ETA_MIN
-
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter"):
             FitConfig(max_iter=0)
