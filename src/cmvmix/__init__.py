@@ -25,7 +25,6 @@ from .ecm import (
     Kind,
     MixtureModel,
     Responsibilities,
-    classify,
     e_step,
     fit,
     observed_loglik,

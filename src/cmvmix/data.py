@@ -31,10 +31,13 @@ class Dataset:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         n = samples.shape[0]
-        for name, dtype in (("true_labels", int), ("good_flags", bool)):
+        for name, dtype, kinds in (("true_labels", int, "iu"), ("good_flags", bool, "b")):
             val = getattr(self, name)
             if val is not None:
-                val = np.asarray(val, dtype=dtype)
+                val = np.asarray(val)
+                if val.dtype.kind not in kinds:
+                    raise ValueError(f"{name} must be of type {dtype.__name__}, got {val.dtype}")
+                val = val.astype(dtype, copy=False)
                 if val.shape != (n,):
                     raise DimensionMismatch(f"{name} must have length {n}, got {val.shape}")
                 val.setflags(write=False)

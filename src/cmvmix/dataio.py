@@ -6,9 +6,11 @@ omitted when absent.  Equal in-memory values therefore produce
 byte-identical files, and every read(write(x)) is exact.
 """
 
+import contextlib
 import csv
 import json
 import math
+import os
 import warnings
 from array import array
 from dataclasses import asdict, fields
@@ -33,10 +35,18 @@ def _check_finite(a, what):
 
 
 def _dump_canonical(doc, path):
-    text = json.dumps(doc, indent=1)
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Stream doc's indented JSON into a file beside path, then rename it onto
+    path, so a failed encode never leaves a partly written target."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(json.JSONEncoder(indent=1).iterencode(doc))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _load_json(path):

@@ -84,29 +84,19 @@ class CmvnParams:
 
 def mvn_log_density(x, params: MvnParams) -> float:
     """Log density of an r x p matrix under the matrix normal law."""
-    return float(mvn_log_densities(np.asarray(x, dtype=float)[None, :, :], params)[0])
-
-
-def mvn_log_densities(xs, params: MvnParams):
-    """Vectorized matrix normal log density for a stack of shape (N, r, p)."""
-    return _one_law_logs(xs, params)[0]
+    return float(_one_law_logs(x, params)[0])
 
 
 def cmvn_log_density(x, params: CmvnParams) -> float:
     """Log of alpha * f_good + (1 - alpha) * f_bad, mixed via log-sum-exp."""
-    return float(cmvn_log_densities(np.asarray(x, dtype=float)[None, :, :], params)[0])
+    return float(_one_law_logs(x, params.base, params.alpha, params.eta)[0])
 
 
-def cmvn_log_densities(xs, params: CmvnParams):
-    """Vectorized contaminated log density for a stack of shape (N, r, p)."""
-    return _one_law_logs(xs, params.base, params.alpha, params.eta)[0]
-
-
-def _one_law_logs(xs, base: MvnParams, alpha=None, eta=None):
-    """_logs_from_distances for a stack (N, r, p) under one law: the G = 1
-    case of _distances."""
-    delta, log_det = _distances(xs, [base])
-    return _logs_from_distances(delta[:, 0], log_det[0], base.m.size, alpha, eta)
+def _one_law_logs(x, base: MvnParams, alpha=None, eta=None):
+    """_logs_from_distances for one r x p matrix under one law: the N = 1,
+    G = 1 case of _distances."""
+    delta, log_det = _distances(np.asarray(x, dtype=float)[None, :, :], [base])
+    return _logs_from_distances(delta[0, 0], log_det[0], base.m.size, alpha, eta)
 
 
 def _distances(xs, bases):
@@ -144,13 +134,8 @@ def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
 
 
 def posterior_good_prob(x, params: CmvnParams) -> float:
-    """Posterior probability that x is a good (uncontaminated) point."""
-    return float(posterior_good_probs(np.asarray(x, dtype=float)[None, :, :], params)[0])
-
-
-def posterior_good_probs(xs, params: CmvnParams):
-    """Vectorized posterior good-point probabilities, values in (0, 1)."""
-    return _one_law_logs(xs, params.base, params.alpha, params.eta)[1]
+    """Posterior probability that x is a good (uncontaminated) point, in (0, 1)."""
+    return float(_one_law_logs(x, params.base, params.alpha, params.eta)[1])
 
 
 def h_weight(delta, alpha, eta, r, p):

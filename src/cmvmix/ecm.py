@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from . import linalg
 from .data import Dataset
@@ -370,11 +369,6 @@ def classify_from(resp: Responsibilities, kind: Kind):
     return labels, bad
 
 
-def classify(result: FitResult):
-    """(labels, bad_flags) of a finished fit."""
-    return classify_from(result.resp, result.model.kind)
-
-
 def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: MixtureModel) -> float:
     """Expected complete-data log-likelihood at the given posteriors.
 
@@ -383,13 +377,13 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
     """
     delta, log_det, log_weights, rp, alphas, etas = _model_terms(data, model)
     if alphas is None:  # plain matrix normal: every point good, alpha = eta = 1
-        v, alphas, etas = 1.0, 1.0, 1.0
-    else:
+        v, alpha_terms, etas = 1.0, 0.0, 1.0
+    else:  # CmvnParams keeps 0 < alpha < 1, so both logs are finite
         v = resp.v
+        alpha_terms = v * np.log(alphas) + (1 - v) * np.log1p(-alphas)
     terms = (
         log_weights
-        + xlogy(v, alphas)
-        + xlog1py(1 - v, -alphas)
+        + alpha_terms
         - 0.5 * (rp * np.log(2 * np.pi) + log_det)
         - 0.5 * rp * (1 - v) * np.log(etas)
         - 0.5 * (v + (1 - v) / etas) * delta

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cmvmix
 from cmvmix.cli import main
 from cmvmix.dataio import REPORT_SCHEMA, read_dataset, write_dataset, write_fit
 from cmvmix.ecm import FitConfig, Kind, fit
@@ -140,8 +144,11 @@ class TestFit:
         path.write_text('{"schema_version": 9, "n": 1, "r": 1, "p": 1, "samples": [[1.0]]}')
         assert main(["fit", "--data", str(path), "--g", "1"]) == 5
 
-    @pytest.mark.parametrize("fields", ['"samples": 5', '"samples": [["x"]]'],
-                             ids=["samples-number", "value-text"])
+    @pytest.mark.parametrize("fields", ['"samples": 5', '"samples": [["x"]]',
+                                        '"samples": [[1.0]], "labels": [1.5]',
+                                        '"samples": [[1.0]], "good_flags": [2]'],
+                             ids=["samples-number", "value-text", "labels-fractional",
+                                  "flags-not-bool"])
     def test_malformed_dataset_is_io_error(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 1, ' + fields + '}')
@@ -239,3 +246,14 @@ class TestArgparseLevel:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--frobnicate"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    command line loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(cmvmix.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cmvmix, cmvmix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

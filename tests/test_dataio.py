@@ -1,12 +1,18 @@
 """Tests for dataset / fit serialization and the file schemas."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmvmix.data import Dataset
 from cmvmix.dataio import (
+    _dump_canonical,
     read_dataset,
     read_fit,
     write_dataset,
@@ -104,7 +110,10 @@ class TestDatasetJson:
         '"n": 1, "r": 1, "p": 1, "samples": [["x"]]',
         '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "labels": ["a"]',
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [1]',
-    ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short"])
+        '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [1.5, 2.9]',
+        '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "good_flags": [2, "no"]',
+    ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short",
+            "labels-fractional", "flags-not-bool"])
     def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, ' + fields + '}')
@@ -125,6 +134,42 @@ class TestDatasetJson:
         write_dataset(data, path)
         doc = json.loads(path.read_text())
         assert "labels" not in doc and "good_flags" not in doc and "names" not in doc
+
+    def test_failed_encode_keeps_target(self, tmp_path):
+        path = tmp_path / "keep.json"
+        write_dataset(two_unit_dataset(), path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _dump_canonical({"samples": list(range(1000)), "bad": object()}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["keep.json"]
+
+
+@st.composite
+def datasets(draw):
+    n, r, p = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def optional(elems):
+        return st.none() | st.lists(elems, min_size=n, max_size=n)
+
+    return Dataset(draw(arrays(np.float64, (n, r, p), elements=finite)),
+                   true_labels=draw(optional(st.integers(-2**63, 2**63 - 1))),
+                   good_flags=draw(optional(st.booleans())),
+                   unit_names=draw(optional(st.text(max_size=5))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_dataset_round_trip_property(data):
+    """JSON keeps every field exactly; long CSV keeps samples and labels."""
+    with tempfile.TemporaryDirectory() as d:
+        json_path, csv_path = os.path.join(d, "ds.json"), os.path.join(d, "ds.csv")
+        write_dataset(data, json_path)
+        assert_datasets_equal(data, read_dataset(json_path))
+        write_dataset(data, csv_path)
+        assert_datasets_equal(Dataset(data.samples, true_labels=data.true_labels),
+                              read_dataset(csv_path))
 
 
 class TestDatasetCsv:
