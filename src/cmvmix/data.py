@@ -8,6 +8,21 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
+def as_vector(val, name, dtype, n):
+    """val as a read-only length-n int or bool vector (None passes through);
+    other element types are refused, not cast (1.5 would read as 1, 2 as True)."""
+    if val is None:
+        return None
+    val = np.asarray(val)
+    if val.dtype.kind not in {int: "iu", bool: "b"}[dtype]:
+        raise ValueError(f"{name} must be of type {dtype.__name__}, got {val.dtype}")
+    if val.shape != (n,):
+        raise DimensionMismatch(f"{name} must have length {n}, got {val.shape}")
+    val = val.astype(dtype, copy=False)
+    val.setflags(write=False)
+    return val
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A stack of N matrix observations with optional ground-truth extras.
@@ -31,17 +46,8 @@ class Dataset:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         n = samples.shape[0]
-        for name, dtype, kinds in (("true_labels", int, "iu"), ("good_flags", bool, "b")):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val)
-                if val.dtype.kind not in kinds:
-                    raise ValueError(f"{name} must be of type {dtype.__name__}, got {val.dtype}")
-                val = val.astype(dtype, copy=False)
-                if val.shape != (n,):
-                    raise DimensionMismatch(f"{name} must have length {n}, got {val.shape}")
-                val.setflags(write=False)
-                object.__setattr__(self, name, val)
+        for name, dtype in (("true_labels", int), ("good_flags", bool)):
+            object.__setattr__(self, name, as_vector(getattr(self, name), name, dtype, n))
         if self.unit_names is not None:
             names = tuple(str(s) for s in self.unit_names)
             if len(names) != n:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_vector
 from .distributions import CmvnParams, MvnParams
 from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
 from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
@@ -140,8 +140,6 @@ def _read_dataset_json(path) -> Dataset:
                 raise ShapeError(
                     f"{path}: sample {i + 1} has {len(values)} values, expected {r * p}")
         samples = np.array(flat, dtype=float).reshape(n, r, p)
-        if not np.all(np.isfinite(samples)):
-            raise ParseError(f"{path}: samples contain non-finite values")
         return Dataset(
             samples=samples,
             true_labels=doc.get("labels"),
@@ -280,17 +278,12 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
     """
     comps = []
     for rec in doc["components"]:
-        base = MvnParams(
-            np.asarray(rec["m"], dtype=float),
-            np.asarray(rec["sigma"], dtype=float),
-            np.asarray(rec["psi"], dtype=float),
-        )
+        base = MvnParams(rec["m"], rec["sigma"], rec["psi"])
         if kind is Kind.CMVN:
             comps.append(CmvnParams(base, float(rec["alpha"]), float(rec["eta"])))
         else:
             comps.append(base)
-    return MixtureModel(kind=kind, weights=np.asarray(doc["weights"], dtype=float),
-                        components=tuple(comps))
+    return MixtureModel(kind=kind, weights=doc["weights"], components=tuple(comps))
 
 
 def read_fit(path) -> FitResult:
@@ -302,10 +295,10 @@ def read_fit(path) -> FitResult:
     _warn_unknown(doc, _FIT_KEYS, path)
     try:
         model = _model_from_doc(doc, Kind(doc["kind"]))
-        resp = Responsibilities(
-            z=np.asarray(doc["z"], dtype=float),
-            v=np.asarray(doc["v"], dtype=float) if "v" in doc else None,
-        )
+        resp = Responsibilities(z=doc["z"], v=doc.get("v"))
+        labels = as_vector(doc["labels"], "labels", int, len(resp.z))
+        if np.any((labels < 0) | (labels >= model.g)):
+            raise ValueError(f"labels must lie in [0, {model.g})")
         cfg = dict(doc["config"])
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
@@ -316,8 +309,8 @@ def read_fit(path) -> FitResult:
             loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
             converged=bool(doc["converged"]),
             iterations=int(doc["iterations"]),
-            hard_labels=np.asarray(doc["labels"], dtype=int),
-            bad_flags=np.asarray(doc["bad_flags"], dtype=bool) if "bad_flags" in doc else None,
+            hard_labels=labels,
+            bad_flags=as_vector(doc.get("bad_flags"), "bad_flags", bool, len(resp.z)),
             seed=int(doc["seed"]),
             config=config,
             start_index=int(doc["start_index"]),

@@ -244,8 +244,8 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     is one call over all G components: per iteration the row and column
     scales are factored once each (the column factor is carried into the
     next row-scale update), and the column scatter's whitened residuals
-    L_sigma^-1 D are solved once more against the new column factor to give
-    the distances that feed the eta update, the posteriors and the
+    L_sigma^-1 D are whitened once more by the new column factor's inverse
+    to give the distances that feed the eta update, the posteriors and the
     log-likelihood.  Plain MVN is the case v = 1 with no alpha or eta.
     Model records are built once, at the end.
 

@@ -175,6 +175,16 @@ class TestDetect:
         out = capsys.readouterr().out
         assert "cluster 1:" in out and "alpha=" in out
 
+    @pytest.mark.parametrize("key, value", [("labels", 0.5), ("bad_flags", 2)],
+                             ids=["labels-fractional", "flags-not-bool"])
+    def test_malformed_fit_is_io_error(self, tmp_path, fit_file, capsys, key, value):
+        doc = json.loads(fit_file.read_text())
+        doc[key] = [value] * len(doc[key])
+        path = tmp_path / "bad_fit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["detect", "--fit", str(path)]) == 3
+        assert "malformed fit document" in capsys.readouterr().err
+
     def test_rejects_plain_mixture(self, tmp_path, dataset_file):
         data = read_dataset(dataset_file)
         result = fit(data, FitConfig(g=2, n_starts=2, seed=0), Kind.MVN)

@@ -336,6 +336,25 @@ class TestFitRoundTrip:
         with pytest.raises(ParseError, match="malformed fit document"):
             read_fit(path)
 
+    @pytest.mark.parametrize("key, edit", [
+        ("labels", lambda v: [lab + 0.5 for lab in v]),
+        ("bad_flags", lambda v: [2 if f else 0 for f in v]),
+        ("labels", lambda v: [-1] + v[1:]),
+        ("labels", lambda v: [2] + v[1:]),  # the fit has G = 2
+        ("labels", lambda v: v[:-1]),
+        ("bad_flags", lambda v: v[:-1]),
+    ], ids=["labels-fractional", "flags-not-bool", "label-negative", "label-is-g",
+            "labels-short", "flags-short"])
+    def test_malformed_labels_and_flags_are_parse_errors(self, tmp_path, fitted, key, edit):
+        _, result = fitted
+        path = tmp_path / "labels.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="malformed fit document"):
+            read_fit(path)
+
     def test_schema_mismatch_typed_error(self, tmp_path, fitted):
         _, result = fitted
         path = tmp_path / "v2.json"

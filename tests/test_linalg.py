@@ -208,3 +208,40 @@ class TestStackedKernels:
         stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
         with pytest.raises(NotPositiveDefinite, match="psi"):
             linalg.factor(stack, "psi")
+
+    @pytest.mark.parametrize("cond", [1e4, 1e8])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 4), (6, 6), (6, 1), (1, 6), (3, 5)])
+    def test_ill_conditioned_scales_against_oracle(self, cond, g, shape):
+        # Units drawn with row and column scales of condition number cond.
+        # Two correct double-precision evaluations of a quantity whitened by
+        # an estimated scale differ by up to about eps * cond(scale) (whitening
+        # by batched LU solves differs from the oracle by up to 2.9e-9 on
+        # these cases at 1e8), so the bound is 10 * eps * cond: 2.2e-11 at
+        # 1e4 and 2.2e-7 at 1e8.
+        r, p = shape
+        rng = np.random.default_rng(int(np.log10(cond)) * 100 + 10 * r + p + g)
+
+        def spd_with_cond(k):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            return (q * np.logspace(0, np.log10(cond), k)) @ q.T
+
+        n = 40
+        A = np.linalg.cholesky(np.stack([spd_with_cond(r) for _ in range(g)]))
+        L_psi_prev = np.linalg.cholesky(np.stack([spd_with_cond(p) for _ in range(g)]))
+        lab = rng.integers(0, g, n)
+        xs = A[lab] @ rng.standard_normal((n, r, p)) @ L_psi_prev[lab].transpose(0, 2, 1)
+        means = rng.standard_normal((g, r, p))
+        z = rng.dirichlet(np.ones(g), size=n)
+        u = z * rng.uniform(0.3, 1.0, size=(n, g))
+        ng = z.sum(axis=0)
+
+        d = linalg._residuals(xs, means)
+        sigmas = linalg._scatter(linalg._whiten(L_psi_prev, d.transpose(0, 1, 3, 2)), u, ng)
+        s = linalg._whiten(linalg.factor(sigmas), d)
+        psis = linalg._scatter(s, u, ng)
+        delta = linalg._whitened_distances(s, linalg.factor(psis))
+
+        bound = 10 * np.finfo(float).eps * cond
+        for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
+            assert self.rel(got, ref) < bound
