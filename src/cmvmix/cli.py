@@ -158,10 +158,8 @@ def _cmd_sweep(args) -> int:
     print(f"{'kind':<6} {'G':>2} {'BIC':>14}")
     for i, e in enumerate(result.entries):
         mark = " *" if i == result.best else ""
-        if e.bic is None:
-            print(f"{e.kind.value:<6} {e.g:>2} {'failed':>14}{mark}")
-        else:
-            print(f"{e.kind.value:<6} {e.g:>2} {e.bic:>14.4f}{mark}")
+        bic_text = "failed" if e.bic is None else f"{e.bic:.4f}"
+        print(f"{e.kind.value:<6} {e.g:>2} {bic_text:>14}{mark}")
     if args.out:
         dataio.write_sweep(result, args.out)
     return EXIT_OK

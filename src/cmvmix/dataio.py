@@ -238,8 +238,7 @@ def write_fit(result: FitResult, path) -> None:
         base = comp.base if model.kind is Kind.CMVN else comp
         rec = {"m": base.m.tolist(), "sigma": base.sigma.tolist(), "psi": base.psi.tolist()}
         if model.kind is Kind.CMVN:
-            rec["alpha"] = float(comp.alpha)
-            rec["eta"] = float(comp.eta)
+            rec.update(alpha=float(comp.alpha), eta=float(comp.eta))
         comps.append(rec)
     n_obs = int(result.resp.z.shape[0])
     r, p = model.components[0].shape

@@ -100,7 +100,7 @@ def _one_law_logs(x, base: MvnParams, alpha=None, eta=None):
 
 
 def _distances(xs, bases):
-    """Distances (N, G) of a stack (N, r, p) to G matrix normal laws and the
+    """Distances (G, N) of a stack (N, r, p) to G matrix normal laws and the
     log determinants (G,) of their covariances psi (x) sigma.  The records
     were validated on construction, so their stacked scales are only factored."""
     shapes = {b.shape for b in bases}
@@ -108,7 +108,7 @@ def _distances(xs, bases):
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
     L_sigma = linalg.factor(np.stack([b.sigma for b in bases]), "sigma")
     L_psi = linalg.factor(np.stack([b.psi for b in bases]), "psi")
-    delta = linalg._distances(xs, np.stack([b.m for b in bases]), L_sigma, L_psi)
+    delta = linalg._distances(xs.transpose(1, 2, 0), np.stack([b.m for b in bases]), L_sigma, L_psi)
     return delta, linalg._log_det_kron(L_sigma, L_psi)
 
 

@@ -136,21 +136,23 @@ class FitResult:
 
 
 def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
-    """Posteriors z, v and the observed log-likelihood from the (N, G)
-    distances and the per-component log determinants; alphas None is the
-    plain matrix normal (v None).  Each row's log-sum-exp is shifted by its
-    largest entry, so a row with no finite entry gives a NaN log-likelihood.
-    """
-    logf, v = _logs_from_distances(delta, log_det, rp, alphas, etas)
-    logw = logf + log_weights
-    top = logw.max(axis=1, keepdims=True)
+    """Posteriors z, v (G, N) and the observed log-likelihood from (G, N)
+    distances and per-component log determinants, log weights, alphas and
+    etas; alphas None is the plain matrix normal (v None).  Each unit's
+    log-sum-exp is shifted by its largest entry, so a unit with no finite
+    entry gives a NaN log-likelihood."""
+    if alphas is not None:
+        alphas, etas = alphas[:, None], etas[:, None]
+    logf, v = _logs_from_distances(delta, log_det[:, None], rp, alphas, etas)
+    logw = logf + log_weights[:, None]
+    top = logw.max(axis=0)
     w = np.exp(logw - top)
-    tot = w.sum(axis=1, keepdims=True)
+    tot = w.sum(axis=0)
     return w / tot, v, float((np.log(tot) + top).sum())
 
 
 def _model_terms(data: Dataset, model: MixtureModel):
-    """The arguments of _e_pass at the parameters of a model record: (N, G)
+    """The arguments of _e_pass at the parameters of a model record: (G, N)
     distances, log determinants, log weights, r*p, alphas and etas (None for
     the plain matrix normal)."""
     comps = model.components
@@ -164,7 +166,7 @@ def _model_terms(data: Dataset, model: MixtureModel):
 def e_step(data: Dataset, model: MixtureModel) -> Responsibilities:
     """Posterior cluster memberships (and good-point posteriors for CMVN)."""
     z, v, _ = _e_pass(*_model_terms(data, model))
-    return Responsibilities(z=z, v=v)
+    return Responsibilities(z=z.T, v=None if v is None else v.T)
 
 
 def observed_loglik(data: Dataset, model: MixtureModel) -> float:
@@ -175,23 +177,24 @@ def observed_loglik(data: Dataset, model: MixtureModel) -> float:
 def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
     """Update mixing weights, alpha, and means.
 
-    Returns (weights, alphas, means, u) where u are the effective weights
-    reused by the scale updates; alphas is None for plain MVN.
+    Returns (weights, alphas, means, u) where u (N, G) are the effective
+    weights reused by the scale updates; alphas is None for plain MVN.
     """
-    return _cm_step_1(data.samples, resp.z, resp.v, etas_prev)
+    v = None if resp.v is None else resp.v.T
+    weights, alphas, means, u = _cm_step_1(data.samples.transpose(1, 2, 0), resp.z.T, v, etas_prev)
+    return weights, alphas, means, u.T
 
 
-def _cm_step_1(samples, z, v, etas_prev):
-    """cm_step_1 on the posterior arrays; v None is plain MVN."""
-    ng = z.sum(axis=0)
-    weights = ng / samples.shape[0]
-    alphas = None
-    if v is not None:
-        alphas = np.clip((z * v).sum(axis=0) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
+def _cm_step_1(xt, z, v, etas_prev):
+    """cm_step_1 on units xt (r, p, N) and posteriors z, v (G, N), giving u
+    (G, N); v None is plain MVN."""
+    r, p, n = xt.shape
+    ng = z.sum(axis=1)
+    weights = ng / n
+    alphas = None if v is None else np.clip((z * v).sum(axis=1) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
-    u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[None, :])
-    s = u.sum(axis=0)
-    means = np.einsum("ig,irp->grp", u, samples) / s[:, None, None]
+    u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[:, None])
+    means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p) / u.sum(axis=1)[:, None, None]
     return weights, alphas, means, u
 
 
@@ -207,15 +210,16 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     when the component record is built, after the column scale is also
     updated, so the Kronecker product is preserved exactly.
     """
-    d = linalg._residuals(samples, means)
-    t = linalg._whiten(_factors(prev_psis, "psi"), d.transpose(0, 1, 3, 2))
-    return list(linalg._scatter(t, u, np.asarray(ng, dtype=float)))
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    t = linalg._whiten(None, np.linalg.inv(_factors(prev_psis, "psi")), d)
+    return list(linalg._scatter(t.swapaxes(1, 2), np.asarray(u).T, np.asarray(ng, dtype=float)))
 
 
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
-    s = linalg._whiten(_factors(new_sigmas, "sigma"), linalg._residuals(samples, means))
-    return list(linalg._scatter(s, u, np.asarray(ng, dtype=float)))
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    s = linalg._whiten(np.linalg.inv(_factors(new_sigmas, "sigma")), None, d)
+    return list(linalg._scatter(s, np.asarray(u).T, np.asarray(ng, dtype=float)))
 
 
 def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
@@ -223,62 +227,62 @@ def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
     stationary point of the complete-data objective in eta), floored at
     eta_min."""
     _, r, p = samples.shape
-    delta = linalg._distances(samples, means, _factors(sigmas, "sigma"), _factors(psis, "psi"))
-    return _eta(z * (1.0 - v), delta, eta_min, r * p)
+    delta = linalg._distances(samples.transpose(1, 2, 0), means,
+                              _factors(sigmas, "sigma"), _factors(psis, "psi"))
+    return _eta((z * (1.0 - v)).T, delta, eta_min, r * p)
 
 
 def _eta(bad_mass, delta, eta_min, rp):
-    """Per-component inflations from (N, G) bad masses and distances: the
-    mean distance under each column's bad mass over rp, floored at eta_min
-    (eta_min itself for a column with no bad mass)."""
-    denom = bad_mass.sum(axis=0)
+    """Per-component inflations from (G, N) bad masses and distances: the
+    mean distance under each component's bad mass over rp, floored at
+    eta_min (eta_min itself for a component with no bad mass)."""
+    denom = bad_mass.sum(axis=1)
     empty = denom < 1e-12
-    mean = (bad_mass * delta).sum(axis=0) / np.where(empty, 1.0, denom)
+    mean = (bad_mass * delta).sum(axis=1) / np.where(empty, 1.0, denom)
     return np.where(empty, eta_min, np.maximum(eta_min, mean / rp))
 
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities.
 
-    Parameters live in arrays with a leading component axis, and each step
-    is one call over all G components: per iteration the row and column
-    scales are factored once each (the column factor is carried into the
-    next row-scale update), and the column scatter's whitened residuals
-    L_sigma^-1 D are whitened once more by the new column factor's inverse
-    to give the distances that feed the eta update, the posteriors and the
-    log-likelihood.  Plain MVN is the case v = 1 with no alpha or eta.
-    Model records are built once, at the end.
+    Each step is one call over all G components, units on the last axis:
+    samples (r, p, N), copied once; residuals (G, r, p, N); z, v, u and
+    distances (G, N).  Per iteration each scale is factored and inverted
+    once (the column inverse is carried into the next row-scale update),
+    and the column scatter's L_sigma^-1 D, whitened once more by the new
+    column inverse, gives the distances for eta, the posteriors and the
+    log-likelihood.  Plain MVN is v = 1 with no alpha or eta.  Records and
+    (N, G) posteriors are built at the end.
 
     Raises DegenerateCluster / NotPositiveDefinite when the chain collapses;
     fit() treats that as a failed start.
     """
-    samples = data.samples
-    _, r, p = samples.shape
+    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
+    r, p, _ = xt.shape
     g = config.g
     cmvn = kind is Kind.CMVN
-    mcw = config.min_cluster_weight
-    if mcw is None:
-        mcw = r * p / 2.0
+    mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
 
-    z = np.asarray(init_z, dtype=float)
-    v = np.asarray(init_v, dtype=float) if cmvn else None
+    z = np.asarray(init_z, dtype=float).T
+    v = np.asarray(init_v, dtype=float).T if cmvn else None
     etas = np.full(g, _INIT_ETA)
-    L_psi = np.tile(np.eye(p), (g, 1, 1))
+    psi_inv = np.tile(np.eye(p), (g, 1, 1))
 
     trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        ng = z.sum(axis=0)
+        ng = z.sum(axis=1)
         if np.any(ng < mcw):
             raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
-        weights, alphas, means, u = _cm_step_1(samples, z, v, etas)
-        d = linalg._residuals(samples, means)
-        sigmas = linalg._scatter(linalg._whiten(L_psi, d.transpose(0, 1, 3, 2)), u, ng)
+        weights, alphas, means, u = _cm_step_1(xt, z, v, etas)
+        d = linalg._residuals(xt, means)
+        sigmas = linalg._scatter(linalg._whiten(None, psi_inv, d).swapaxes(1, 2), u, ng)
         L_sigma = linalg.factor(sigmas, "sigma")
-        s = linalg._whiten(L_sigma, d)
+        s = linalg._whiten(np.linalg.inv(L_sigma), None, d)
         psis = linalg._scatter(s, u, ng)
         L_psi = linalg.factor(psis, "psi")
-        delta = linalg._whitened_distances(s, L_psi)
+        psi_inv = np.linalg.inv(L_psi)
+        delta = linalg._whitened_distances(s, psi_inv)
         log_det = linalg._log_det_kron(L_sigma, L_psi)
         if cmvn:
             etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
@@ -292,7 +296,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     bases = [MvnParams(means[j], sigmas[j], psis[j]) for j in range(g)]
     comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
     model = MixtureModel(kind=kind, weights=weights, components=comps)
-    return model, Responsibilities(z=z, v=v), np.array(trace), converged, it
+    return model, Responsibilities(z=z.T, v=v.T if cmvn else None), np.array(trace), converged, it
 
 
 def _initial_responsibilities(rng, n, g, kind):
@@ -386,6 +390,6 @@ def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: Mixtu
         + alpha_terms
         - 0.5 * (rp * np.log(2 * np.pi) + log_det)
         - 0.5 * rp * (1 - v) * np.log(etas)
-        - 0.5 * (v + (1 - v) / etas) * delta
+        - 0.5 * (v + (1 - v) / etas) * delta.T
     )
     return float((resp.z * terms).sum())

@@ -4,7 +4,9 @@ All inverse-weighted quantities go through Cholesky factors: residuals are
 whitened by the inverses of stacked lower-triangular factors.  A factor is
 small and comes from a Cholesky factorization that succeeded, so its
 inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
-Matrices are plain numpy arrays; the helpers below validate shape,
+The stacked kernels (``_distances`` and after) keep the N units on the last
+axis, so no whitening copies its residuals; public functions take units
+first.  Matrices are plain numpy arrays; the helpers below validate shape,
 finiteness, symmetry and positive definiteness where user data enters.
 """
 
@@ -107,7 +109,7 @@ def trace_quad_forms(xs, m, L_sigma, L_psi):
     -------
     ndarray, shape (N,), the distances delta_i >= 0.
     """
-    return _distances(xs, m[None], L_sigma[None], L_psi[None])[:, 0]
+    return _distances(xs.transpose(1, 2, 0), m[None], L_sigma[None], L_psi[None])[0]
 
 
 def _log_det_kron(L_sigma, L_psi):
@@ -116,44 +118,48 @@ def _log_det_kron(L_sigma, L_psi):
     return p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
 
 
-def _distances(xs, means, L_sigma, L_psi):
-    """Distances delta (N, G) of units xs (N, r, p) to G laws with means
+def _distances(xt, means, L_sigma, L_psi):
+    """Distances delta (G, N) of units xt (r, p, N) to G laws with means
     (G, r, p) and scale factors L_sigma (G, r, r), L_psi (G, p, p)."""
-    return _whitened_distances(_whiten(L_sigma, _residuals(xs, means)), L_psi)
+    d = _residuals(xt, means)
+    return _whitened_distances(_whiten(np.linalg.inv(L_sigma), None, d), np.linalg.inv(L_psi))
 
 
-def _residuals(xs, means):
-    """D_gi = X_i - M_g for units xs (N, r, p) and means (G, r, p): (G, N, r, p)."""
-    return xs[None] - means[:, None]
+def _residuals(xt, means):
+    """D_gi = X_i - M_g for units xt (r, p, N) and means (G, r, p): (G, r, p, N)."""
+    return xt - means[..., None]
 
 
-def _whiten(L, d):
-    """L_g^-1 D_gi for factors L (G, k, k) and residuals d (G, N, k, m).
-
-    Each factor's inverse takes all N*m right-hand sides in one product
-    (worst relative error 4.1e-15, as for a solve, at condition 1e14); the
-    result is laid out (G, k, N, m).
+def _whiten(Si, Pi, d):
+    """Si_g D_gi Pi_g' for residuals d (G, r, p, N) and inverse factors
+    Si = L_sigma^-1 (G, r, r), Pi = L_psi^-1 (G, p, p); None leaves that side
+    as it is.  Each side is one matrix product over all N units, with worst
+    relative error 4.1e-15 (as for a triangular solve) at condition 1e14.
     """
-    g, n, k, m = d.shape
-    rhs = d.transpose(0, 2, 1, 3).reshape(g, k, n * m)
-    return np.matmul(np.linalg.inv(L), rhs).reshape(g, k, n, m)
+    if Si is not None:
+        g, r, p, n = d.shape
+        d = np.matmul(Si, d.reshape(g, r, p * n)).reshape(g, r, p, n)
+    if Pi is not None:
+        d = np.matmul(Pi[:, None], d)
+    return d
 
 
 def _scatter(w, u, ng):
-    """sum_i u_ig W_gi' W_gi / (k ng_g) for whitened residuals w (G, k, N, m)
-    and weights u (N, G); a (G, m, m) stack, symmetrized against roundoff.
+    """sum_i u_gi W_gi' W_gi / (k ng_g) for whitened residuals w (G, k, m, N)
+    and weights u (G, N); a (G, m, m) stack, symmetrized against roundoff.
 
-    With w = L_psi^-1 D' this is the row-scale update (k = p), with
-    w = L_sigma^-1 D the column-scale update (k = r).
+    With w = D L_psi^-T swapped to (G, p, r, N) this is the row-scale update
+    (k = p), with w = L_sigma^-1 D the column-scale update (k = r).
     """
-    g, k, n, m = w.shape
-    a = (w * np.sqrt(u.T)[:, None, :, None]).reshape(g, k * n, m)
-    out = np.matmul(a.transpose(0, 2, 1), a)
-    return (out + out.transpose(0, 2, 1)) / (2.0 * k * ng[:, None, None])
+    k = w.shape[1]
+    a = w * np.sqrt(u)[:, None, None, :]
+    out = np.matmul(a, a.swapaxes(-1, -2)).sum(axis=1)
+    return (out + out.swapaxes(-1, -2)) / (2.0 * k * ng[:, None, None])
 
 
-def _whitened_distances(s, L_psi):
-    """Distances delta (N, G) from s = L_sigma^-1 D (G, r, N, p): the squared
-    Frobenius norm of L_psi^-1 S_gi' per unit and component."""
-    w = _whiten(L_psi, s.transpose(0, 2, 3, 1))
-    return np.square(w).sum(axis=(1, 3)).T
+def _whitened_distances(s, Pi):
+    """Distances delta (G, N) from s = L_sigma^-1 D (G, r, p, N) and the
+    inverse column factors Pi (G, p, p): the squared Frobenius norm of
+    S_gi L_psi^-T per component and unit, squared in place."""
+    w = _whiten(None, Pi, s)
+    return np.square(w, out=w).sum(axis=(1, 2))

@@ -2,7 +2,7 @@
 
 ARI is computed exactly (integer pair counts, one rational division at the
 end); MCR searches all injective label mappings, which is exhaustive but
-fine for the K <= 10 bound enforced here.
+fine for the bound of 10 clusters per labelling enforced here.
 """
 
 from fractions import Fraction
@@ -73,28 +73,23 @@ _MAX_MCR_CLUSTERS = 10
 
 
 def misclassification_rate(truth, pred, mask=None) -> float:
-    """Fraction misclassified under the best injective label mapping.
+    """Fraction misclassified under the best one-to-one matching of labels.
 
-    Exhaustive over mappings of predicted to true labels; predicted cluster
-    count must not exceed 10.
+    Exhaustive over injective mappings of the smaller labelling's clusters
+    into the larger's (units of an unmatched cluster are misclassified);
+    raises ValueError when either labelling has more than 10 clusters.
     """
     truth, pred = _apply_mask(truth, pred, mask)
     n = len(truth)
     if n == 0:
         raise LengthMismatch("no scored observations")
     table = _contingency(truth, pred)
-    k_true, k_pred = table.shape
-    if k_pred > _MAX_MCR_CLUSTERS:
-        raise ValueError(f"more than {_MAX_MCR_CLUSTERS} predicted clusters")
-    # pad so every predicted cluster can map to a distinct slot
-    k = max(k_true, k_pred)
-    padded = np.zeros((k, k), dtype=np.int64)
-    padded[:k_true, :k_pred] = table
-    best = 0
-    for perm in permutations(range(k)):
-        hits = sum(padded[perm[j], j] for j in range(k))
-        if hits > best:
-            best = hits
+    if max(table.shape) > _MAX_MCR_CLUSTERS:
+        raise ValueError(f"more than {_MAX_MCR_CLUSTERS} clusters in a labelling "
+                         f"(truth {table.shape[0]}, predicted {table.shape[1]})")
+    rows = (table if table.shape[0] >= table.shape[1] else table.T).tolist()
+    best = max(sum(rows[i][j] for j, i in enumerate(perm))
+               for perm in permutations(range(len(rows)), len(rows[0])))
     return float(n - best) / n
 
 

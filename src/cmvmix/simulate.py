@@ -71,18 +71,17 @@ def generate(model: MixtureModel, n: int, seed: int) -> Dataset:
 def perturb(data: Dataset, obs: int, c: float) -> Dataset:
     """Shift one unit (1-based index) by c times the all-ones matrix.
 
-    A nonzero shift marks that unit as a known bad point in good_flags;
-    c = 0 returns an identical dataset.
+    A nonzero shift flags that unit bad in good_flags (all others good if the
+    dataset had no flags); c = 0 returns an identical dataset.
     """
     if not (1 <= obs <= data.n):
         raise ValueError(f"obs must be in 1..{data.n}, got {obs}")
     samples = np.array(data.samples)
     samples[obs - 1] += c
-    flags = None
-    if data.good_flags is not None:
-        flags = np.array(data.good_flags)
-        if c != 0:
-            flags[obs - 1] = False
+    flags = data.good_flags
+    if c != 0:
+        flags = np.ones(data.n, dtype=bool) if flags is None else np.array(flags)
+        flags[obs - 1] = False
     return Dataset(samples=samples, true_labels=data.true_labels,
                    good_flags=flags, unit_names=data.unit_names)
 

@@ -60,9 +60,7 @@ class ReplicationReport:
 
 
 def _sweep_best(data, kind, seed, starts):
-    cfg = FitConfig(n_starts=starts, seed=seed)
-    res = sweep(data, [kind], G_VALUES, cfg)
-    return res.best_entry
+    return sweep(data, [kind], G_VALUES, FitConfig(n_starts=starts, seed=seed)).best_entry
 
 
 def run_single_outlier_study(seed: int, starts: int = 20,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.stats import matrix_normal, multivariate_normal
@@ -117,6 +119,38 @@ class TestEStep:
             np.testing.assert_allclose(resp.z[i], dens / dens.sum(), rtol=1e-9)
 
 
+@st.composite
+def permuted_problems(draw):
+    """A random mixture, a dataset drawn around its means, and a permutation
+    of the dataset's units."""
+    n, g = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_cmvn_model(rng, g, r, p)
+    if draw(st.booleans()):
+        model = MixtureModel(kind=Kind.MVN, weights=model.weights,
+                             components=tuple(c.base for c in model.components))
+    samples = 4 * rng.standard_normal((n, r, p))
+    return model, Dataset(samples), np.array(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_problems())
+def test_unit_permutation_permutes_posteriors(problem):
+    """Units are exchangeable: permuting them permutes the rows of z and v
+    and leaves the observed log-likelihood unchanged."""
+    model, data, perm = problem
+    resp = e_step(data, model)
+    resp_p = e_step(Dataset(data.samples[perm]), model)
+    np.testing.assert_allclose(resp_p.z, resp.z[perm], rtol=1e-12, atol=1e-300)
+    if model.kind is Kind.CMVN:
+        np.testing.assert_allclose(resp_p.v, resp.v[perm], rtol=1e-12, atol=1e-300)
+    else:
+        assert resp.v is None and resp_p.v is None
+    ll = observed_loglik(data, model)
+    assert observed_loglik(Dataset(data.samples[perm]), model) == pytest.approx(ll, rel=1e-12)
+
+
 class TestRecordsReproduceChain:
     """e_step and observed_loglik on a fit's model record give back the
     chain's own posteriors and log-likelihood.  Posteriors far below 1 are
@@ -153,7 +187,8 @@ class TestEPass:
         log_w = np.log(rng.dirichlet(np.ones(g)))
         alphas = rng.uniform(0.6, 0.95, g) if kind is Kind.CMVN else None
         etas = rng.uniform(2.0, 8.0, g) if kind is Kind.CMVN else None
-        z, v, ll = ecm._e_pass(delta, log_det, log_w, rp, alphas, etas)
+        z, v, ll = ecm._e_pass(delta.T, log_det, log_w, rp, alphas, etas)
+        z = z.T
         from cmvmix.distributions import _logs_from_distances
         logw = _logs_from_distances(delta, log_det, rp, alphas, etas)[0] + log_w
         lse = logsumexp(logw, axis=1)
@@ -164,7 +199,8 @@ class TestEPass:
     def test_minus_inf_entries(self):
         delta = np.array([[1.0, np.inf, 4.0], [2.0, 5.0, 3.0]])
         log_w = np.log(np.full(3, 1 / 3))
-        z, _, ll = ecm._e_pass(delta, np.zeros(3), log_w, 4, None, None)
+        z, _, ll = ecm._e_pass(delta.T, np.zeros(3), log_w, 4, None, None)
+        z = z.T
         assert z[0, 1] == 0.0
         assert np.isfinite(ll)
         logw = -0.5 * (4 * np.log(2 * np.pi) + delta) + log_w
@@ -173,7 +209,7 @@ class TestEPass:
         # non-finite, which fit() counts as a failed start
         delta[1] = np.inf
         with np.errstate(invalid="ignore"):
-            _, _, ll = ecm._e_pass(delta, np.zeros(3), log_w, 4, None, None)
+            _, _, ll = ecm._e_pass(delta.T, np.zeros(3), log_w, 4, None, None)
         assert not np.isfinite(ll)
 
 

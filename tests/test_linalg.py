@@ -187,13 +187,14 @@ class TestStackedKernels:
         ng = z.sum(axis=0)
         L_psi_prev = np.stack([linalg.cholesky(random_spd(rng, p)) for _ in range(g)])
 
-        d = linalg._residuals(xs, means)
-        sigmas = linalg._scatter(linalg._whiten(L_psi_prev, d.transpose(0, 1, 3, 2)), u, ng)
+        d = linalg._residuals(xs.transpose(1, 2, 0), means)
+        inv = np.linalg.inv
+        sigmas = linalg._scatter(linalg._whiten(None, inv(L_psi_prev), d).swapaxes(1, 2), u.T, ng)
         L_sigma = linalg.factor(sigmas)
-        s = linalg._whiten(L_sigma, d)
-        psis = linalg._scatter(s, u, ng)
+        s = linalg._whiten(inv(L_sigma), None, d)
+        psis = linalg._scatter(s, u.T, ng)
         L_psi = linalg.factor(psis)
-        delta = linalg._whitened_distances(s, L_psi)
+        delta = linalg._whitened_distances(s, inv(L_psi)).T
         log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
@@ -216,9 +217,9 @@ class TestStackedKernels:
         # Units drawn with row and column scales of condition number cond.
         # Two correct double-precision evaluations of a quantity whitened by
         # an estimated scale differ by up to about eps * cond(scale) (whitening
-        # by batched LU solves differs from the oracle by up to 2.9e-9 on
-        # these cases at 1e8), so the bound is 10 * eps * cond: 2.2e-11 at
-        # 1e4 and 2.2e-7 at 1e8.
+        # by the factors' triangular inverses differs from the oracle by up to
+        # 5.1e-13 on these cases at 1e4 and 1.7e-9 at 1e8), so the bound is
+        # 10 * eps * cond: 2.2e-11 at 1e4 and 2.2e-7 at 1e8.
         r, p = shape
         rng = np.random.default_rng(int(np.log10(cond)) * 100 + 10 * r + p + g)
 
@@ -236,11 +237,12 @@ class TestStackedKernels:
         u = z * rng.uniform(0.3, 1.0, size=(n, g))
         ng = z.sum(axis=0)
 
-        d = linalg._residuals(xs, means)
-        sigmas = linalg._scatter(linalg._whiten(L_psi_prev, d.transpose(0, 1, 3, 2)), u, ng)
-        s = linalg._whiten(linalg.factor(sigmas), d)
-        psis = linalg._scatter(s, u, ng)
-        delta = linalg._whitened_distances(s, linalg.factor(psis))
+        d = linalg._residuals(xs.transpose(1, 2, 0), means)
+        inv = np.linalg.inv
+        sigmas = linalg._scatter(linalg._whiten(None, inv(L_psi_prev), d).swapaxes(1, 2), u.T, ng)
+        s = linalg._whiten(inv(linalg.factor(sigmas)), None, d)
+        psis = linalg._scatter(s, u.T, ng)
+        delta = linalg._whitened_distances(s, inv(linalg.factor(psis))).T
 
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):

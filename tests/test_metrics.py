@@ -120,6 +120,23 @@ class TestMcr:
         with pytest.raises(ValueError):
             misclassification_rate(list(range(12)), list(range(12)))
 
+    def test_too_many_true_clusters_rejected(self):
+        # 12 true labels against 2 predicted clusters: refused, not searched
+        truth = np.arange(24) % 12
+        with pytest.raises(ValueError, match="truth 12, predicted 2"):
+            misclassification_rate(truth, np.arange(24) % 2)
+
+    @pytest.mark.parametrize("k_true,k_pred", [(9, 2), (2, 5), (6, 3), (1, 4), (4, 1)])
+    def test_unequal_cluster_counts_match_exhaustive_oracle(self, k_true, k_pred):
+        rng = np.random.default_rng(10 * k_true + k_pred)
+        for _ in range(5):
+            n = int(rng.integers(max(k_true, k_pred), 16))
+            truth = np.concatenate([np.arange(k_true), rng.integers(0, k_true, n - k_true)])
+            pred = np.concatenate([np.arange(k_pred), rng.integers(0, k_pred, n - k_pred)])
+            pred = rng.permutation(pred) + 3
+            assert misclassification_rate(truth, pred) == pytest.approx(
+                exhaustive_mcr(truth, pred), abs=1e-14)
+
     def test_zero_iff_ari_one(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

@@ -1,8 +1,11 @@
-"""Smoke tests for the two replication studies (reduced sizes for speed)."""
+"""Smoke tests for the two replication studies (reduced sizes for speed) and
+the simulation transforms they use."""
 
 import numpy as np
 import pytest
 
+from cmvmix.data import Dataset
+from cmvmix.simulate import perturb
 from cmvmix.studies import (
     Check,
     ReplicationReport,
@@ -104,3 +107,11 @@ def test_noise_values_stay_in_range():
     rep = run_uniform_noise_study(seed=1, starts=2)
     (row,) = rep.rows
     assert np.isfinite(row["cmvn_bic"]) and np.isfinite(row["mvn_bic"])
+
+
+def test_perturb_marks_shifted_unit_when_dataset_has_no_flags():
+    data = Dataset(np.zeros((5, 2, 3)))
+    shifted = perturb(data, 2, 4.0)
+    np.testing.assert_array_equal(shifted.good_flags, [True, False, True, True, True])
+    np.testing.assert_array_equal(shifted.samples[1], np.full((2, 3), 4.0))
+    assert perturb(data, 2, 0.0).good_flags is None
