@@ -75,13 +75,24 @@ def _read_model_spec(path) -> MixtureModel:
         raise ParseError(f"{path}: malformed model spec: {exc}") from None
 
 
+def _add_fit_options(p):
+    """The chain options of fit and sweep, defaulting to FitConfig's."""
+    p.add_argument("--starts", type=int, default=FitConfig.n_starts)
+    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--tol", type=float, default=FitConfig.tol)
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
+
+
+def _fit_config(args, **cell) -> FitConfig:
+    return FitConfig(n_starts=args.starts, seed=args.seed, tol=args.tol,
+                     max_iter=args.max_iter, **cell)
+
+
 def _cmd_fit(args) -> int:
     data = dataio.read_dataset(args.data)
     if args.g < 1:
         raise UsageError("--g must be >= 1")
-    config = FitConfig(g=args.g, n_starts=args.starts, seed=args.seed,
-                       tol=args.tol, max_iter=args.max_iter)
-    result = fit(data, config, Kind(args.model))
+    result = fit(data, _fit_config(args, g=args.g), Kind(args.model))
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:
@@ -152,9 +163,7 @@ def _cmd_sweep(args) -> int:
     if not kinds:
         raise UsageError("--models must name at least one of mvn,cmvn")
     gs = _parse_g_range(args.g)
-    config = FitConfig(n_starts=args.starts, seed=args.seed, tol=args.tol,
-                       max_iter=args.max_iter)
-    result = sweep(data, kinds, gs, config)
+    result = sweep(data, kinds, gs, _fit_config(args))
     print(f"{'kind':<6} {'G':>2} {'BIC':>14}")
     for i, e in enumerate(result.entries):
         mark = " *" if i == result.best else ""
@@ -191,10 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=["mvn", "cmvn"], default="cmvn")
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--starts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    _add_fit_options(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit)
 
@@ -226,17 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--models", default="mvn,cmvn")
     p.add_argument("--g", default="1:3")
-    p.add_argument("--starts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=1000)
+    _add_fit_options(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("replicate", help="run a sensitivity study end to end")
     p.add_argument("--study", choices=["single-outlier", "uniform-noise"], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=20)
+    p.add_argument("--starts", type=int, default=FitConfig.n_starts)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_replicate)
 

@@ -15,14 +15,14 @@ import warnings
 from array import array
 from dataclasses import asdict, fields
 from itertools import chain, cycle, repeat
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset, as_vector
 from .distributions import CmvnParams, MvnParams
-from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
+from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities, classify_from
 from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
+from .selection import count_free_params
 
 SCHEMA_VERSION = 1
 
@@ -57,10 +57,17 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
-def _check_version(doc, path):
+def _load_doc(path, known):
+    """A versioned JSON document: a top-level object at SCHEMA_VERSION,
+    with a warning naming any field outside known."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema_version {version!r}")
+    _warn_unknown(doc, known, path)
+    return doc
 
 
 def _warn_unknown(doc, known, path):
@@ -69,17 +76,10 @@ def _warn_unknown(doc, known, path):
         warnings.warn(f"{path}: ignoring unknown fields {sorted(extra)}")
 
 
-def _infer_format(path, fmt):
-    if fmt is not None:
-        return fmt
-    return "csv-long" if str(path).endswith(".csv") else "json"
-
-
-def write_dataset(data: Dataset, path, fmt: Optional[str] = None) -> None:
-    """Write a dataset as canonical JSON or long CSV."""
-    fmt = _infer_format(path, fmt)
+def write_dataset(data: Dataset, path) -> None:
+    """Write a dataset as long CSV if path ends in .csv, else as canonical JSON."""
     _check_finite(data.samples, "samples")
-    if fmt == "json":
+    if not str(path).endswith(".csv"):
         doc = {
             "schema_version": SCHEMA_VERSION,
             "n": data.n,
@@ -94,7 +94,7 @@ def write_dataset(data: Dataset, path, fmt: Optional[str] = None) -> None:
         if data.unit_names is not None:
             doc["names"] = list(data.unit_names)
         _dump_canonical(doc, path)
-    elif fmt == "csv-long":
+    else:
         # csv writes a float as str(), its shortest repr; every column but the
         # values is an iterator, so a write makes no other per-cell objects
         rp = data.r * data.p
@@ -109,27 +109,14 @@ def write_dataset(data: Dataset, path, fmt: Optional[str] = None) -> None:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(zip(*columns))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
-def read_dataset(path, fmt: Optional[str] = None) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Read a dataset written by write_dataset (or hand-authored to the
-    same schemas)."""
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
-        return _read_dataset_json(path)
-    if fmt == "csv-long":
+    same schemas); the format follows the file name as there."""
+    if str(path).endswith(".csv"):
         return _read_dataset_csv(path)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _read_dataset_json(path) -> Dataset:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    _check_version(doc, path)
-    _warn_unknown(doc, _DATASET_KEYS, path)
+    doc = _load_doc(path, _DATASET_KEYS)
     try:
         n, r, p = int(doc["n"]), int(doc["r"]), int(doc["p"])
         flat = doc["samples"]
@@ -164,7 +151,8 @@ def _read_dataset_csv(path) -> Dataset:
             raise ParseError(f"{path}: empty file") from None
         if header[:4] != ["unit", "row", "col", "value"]:
             raise ParseError(f"{path}: line 1: expected header unit,row,col,value[,label]")
-        with_label = len(header) > 4 and header[4] == "label"
+        with_label = header[4:5] == ["label"]
+        _warn_unknown(header[4 + with_label:], set(), path)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -230,8 +218,6 @@ _FIT_KEYS = {
 
 def write_fit(result: FitResult, path) -> None:
     """Persist a fit: parameters, posteriors, trace, config echo and seed."""
-    from .selection import count_free_params  # local to avoid a cycle
-
     model = result.model
     comps = []
     for comp in model.components:
@@ -286,18 +272,20 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
 
 
 def read_fit(path) -> FitResult:
-    """Load a fit written by write_fit; the round trip is exact."""
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    _check_version(doc, path)
-    _warn_unknown(doc, _FIT_KEYS, path)
+    """Load a fit written by write_fit; the round trip is exact.  Its labels
+    and bad flags must be the classification of its z and v."""
+    doc = _load_doc(path, _FIT_KEYS)
     try:
         model = _model_from_doc(doc, Kind(doc["kind"]))
         resp = Responsibilities(z=doc["z"], v=doc.get("v"))
-        labels = as_vector(doc["labels"], "labels", int, len(resp.z))
-        if np.any((labels < 0) | (labels >= model.g)):
-            raise ValueError(f"labels must lie in [0, {model.g})")
+        if resp.z.shape[1] != model.g or (resp.v is None) == (model.kind is Kind.CMVN):
+            raise ValueError(f"z must be N x {model.g}, with v exactly when kind is cmvn")
+        labels, bad = classify_from(resp, model.kind)
+        hard = as_vector(doc.get("labels"), "labels", int, len(resp.z))
+        flags = as_vector(doc.get("bad_flags"), "bad_flags", bool, len(resp.z))
+        # array_equal(None, x) holds only for x None, so mvn fits carry no flags
+        if not (np.array_equal(hard, labels) and np.array_equal(flags, bad)):
+            raise ValueError("labels and bad_flags must be the classification of z and v")
         cfg = dict(doc["config"])
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
@@ -308,8 +296,8 @@ def read_fit(path) -> FitResult:
             loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
             converged=bool(doc["converged"]),
             iterations=int(doc["iterations"]),
-            hard_labels=labels,
-            bad_flags=as_vector(doc.get("bad_flags"), "bad_flags", bool, len(resp.z)),
+            hard_labels=hard,
+            bad_flags=flags,
             seed=int(doc["seed"]),
             config=config,
             start_index=int(doc["start_index"]),

@@ -5,7 +5,8 @@ then the row scale given the previous column scale, then the column scale
 given the new row scale, then the inflation parameter), followed by an
 E-step that refreshes the cluster and good-point posteriors and the
 observed log-likelihood.  Chains start from random responsibilities; fit()
-runs several independent chains and keeps the best converged one.
+runs several independent chains and keeps the best admissible, converged
+one, falling back with warnings to a chain that is neither.
 """
 
 import enum
@@ -314,13 +315,15 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     is a failed start; raises AllStartsFailed when every start fails.
     """
     kind = Kind(kind)
+    cmvn = kind is Kind.CMVN
     if data.n < config.g:
         raise DimensionMismatch(f"need at least G={config.g} observations, have {data.n}")
     # Chains are ranked admissible-first, then converged, then by final
     # log-likelihood.  A chain whose final alpha leaves (0.5, 1) sits outside
     # the parameter space ("good" points must be the majority of every
     # cluster), and a chain still climbing at max_iter is usually riding an
-    # unbounded likelihood spike; both are kept only as fallbacks.
+    # unbounded likelihood spike; both are kept only as fallbacks, and the
+    # returned chain carries a warning for each.
     best = None
     best_key = None
     failures = []
@@ -335,19 +338,17 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         if not np.isfinite(trace[-1]):
             failures.append(f"start {s}: non-finite log-likelihood")
             continue
-        admissible = kind is Kind.MVN or all(c.alpha > 0.5 for c in model.components)
-        key = (admissible, converged, trace[-1])
+        warns = [f"component {j}: majority-bad (alpha={c.alpha:.4f})"
+                 for j, c in enumerate(model.components) if cmvn and c.alpha <= 0.5]
+        key = (not warns, converged, trace[-1])
         if best is None or key > best_key:
-            best, best_key = (model, resp, trace, converged, iters, s), key
+            best, best_key = (model, resp, trace, converged, iters, s, warns), key
     if best is None:
         raise AllStartsFailed("; ".join(failures))
-    model, resp, trace, converged, iters, s = best
+    model, resp, trace, converged, iters, s, warns = best
+    if not converged:
+        warns.append(f"start {s} did not converge in max_iter={config.max_iter} iterations")
     labels, bad = classify_from(resp, model.kind)
-    warns = []
-    if model.kind is Kind.CMVN:
-        for j, comp in enumerate(model.components):
-            if comp.alpha <= 0.5:
-                warns.append(f"component {j}: majority-bad (alpha={comp.alpha:.4f})")
     return FitResult(
         model=model,
         resp=resp,

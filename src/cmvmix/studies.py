@@ -59,11 +59,15 @@ class ReplicationReport:
         return {"schema_version": 1, **asdict(self)}
 
 
-def _sweep_best(data, kind, seed, starts):
-    return sweep(data, [kind], G_VALUES, FitConfig(n_starts=starts, seed=seed)).best_entry
+def _select(data, seed, starts):
+    """Best CMVN and MVN entries over G_VALUES: the CMVN entry and the row
+    fields cmvn_g, cmvn_bic, mvn_g and mvn_bic."""
+    config = FitConfig(n_starts=starts, seed=seed)
+    cm, mv = (sweep(data, [kind], G_VALUES, config).best_entry for kind in (Kind.CMVN, Kind.MVN))
+    return cm, {"cmvn_g": cm.g, "cmvn_bic": cm.bic, "mvn_g": mv.g, "mvn_bic": mv.bic}
 
 
-def run_single_outlier_study(seed: int, starts: int = 20,
+def run_single_outlier_study(seed: int, starts: int = FitConfig.n_starts,
                              shifts: Tuple[int, ...] = DEFAULT_SHIFTS) -> ReplicationReport:
     """Grow a constant shift on one unit and track detection behaviour.
 
@@ -77,17 +81,13 @@ def run_single_outlier_study(seed: int, starts: int = 20,
     rows = []
     for c in shifts:
         data = perturb(base, PERTURBED_UNIT, c)
-        cm = _sweep_best(data, Kind.CMVN, seed, starts)
-        mv = _sweep_best(data, Kind.MVN, seed, starts)
+        cm, selected = _select(data, seed, starts)
         fitres = cm.result
         i = PERTURBED_UNIT - 1
         label = int(fitres.hard_labels[i])
         rows.append({
             "c": c,
-            "cmvn_g": cm.g,
-            "cmvn_bic": cm.bic,
-            "mvn_g": mv.g,
-            "mvn_bic": mv.bic,
+            **selected,
             "v_perturbed": float(fitres.resp.v[i, label]),
             "perturbed_flagged_bad": bool(fitres.bad_flags[i]),
             "eta_hat": float(fitres.model.components[label].eta),
@@ -130,7 +130,7 @@ def run_single_outlier_study(seed: int, starts: int = 20,
     )
 
 
-def run_uniform_noise_study(seed: int, starts: int = 20) -> ReplicationReport:
+def run_uniform_noise_study(seed: int, starts: int = FitConfig.n_starts) -> ReplicationReport:
     """Replace 10% of units with uniform noise and score the recovery."""
     t0 = time.monotonic()
     base = generate(reference_model(), DEFAULT_N, seed)
@@ -138,18 +138,14 @@ def run_uniform_noise_study(seed: int, starts: int = 20) -> ReplicationReport:
     data = add_uniform_noise(base, NOISE_FRACTION, lo, hi, seed + 1)
     noise_idx = np.flatnonzero(~data.good_flags)
 
-    cm = _sweep_best(data, Kind.CMVN, seed, starts)
-    mv = _sweep_best(data, Kind.MVN, seed, starts)
+    cm, selected = _select(data, seed, starts)
     fitres = cm.result
     good_mask = data.good_flags
     ari = adjusted_rand_index(data.true_labels, fitres.hard_labels, mask=good_mask)
     mcr = misclassification_rate(data.true_labels, fitres.hard_labels, mask=good_mask)
     v_at_label = fitres.resp.v[noise_idx, fitres.hard_labels[noise_idx]]
     rows = [{
-        "cmvn_g": cm.g,
-        "cmvn_bic": cm.bic,
-        "mvn_g": mv.g,
-        "mvn_bic": mv.bic,
+        **selected,
         "ari_good": ari,
         "mcr_good": mcr,
         "n_noise": int(noise_idx.size),
@@ -178,7 +174,7 @@ def run_uniform_noise_study(seed: int, starts: int = 20) -> ReplicationReport:
     checks.append(Check(
         name="C7_plain_mixture_selection",
         mode="recorded", passed=None,
-        observed=f"MVN-selected G: {mv.g}",
+        observed=f"MVN-selected G: {selected['mvn_g']}",
         tolerance="recorded only",
     ))
     return ReplicationReport(

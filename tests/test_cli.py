@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cmvmix
-from cmvmix.cli import main
+from cmvmix.cli import build_parser, main
 from cmvmix.dataio import REPORT_SCHEMA, read_dataset, write_dataset, write_fit
 from cmvmix.ecm import FitConfig, Kind, fit
 from cmvmix.simulate import generate, reference_model
@@ -185,6 +185,23 @@ class TestDetect:
         assert main(["detect", "--fit", str(path)]) == 3
         assert "malformed fit document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["drop-v", "drop-bad_flags", "wide-z", "relabel"])
+    def test_fit_inconsistent_with_posteriors_is_io_error(self, tmp_path, fit_file, capsys,
+                                                           edit):
+        doc = json.loads(fit_file.read_text())
+        if edit.startswith("drop-"):
+            del doc[edit[len("drop-"):]]
+        elif edit == "wide-z":
+            for row in doc["z"] + doc["v"]:
+                row.append(0.0)
+        else:
+            doc["labels"][0] = 1 - doc["labels"][0]
+        path = tmp_path / "inconsistent_fit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["detect", "--fit", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "malformed fit document" in err and "Traceback" not in err
+
     def test_rejects_plain_mixture(self, tmp_path, dataset_file):
         data = read_dataset(dataset_file)
         result = fit(data, FitConfig(g=2, n_starts=2, seed=0), Kind.MVN)
@@ -256,6 +273,18 @@ class TestArgparseLevel:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["fit", "--data", "d.json", "--g", "2"],
+                                      ["sweep", "--data", "d.json"]])
+    def test_fit_defaults_are_fitconfigs(self, argv):
+        args = build_parser().parse_args(argv)
+        default = FitConfig()
+        assert (args.starts, args.seed, args.tol, args.max_iter) == (
+            default.n_starts, default.seed, default.tol, default.max_iter)
+
+    def test_replicate_starts_default_is_fitconfigs(self):
+        args = build_parser().parse_args(["replicate", "--study", "uniform-noise"])
+        assert args.starts == FitConfig().n_starts
 
 
 def test_import_loads_no_scipy():

@@ -255,6 +255,14 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="line 1"):
             read_dataset(path)
 
+    def test_unknown_column_warns(self, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("unit,row,col,value,lable\n1,1,1,0.5,1\n2,1,1,1.5,2\n")
+        with pytest.warns(UserWarning, match="ignoring unknown fields.*lable"):
+            data = read_dataset(path)
+        assert data.true_labels is None
+        np.testing.assert_array_equal(data.samples.ravel(), [0.5, 1.5])
+
 
 class TestFitRoundTrip:
     @pytest.fixture(scope="class")
@@ -351,6 +359,31 @@ class TestFitRoundTrip:
         write_fit(result, path)
         doc = json.loads(path.read_text())
         doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="malformed fit document"):
+            read_fit(path)
+
+    @staticmethod
+    def _widen_posteriors(doc):
+        for row in doc["z"] + doc["v"]:
+            row.append(0.0)  # a third cluster nobody belongs to
+
+    @staticmethod
+    def _relabel_first_unit(doc):
+        doc["labels"][0] = 1 - doc["labels"][0]  # in [0, 2), but not z's argmax
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("v"),
+        lambda doc: doc.pop("bad_flags"),
+        _widen_posteriors,
+        _relabel_first_unit,
+    ], ids=["v-missing", "flags-missing", "z-wide", "label-disagrees-with-z"])
+    def test_fit_inconsistent_with_its_posteriors_is_parse_error(self, tmp_path, fitted, edit):
+        _, result = fitted
+        path = tmp_path / "inconsistent.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="malformed fit document"):
             read_fit(path)

@@ -151,6 +151,75 @@ def test_unit_permutation_permutes_posteriors(problem):
     assert observed_loglik(Dataset(data.samples[perm]), model) == pytest.approx(ll, rel=1e-12)
 
 
+def orthogonal(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+def map_model(model, a, b, c):
+    """The mixture of A X B' + C when X is drawn from model."""
+    comps = []
+    for comp in model.components:
+        base = comp.base if model.kind is Kind.CMVN else comp
+        mapped = MvnParams(a @ base.m @ b.T + c, a @ base.sigma @ a.T, b @ base.psi @ b.T)
+        comps.append(CmvnParams(mapped, comp.alpha, comp.eta) if model.kind is Kind.CMVN
+                     else mapped)
+    return MixtureModel(kind=model.kind, weights=model.weights, components=tuple(comps))
+
+
+def map_units(data, a, b, c):
+    return Dataset(np.einsum("ij,njk,lk->nil", a, data.samples, b) + c)
+
+
+@st.composite
+def coordinate_changes(draw):
+    """A random mixture, a dataset drawn around its means, and orthogonal
+    row and column maps A, B with a shift C."""
+    n, g = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    r, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_cmvn_model(rng, g, r, p)
+    if draw(st.booleans()):
+        model = MixtureModel(kind=Kind.MVN, weights=model.weights,
+                             components=tuple(c.base for c in model.components))
+    data = Dataset(4 * rng.standard_normal((n, r, p)))
+    return model, data, orthogonal(rng, r), orthogonal(rng, p), rng.normal(0.0, 2.0, (r, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_changes())
+def test_orthogonal_change_of_coordinates_keeps_posteriors(problem):
+    """Mapping every unit to A X B' + C and the model to (A M B' + C,
+    A Sigma A', B Psi B') leaves z, v and the observed log-likelihood
+    unchanged: the distances are invariant and |det A| = |det B| = 1."""
+    model, data, a, b, c = problem
+    moved, moved_model = map_units(data, a, b, c), map_model(model, a, b, c)
+    resp, resp_m = e_step(data, model), e_step(moved, moved_model)
+    np.testing.assert_allclose(resp_m.z, resp.z, rtol=1e-9, atol=1e-12)
+    if model.kind is Kind.CMVN:
+        np.testing.assert_allclose(resp_m.v, resp.v, rtol=1e-9, atol=1e-12)
+    assert observed_loglik(moved, moved_model) == pytest.approx(
+        observed_loglik(data, model), rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+def test_chain_is_equivariant_under_orthogonal_maps(kind):
+    """From the same initial responsibilities the chain on A X B' + C takes
+    the same path: the initial column scale, the identity, is invariant
+    under B, so every iterate is the mapped one."""
+    data = perturb(generate(reference_model(), 60, seed=7), 6, 10.0)
+    rng = np.random.default_rng(3)
+    moved = map_units(data, orthogonal(rng, data.r), orthogonal(rng, data.p),
+                      rng.normal(0.0, 2.0, (data.r, data.p)))
+    cfg = FitConfig(g=2, max_iter=300)
+    init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
+    _, resp, trace, converged, iters = _run_chain(data, kind, cfg, init_z, init_v)
+    _, resp_m, trace_m, converged_m, iters_m = _run_chain(moved, kind, cfg, init_z, init_v)
+    assert (converged_m, iters_m) == (converged, iters)
+    np.testing.assert_allclose(trace_m, trace, rtol=1e-9)
+    np.testing.assert_allclose(resp_m.z, resp.z, rtol=1e-9, atol=1e-12)
+
+
 class TestRecordsReproduceChain:
     """e_step and observed_loglik on a fit's model record give back the
     chain's own posteriors and log-likelihood.  Posteriors far below 1 are
@@ -539,6 +608,15 @@ class TestFit:
         res = fit(data, FitConfig(g=2, n_starts=4), Kind.MVN)
         assert res.start_index == 1
         assert res.loglik == -101.0
+
+    def test_unconverged_fit_warns(self):
+        data = generate(reference_model(), 50, seed=4)
+        res = fit(data, FitConfig(g=2, n_starts=2, seed=5, max_iter=5), Kind.CMVN)
+        assert not res.converged and res.iterations == 5
+        assert any(w.startswith(f"start {res.start_index} did not converge in max_iter=5")
+                   for w in res.warnings)
+        done = fit(data, FitConfig(g=2, n_starts=2, seed=5), Kind.CMVN)
+        assert done.converged and not any("did not converge" in w for w in done.warnings)
 
     def test_all_non_finite_starts_fail(self, monkeypatch):
         data = generate(reference_model(), 50, seed=4)
