@@ -68,8 +68,15 @@ def _parse_g_range(text):
 
 
 def _read_model_spec(path) -> MixtureModel:
+    """A plain matrix normal mixture; generate draws no other kind, so a spec
+    naming another kind or carrying alpha or eta is malformed."""
     doc = dataio._load_json(path)
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("top level must be an object")
+        if doc.get("kind", Kind.MVN.value) != Kind.MVN.value or any(
+                "alpha" in c or "eta" in c for c in doc["components"]):
+            raise ValueError("simulate draws the plain matrix normal only (kind mvn, no alpha or eta)")
         return dataio._model_from_doc(doc, Kind.MVN)
     except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model spec: {exc}") from None

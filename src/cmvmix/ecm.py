@@ -109,7 +109,7 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
             raise ValueError("min_cluster_weight must be > 0")
@@ -247,19 +247,21 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities.
 
     Each step is one call over all G components, units on the last axis:
-    samples (r, p, N), copied once; residuals (G, r, p, N); z, v, u and
-    distances (G, N).  Per iteration each scale is factored and inverted
-    once (the column inverse is carried into the next row-scale update),
-    and the column scatter's L_sigma^-1 D, whitened once more by the new
-    column inverse, gives the distances for eta, the posteriors and the
-    log-likelihood.  Plain MVN is v = 1 with no alpha or eta.  Records and
-    (N, G) posteriors are built at the end.
+    samples (r, p, N), copied once; z, v, u and distances (G, N).  The four
+    (G, r, p, N) work arrays (residuals D, whitened W, row-whitened S and
+    the scatters' weighted copy A) are allocated once per chain and every
+    iteration writes into them.  Per iteration each scale is factored and
+    inverted once (the column inverse is carried into the next row-scale
+    update), and the column scatter's S = L_sigma^-1 D, whitened once more
+    by the new column inverse, gives the distances for eta, the posteriors
+    and the log-likelihood.  Plain MVN is v = 1 with no alpha or eta.
+    Records and (N, G) posteriors are built at the end.
 
     Raises DegenerateCluster / NotPositiveDefinite when the chain collapses;
     fit() treats that as a failed start.
     """
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
-    r, p, _ = xt.shape
+    r, p, n = xt.shape
     g = config.g
     cmvn = kind is Kind.CMVN
     mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
@@ -268,6 +270,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     v = np.asarray(init_v, dtype=float).T if cmvn else None
     etas = np.full(g, _INIT_ETA)
     psi_inv = np.tile(np.eye(p), (g, 1, 1))
+    D, W, S, A = (np.empty((g, r, p, n)) for _ in range(4))
 
     trace = []
     converged = False
@@ -276,14 +279,16 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
         if np.any(ng < mcw):
             raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
         weights, alphas, means, u = _cm_step_1(xt, z, v, etas)
-        d = linalg._residuals(xt, means)
-        sigmas = linalg._scatter(linalg._whiten(None, psi_inv, d).swapaxes(1, 2), u, ng)
+        root_u = np.sqrt(u)
+        linalg._residuals(xt, means, out=D)
+        linalg._whiten(None, psi_inv, D, out=W)
+        sigmas = linalg._scatter(W.swapaxes(1, 2), u, ng, A.swapaxes(1, 2), root_u)
         L_sigma = linalg.factor(sigmas, "sigma")
-        s = linalg._whiten(np.linalg.inv(L_sigma), None, d)
-        psis = linalg._scatter(s, u, ng)
+        linalg._whiten(np.linalg.inv(L_sigma), None, D, out=S)
+        psis = linalg._scatter(S, u, ng, A, root_u)
         L_psi = linalg.factor(psis, "psi")
         psi_inv = np.linalg.inv(L_psi)
-        delta = linalg._whitened_distances(s, psi_inv)
+        delta = linalg._whitened_distances(S, psi_inv, out=W)
         log_det = linalg._log_det_kron(L_sigma, L_psi)
         if cmvn:
             etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)

@@ -6,8 +6,11 @@ small and comes from a Cholesky factorization that succeeded, so its
 inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
 The stacked kernels (``_distances`` and after) keep the N units on the last
 axis, so no whitening copies its residuals; public functions take units
-first.  Matrices are plain numpy arrays; the helpers below validate shape,
-finiteness, symmetry and positive definiteness where user data enters.
+first.  The kernels that make a (G, r, p, N) array take an optional
+C-contiguous ``out`` of that shape and write it there, so the ECM chain
+allocates its work arrays once.  Matrices are plain numpy arrays; the
+helpers below validate shape, finiteness, symmetry and positive
+definiteness where user data enters.
 """
 
 import numpy as np
@@ -125,12 +128,12 @@ def _distances(xt, means, L_sigma, L_psi):
     return _whitened_distances(_whiten(np.linalg.inv(L_sigma), None, d), np.linalg.inv(L_psi))
 
 
-def _residuals(xt, means):
+def _residuals(xt, means, out=None):
     """D_gi = X_i - M_g for units xt (r, p, N) and means (G, r, p): (G, r, p, N)."""
-    return xt - means[..., None]
+    return np.subtract(xt, means[..., None], out=out)
 
 
-def _whiten(Si, Pi, d):
+def _whiten(Si, Pi, d, out=None):
     """Si_g D_gi Pi_g' for residuals d (G, r, p, N) and inverse factors
     Si = L_sigma^-1 (G, r, r), Pi = L_psi^-1 (G, p, p); None leaves that side
     as it is.  Each side is one matrix product over all N units, with worst
@@ -138,28 +141,35 @@ def _whiten(Si, Pi, d):
     """
     if Si is not None:
         g, r, p, n = d.shape
-        d = np.matmul(Si, d.reshape(g, r, p * n)).reshape(g, r, p, n)
+        rows = out if out is not None and Pi is None else np.empty(d.shape)
+        np.matmul(Si, d.reshape(g, r, p * n), out=rows.reshape(g, r, p * n))
+        d = rows
     if Pi is not None:
-        d = np.matmul(Pi[:, None], d)
+        d = np.matmul(Pi[:, None], d, out=out)
     return d
 
 
-def _scatter(w, u, ng):
+def _scatter(w, u, ng, out=None, root_u=None):
     """sum_i u_gi W_gi' W_gi / (k ng_g) for whitened residuals w (G, k, m, N)
     and weights u (G, N); a (G, m, m) stack, symmetrized against roundoff.
+    The weighted copy sqrt(u) W goes into out (shaped like w) when given;
+    root_u is sqrt(u) when the caller has already taken it.
 
     With w = D L_psi^-T swapped to (G, p, r, N) this is the row-scale update
     (k = p), with w = L_sigma^-1 D the column-scale update (k = r).
     """
     k = w.shape[1]
-    a = w * np.sqrt(u)[:, None, None, :]
-    out = np.matmul(a, a.swapaxes(-1, -2)).sum(axis=1)
-    return (out + out.swapaxes(-1, -2)) / (2.0 * k * ng[:, None, None])
+    if root_u is None:
+        root_u = np.sqrt(u)
+    a = np.multiply(w, root_u[:, None, None, :], out=out)
+    s = np.matmul(a, a.swapaxes(-1, -2)).sum(axis=1)
+    return (s + s.swapaxes(-1, -2)) / (2.0 * k * ng[:, None, None])
 
 
-def _whitened_distances(s, Pi):
+def _whitened_distances(s, Pi, out=None):
     """Distances delta (G, N) from s = L_sigma^-1 D (G, r, p, N) and the
     inverse column factors Pi (G, p, p): the squared Frobenius norm of
-    S_gi L_psi^-T per component and unit, squared in place."""
-    w = _whiten(None, Pi, s)
+    S_gi L_psi^-T per component and unit, squared in place (in out, when
+    given)."""
+    w = _whiten(None, Pi, s, out)
     return np.square(w, out=w).sum(axis=(1, 2))

@@ -111,6 +111,31 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
 
+    def test_spec_from_cmvn_fit_is_parse_error(self, tmp_path, capsys, fit_file):
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--spec", str(fit_file), "--n", "20", "--out", str(out)]) == 3
+        assert f"{fit_file}: malformed model spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [{"kind": "cmvn"}, {"alpha": 0.9, "eta": 5.0}],
+                             ids=["kind", "alpha-eta"])
+    def test_contaminated_spec_is_parse_error(self, tmp_path, capsys, extra):
+        comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
+        doc = {"weights": [1.0], "components": [comp]}
+        (doc if "kind" in extra else comp).update(extra)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
+
+    def test_spec_kind_mvn(self, tmp_path):
+        comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"kind": "mvn", "weights": [1.0], "components": [comp]}))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 0
+
     def test_bad_perturb_descriptor(self, tmp_path):
         assert main(["simulate", "--paper-table1", "--n", "10",
                      "--perturb", "obs=6", "--out", str(tmp_path / "x.json")]) == 2
@@ -135,6 +160,14 @@ class TestFit:
         assert main(["fit", "--data", str(dataset_file), "--g", "1", "--max-iter", "0"]) == 4
         err = capsys.readouterr().err
         assert "max_iter must be >= 1" in err and "Traceback" not in err
+
+    def test_nan_tol(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset_file), "--g", "1", "--tol", "nan",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "tol must be > 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.json"), "--g", "1"]) == 3

@@ -729,6 +729,28 @@ class TestChainAgainstReference:
             else:
                 assert resp.v is None
 
+    def test_same_chain_at_large_n(self):
+        # N = 3,000 2x4 units: each (G, r, p, N) work array of the chain is
+        # 384 KB, above glibc's default mmap threshold
+        r, p, g = 2, 4, 2
+        rng = np.random.default_rng(3000)
+        groups = [sample_mvn_stack(MvnParams(3.0 * k * np.ones((r, p)), random_spd(rng, r),
+                                             random_spd(rng, p)), 1490, rng) for k in range(2)]
+        outliers = 6.0 * rng.standard_normal((20, r, p))
+        data = Dataset(np.concatenate(groups + [outliers]))
+        assert data.n >= 3000
+        config = FitConfig(g=g, max_iter=60)
+        for start in range(2):
+            srng = np.random.default_rng(start)
+            init_z = srng.dirichlet(np.ones(g), size=data.n)
+            init_v = srng.uniform(0.5, 1.0, size=(data.n, g))
+            _, resp, trace, _, iterations = _run_chain(data, Kind.CMVN, config, init_z, init_v)
+            z_ref, v_ref, trace_ref = reference_chain(data, Kind.CMVN, config, init_z, init_v)
+            np.testing.assert_allclose(trace, trace_ref, rtol=self.LOGLIK_RTOL, atol=0)
+            assert len(trace_ref) == iterations
+            np.testing.assert_allclose(resp.z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+
 
 class TestFitConfig:
     def test_zero_max_iter_rejected(self):
@@ -739,6 +761,11 @@ class TestFitConfig:
         # an empty component would otherwise turn its means into NaN
         with pytest.raises(ValueError, match="min_cluster_weight"):
             FitConfig(min_cluster_weight=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_tol_not_positive_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            FitConfig(tol=tol)
 
 
 class TestClassify:

@@ -247,3 +247,70 @@ class TestStackedKernels:
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
             assert self.rel(got, ref) < bound
+
+
+class TestKernelsIntoBuffers:
+    """Each (G, r, p, N) kernel called with out= gives the same numbers,
+    bit for bit, as the allocating call, and writes them into out."""
+
+    @staticmethod
+    def inputs(g, r, p, n=17):
+        rng = np.random.default_rng(100 * g + 10 * r + p)
+        xt = rng.standard_normal((r, p, n))
+        means = rng.standard_normal((g, r, p))
+        u = rng.uniform(0.1, 1.0, size=(g, n))
+        ng = u.sum(axis=1)
+        Si = np.linalg.inv(np.stack([linalg.cholesky(random_spd(rng, r)) for _ in range(g)]))
+        Pi = np.linalg.inv(np.stack([linalg.cholesky(random_spd(rng, p)) for _ in range(g)]))
+        return xt, means, u, ng, Si, Pi
+
+    SHAPES = [(2, 3), (1, 3), (3, 1), (1, 1)]
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_residuals(self, g, shape):
+        xt, means, *_ = self.inputs(g, *shape)
+        buf = np.empty((g, *xt.shape))
+        got = linalg._residuals(xt, means, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, linalg._residuals(xt, means))
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("sides", ["rows", "cols", "both"])
+    def test_whiten(self, g, shape, sides):
+        xt, means, _, _, Si, Pi = self.inputs(g, *shape)
+        Si, Pi = (Si if sides != "cols" else None), (Pi if sides != "rows" else None)
+        d = linalg._residuals(xt, means)
+        buf = np.empty_like(d)
+        got = linalg._whiten(Si, Pi, d, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, linalg._whiten(Si, Pi, d))
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_scatter(self, g, shape, swap):
+        # swap=True is the row-scale update: a swapped view and a swapped buffer
+        xt, means, u, ng, _, Pi = self.inputs(g, *shape)
+        w = linalg._whiten(None, Pi, linalg._residuals(xt, means))
+        buf = np.empty_like(w)
+        if swap:
+            w, buf_view = w.swapaxes(1, 2), buf.swapaxes(1, 2)
+        else:
+            buf_view = buf
+        want = linalg._scatter(w, u, ng)
+        got = linalg._scatter(w, u, ng, buf_view)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(buf_view, w * np.sqrt(u)[:, None, None, :])
+        np.testing.assert_array_equal(linalg._scatter(w, u, ng, buf_view, np.sqrt(u)), want)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_whitened_distances(self, g, shape):
+        xt, means, _, _, Si, Pi = self.inputs(g, *shape)
+        s = linalg._whiten(Si, None, linalg._residuals(xt, means))
+        buf = np.empty_like(s)
+        got = linalg._whitened_distances(s, Pi, out=buf)
+        np.testing.assert_array_equal(got, linalg._whitened_distances(s, Pi))
+        np.testing.assert_array_equal(buf, np.square(linalg._whiten(None, Pi, s)))

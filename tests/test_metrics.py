@@ -137,6 +137,20 @@ class TestMcr:
             assert misclassification_rate(truth, pred) == pytest.approx(
                 exhaustive_mcr(truth, pred), abs=1e-14)
 
+    @pytest.mark.parametrize("k_true,k_pred", [(10, 10), (10, 7), (3, 10)])
+    def test_ten_clusters_against_linear_sum_assignment(self, k_true, k_pred):
+        # 200 units on up to 10 x 10 labels: the exact matching, checked
+        # against scipy's assignment solver on the contingency table
+        from scipy.optimize import linear_sum_assignment
+        rng = np.random.default_rng(100 + 10 * k_true + k_pred)
+        truth = rng.integers(0, k_true, 200)
+        pred = np.where(rng.random(200) < 0.6, truth % k_pred, rng.integers(0, k_pred, 200))
+        table = np.zeros((k_true, k_pred), dtype=int)
+        np.add.at(table, (truth, pred), 1)
+        rows, cols = linear_sum_assignment(table, maximize=True)
+        want = (200 - table[rows, cols].sum()) / 200
+        assert misclassification_rate(truth, rng.permutation(k_pred)[pred]) == want
+
     def test_zero_iff_ari_one(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
