@@ -9,11 +9,11 @@ from .errors import DimensionMismatch
 
 
 def as_vector(val, name, dtype, n):
-    """val as a read-only length-n int or bool vector (None passes through);
+    """A read-only copy of val as a length-n int or bool vector (None passes through);
     other element types are refused, not cast (1.5 would read as 1, 2 as True)."""
     if val is None:
         return None
-    val = np.asarray(val)
+    val = np.array(val)
     if val.dtype.kind not in {int: "iu", bool: "b"}[dtype]:
         raise ValueError(f"{name} must be of type {dtype.__name__}, got {val.dtype}")
     if val.shape != (n,):
@@ -38,7 +38,7 @@ class Dataset:
     unit_names: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.array(self.samples, dtype=float)
         if samples.ndim != 3:
             raise DimensionMismatch(f"samples must have shape (N, r, p), got {samples.shape}")
         if not np.all(np.isfinite(samples)):

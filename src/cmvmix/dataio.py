@@ -29,11 +29,6 @@ SCHEMA_VERSION = 1
 _DATASET_KEYS = {"schema_version", "n", "r", "p", "samples", "labels", "good_flags", "names"}
 
 
-def _check_finite(a, what):
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite values; refusing to write")
-
-
 def _dump_canonical(doc, path):
     """Stream doc's indented JSON into a file beside path, then rename it onto
     path, so a failed encode never leaves a partly written target."""
@@ -78,7 +73,6 @@ def _warn_unknown(doc, known, path):
 
 def write_dataset(data: Dataset, path) -> None:
     """Write a dataset as long CSV if path ends in .csv, else as canonical JSON."""
-    _check_finite(data.samples, "samples")
     if not str(path).endswith(".csv"):
         doc = {
             "schema_version": SCHEMA_VERSION,

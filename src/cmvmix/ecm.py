@@ -45,7 +45,7 @@ class MixtureModel:
     components: Tuple[Union[MvnParams, CmvnParams], ...]
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
@@ -109,8 +109,8 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be > 0 and finite")
         if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
             raise ValueError("min_cluster_weight must be > 0")
 
@@ -243,23 +243,45 @@ def _eta(bad_mass, delta, eta_min, rp):
     return np.where(empty, eta_min, np.maximum(eta_min, mean / rp))
 
 
+def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
+    """CM1-CM4 of one ECM cycle over all G components, units on the last
+    axis: from units xt (r, p, N), posteriors z, v (G, N), the previous etas
+    and inverse column factors psi_inv (G, p, p) to theta' = (weights,
+    alphas, means, sigmas, psis, etas), the new psi_inv, distances (G, N)
+    and log determinants.  The (G, r, p, N) work arrays (residuals D,
+    whitened W, row-whitened S, the scatters' weighted copy A) are written
+    in place.  Each scale is factored and inverted once; S, whitened by the
+    new column inverse, gives the distances for eta and the E-pass.  Plain
+    MVN is v None (v = 1, no alpha or eta).  Raises DegenerateCluster when a
+    component's mass falls below mcw."""
+    ng = z.sum(axis=1)
+    if np.any(ng < mcw):
+        raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
+    r, p, _ = xt.shape
+    D, W, S, A = work
+    weights, alphas, means, u = _cm_step_1(xt, z, v, etas)
+    root_u = np.sqrt(u)
+    linalg._residuals(xt, means, out=D)
+    linalg._whiten(None, psi_inv, D, out=W)
+    sigmas = linalg._scatter(W.swapaxes(1, 2), u, ng, A.swapaxes(1, 2), root_u)
+    L_sigma = linalg.factor(sigmas, "sigma")
+    linalg._whiten(np.linalg.inv(L_sigma), None, D, out=S)
+    psis = linalg._scatter(S, u, ng, A, root_u)
+    L_psi = linalg.factor(psis, "psi")
+    psi_inv = np.linalg.inv(L_psi)
+    delta = linalg._whitened_distances(S, psi_inv, out=W)
+    log_det = linalg._log_det_kron(L_sigma, L_psi)
+    if v is not None:
+        etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
+    return (weights / weights.sum(), alphas, means, sigmas, psis, etas), psi_inv, delta, log_det
+
+
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
-    """One deterministic ECM chain from given initial responsibilities.
-
-    Each step is one call over all G components, units on the last axis:
-    samples (r, p, N), copied once; z, v, u and distances (G, N).  The four
-    (G, r, p, N) work arrays (residuals D, whitened W, row-whitened S and
-    the scatters' weighted copy A) are allocated once per chain and every
-    iteration writes into them.  Per iteration each scale is factored and
-    inverted once (the column inverse is carried into the next row-scale
-    update), and the column scatter's S = L_sigma^-1 D, whitened once more
-    by the new column inverse, gives the distances for eta, the posteriors
-    and the log-likelihood.  Plain MVN is v = 1 with no alpha or eta.
-    Records and (N, G) posteriors are built at the end.
-
-    Raises DegenerateCluster / NotPositiveDefinite when the chain collapses;
-    fit() treats that as a failed start.
-    """
+    """One deterministic ECM chain from given initial responsibilities:
+    _cm_half then _e_pass, into work arrays allocated once, until the
+    log-likelihood's relative change falls below tol.  Raises
+    DegenerateCluster / NotPositiveDefinite when the chain collapses; fit()
+    treats that as a failed start."""
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     r, p, n = xt.shape
     g = config.g
@@ -270,29 +292,13 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     v = np.asarray(init_v, dtype=float).T if cmvn else None
     etas = np.full(g, _INIT_ETA)
     psi_inv = np.tile(np.eye(p), (g, 1, 1))
-    D, W, S, A = (np.empty((g, r, p, n)) for _ in range(4))
+    work = tuple(np.empty((g, r, p, n)) for _ in range(4))
 
     trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        ng = z.sum(axis=1)
-        if np.any(ng < mcw):
-            raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
-        weights, alphas, means, u = _cm_step_1(xt, z, v, etas)
-        root_u = np.sqrt(u)
-        linalg._residuals(xt, means, out=D)
-        linalg._whiten(None, psi_inv, D, out=W)
-        sigmas = linalg._scatter(W.swapaxes(1, 2), u, ng, A.swapaxes(1, 2), root_u)
-        L_sigma = linalg.factor(sigmas, "sigma")
-        linalg._whiten(np.linalg.inv(L_sigma), None, D, out=S)
-        psis = linalg._scatter(S, u, ng, A, root_u)
-        L_psi = linalg.factor(psis, "psi")
-        psi_inv = np.linalg.inv(L_psi)
-        delta = linalg._whitened_distances(S, psi_inv, out=W)
-        log_det = linalg._log_det_kron(L_sigma, L_psi)
-        if cmvn:
-            etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
-        weights = weights / weights.sum()
+        theta, psi_inv, delta, log_det = _cm_half(xt, z, v, etas, psi_inv, mcw, work)
+        weights, alphas, means, sigmas, psis, etas = theta
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) / (1.0 + abs(ll)) < config.tol:

@@ -21,8 +21,8 @@ SYMMETRY_ATOL = 1e-10
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return a 2-D float array with finite entries."""
-    a = np.asarray(a, dtype=float)
+    """Validate and return a 2-D float copy of a with finite entries."""
+    a = np.array(a, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:

@@ -169,6 +169,16 @@ class TestFit:
         assert "tol must be > 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_inf_tol(self, tmp_path, dataset_file, capsys):
+        # an infinite tol would stop every start after 2 iterations and
+        # write "tol": Infinity, which is not JSON
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset_file), "--g", "1", "--tol", "inf",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "tol must be > 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.json"), "--g", "1"]) == 3
 

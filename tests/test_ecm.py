@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
@@ -752,6 +752,88 @@ class TestChainAgainstReference:
             np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
 
 
+def drive_cycles(data, kind, init_z, init_v, k):
+    """k ECM cycles driven by hand from the chain's starting state: each is
+    one _cm_half at the last posteriors, then one _e_pass at its theta'.
+    Returns per cycle (theta', z, v, loglik), posteriors as (G, N)."""
+    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
+    r, p, n = xt.shape
+    g = init_z.shape[1]
+    work = tuple(np.empty((g, r, p, n)) for _ in range(4))
+    z, v = init_z.T, (init_v.T if kind is Kind.CMVN else None)
+    etas, psi_inv = np.full(g, _INIT_ETA), np.tile(np.eye(p), (g, 1, 1))
+    cycles = []
+    for _ in range(k):
+        theta, psi_inv, delta, log_det = ecm._cm_half(xt, z, v, etas, psi_inv, r * p / 2.0, work)
+        weights, alphas, _, _, _, etas = theta
+        z, v, ll = ecm._e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
+        cycles.append((theta, z, v, ll))
+    return cycles
+
+
+def theta_model(kind, theta):
+    """The MixtureModel record of a stacked theta'."""
+    weights, alphas, means, sigmas, psis, etas = theta
+    bases = [MvnParams(m, s, q) for m, s, q in zip(means, sigmas, psis)]
+    comps = bases if kind is Kind.MVN else [
+        CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)]
+    return MixtureModel(kind=kind, weights=weights, components=tuple(comps))
+
+
+@st.composite
+def cm_problems(draw):
+    """Units around G shifted means, a kind, the chain's random initial
+    posteriors and a number of warm-up cycles."""
+    g, r, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from([Kind.MVN, Kind.CMVN]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(10 * g, 40))
+    shifts = 4.0 * rng.integers(0, g, n)[:, None, None]
+    samples = shifts + rng.standard_normal((n, r, p)) * rng.uniform(0.5, 3.0, (n, 1, 1))
+    init_z, init_v = ecm._initial_responsibilities(rng, n, g, kind)
+    return Dataset(samples), kind, init_z, init_v, draw(st.integers(1, 4))
+
+
+# fixed before measuring; over 2,000 cases the worst step was -2.9e-16 relative
+ASCENT_RTOL = 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(cm_problems())
+def test_cm_half_and_e_pass_each_weakly_increase(problem):
+    """From posteriors z, v computed at theta, _cm_half's theta' does not
+    lower the expected complete-data log-likelihood at z, v, and the next
+    _e_pass does not lower the observed log-likelihood."""
+    data, kind, init_z, init_v, warm = problem
+    try:
+        cycles = drive_cycles(data, kind, init_z, init_v, warm + 1)
+    except (DegenerateCluster, NotPositiveDefinite):
+        assume(False)
+    (theta, z, v, ll), (theta_new, _, _, ll_new) = cycles[-2:]
+    resp = Responsibilities(z=z.T, v=None if v is None else v.T)
+    before = expected_complete_loglik(data, resp, theta_model(kind, theta))
+    after = expected_complete_loglik(data, resp, theta_model(kind, theta_new))
+    assert after >= before - ASCENT_RTOL * abs(before)
+    assert ll_new >= ll - ASCENT_RTOL * abs(ll)
+
+
+@pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+def test_run_chain_only_drives_the_map(kind):
+    """k hand-driven _cm_half + _e_pass cycles give _run_chain's trace and
+    posteriors at max_iter=k bitwise: the driver adds no arithmetic."""
+    data = perturb(generate(reference_model(), 60, seed=7), 6, 10.0)
+    k = 12
+    init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
+    cycles = drive_cycles(data, kind, init_z, init_v, k)
+    _, resp, trace, converged, iters = _run_chain(
+        data, kind, FitConfig(g=2, max_iter=k, tol=1e-300), init_z, init_v)
+    assert (converged, iters) == (False, k)
+    np.testing.assert_array_equal(trace, [c[3] for c in cycles])
+    np.testing.assert_array_equal(resp.z, cycles[-1][1].T)
+    if kind is Kind.CMVN:
+        np.testing.assert_array_equal(resp.v, cycles[-1][2].T)
+
+
 class TestFitConfig:
     def test_zero_max_iter_rejected(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -762,7 +844,7 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="min_cluster_weight"):
             FitConfig(min_cluster_weight=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
     def test_tol_not_positive_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
             FitConfig(tol=tol)
