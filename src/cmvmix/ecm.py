@@ -181,16 +181,15 @@ def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
     Returns (weights, alphas, means, u) where u (N, G) are the effective
     weights reused by the scale updates; alphas is None for plain MVN.
     """
-    v = None if resp.v is None else resp.v.T
-    weights, alphas, means, u = _cm_step_1(data.samples.transpose(1, 2, 0), resp.z.T, v, etas_prev)
-    return weights, alphas, means, u.T
+    z, v = resp.z.T, None if resp.v is None else resp.v.T
+    w, alphas, means, u = _cm_step_1(data.samples.transpose(1, 2, 0), z, v, etas_prev, z.sum(axis=1))
+    return w, alphas, means, u.T
 
 
-def _cm_step_1(xt, z, v, etas_prev):
-    """cm_step_1 on units xt (r, p, N) and posteriors z, v (G, N), giving u
-    (G, N); v None is plain MVN."""
+def _cm_step_1(xt, z, v, etas_prev, ng):
+    """cm_step_1 on units xt (r, p, N), posteriors z, v (G, N) and their
+    masses ng = z.sum(axis=1), giving u (G, N); v None is plain MVN."""
     r, p, n = xt.shape
-    ng = z.sum(axis=1)
     weights = ng / n
     alphas = None if v is None else np.clip((z * v).sum(axis=1) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
@@ -259,7 +258,7 @@ def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
         raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
     r, p, _ = xt.shape
     D, W, S, A = work
-    weights, alphas, means, u = _cm_step_1(xt, z, v, etas)
+    weights, alphas, means, u = _cm_step_1(xt, z, v, etas, ng)
     root_u = np.sqrt(u)
     linalg._residuals(xt, means, out=D)
     linalg._whiten(None, psi_inv, D, out=W)
@@ -279,9 +278,9 @@ def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities:
     _cm_half then _e_pass, into work arrays allocated once, until the
-    log-likelihood's relative change falls below tol.  Raises
-    DegenerateCluster / NotPositiveDefinite when the chain collapses; fit()
-    treats that as a failed start."""
+    log-likelihood's relative change falls below tol; returns _cm_half's
+    theta' with (resp, trace, converged, iterations).  Raises
+    DegenerateCluster / NotPositiveDefinite on collapse (a failed start)."""
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     r, p, n = xt.shape
     g = config.g
@@ -298,17 +297,14 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     converged = False
     for it in range(1, config.max_iter + 1):
         theta, psi_inv, delta, log_det = _cm_half(xt, z, v, etas, psi_inv, mcw, work)
-        weights, alphas, means, sigmas, psis, etas = theta
+        weights, alphas, _, _, _, etas = theta
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)
         if len(trace) > 1 and abs(ll - trace[-2]) / (1.0 + abs(ll)) < config.tol:
             converged = True
             break
 
-    bases = [MvnParams(means[j], sigmas[j], psis[j]) for j in range(g)]
-    comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
-    model = MixtureModel(kind=kind, weights=weights, components=comps)
-    return model, Responsibilities(z=z.T, v=v.T if cmvn else None), np.array(trace), converged, it
+    return theta, Responsibilities(z=z.T, v=v.T if cmvn else None), np.array(trace), converged, it
 
 
 def _initial_responsibilities(rng, n, g, kind):
@@ -318,7 +314,7 @@ def _initial_responsibilities(rng, n, g, kind):
 
 
 def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
-    """Multi-start ECM fit; returns the best chain by final log-likelihood.
+    """Multi-start ECM fit, building model records for the best chain only.
 
     Start s draws its initial responsibilities from a generator seeded with
     seed XOR s, so results are reproducible and independent of execution
@@ -342,24 +338,27 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         rng = np.random.default_rng(config.seed ^ s)
         init_z, init_v = _initial_responsibilities(rng, data.n, config.g, kind)
         try:
-            model, resp, trace, converged, iters = _run_chain(data, kind, config, init_z, init_v)
+            theta, resp, trace, converged, iters = _run_chain(data, kind, config, init_z, init_v)
         except (DegenerateCluster, NotPositiveDefinite) as exc:
             failures.append(f"start {s}: {exc}")
             continue
         if not np.isfinite(trace[-1]):
             failures.append(f"start {s}: non-finite log-likelihood")
             continue
-        warns = [f"component {j}: majority-bad (alpha={c.alpha:.4f})"
-                 for j, c in enumerate(model.components) if cmvn and c.alpha <= 0.5]
+        warns = [f"component {j}: majority-bad (alpha={a:.4f})"
+                 for j, a in enumerate(theta[1] if cmvn else ()) if a <= 0.5]
         key = (not warns, converged, trace[-1])
         if best is None or key > best_key:
-            best, best_key = (model, resp, trace, converged, iters, s, warns), key
+            best, best_key = (theta, resp, trace, converged, iters, s, warns), key
     if best is None:
         raise AllStartsFailed("; ".join(failures))
-    model, resp, trace, converged, iters, s, warns = best
+    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, iters, s, warns = best
     if not converged:
         warns.append(f"start {s} did not converge in max_iter={config.max_iter} iterations")
-    labels, bad = classify_from(resp, model.kind)
+    bases = [MvnParams(*msp) for msp in zip(means, sigmas, psis)]
+    comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
+    model = MixtureModel(kind=kind, weights=weights, components=comps)
+    labels, bad = classify_from(resp, kind)
     return FitResult(
         model=model,
         resp=resp,

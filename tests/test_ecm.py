@@ -594,10 +594,13 @@ class TestFit:
     def _stub_chains(monkeypatch, model, resp, final_logliks):
         """Replace the chain by one that ends start s at final_logliks[s]."""
         starts = iter(range(len(final_logliks)))
+        comps = model.components
+        theta = (model.weights, None, np.stack([c.m for c in comps]),
+                 np.stack([c.sigma for c in comps]), np.stack([c.psi for c in comps]), None)
 
         def stub(data, kind, config, init_z, init_v):
             s = next(starts)
-            return model, resp, np.array([-1e3, final_logliks[s]]), True, 2
+            return theta, resp, np.array([-1e3, final_logliks[s]]), True, 2
 
         monkeypatch.setattr(ecm, "_run_chain", stub)
 
@@ -617,6 +620,18 @@ class TestFit:
                    for w in res.warnings)
         done = fit(data, FitConfig(g=2, n_starts=2, seed=5), Kind.CMVN)
         assert done.converged and not any("did not converge" in w for w in done.warnings)
+
+    def test_builds_records_for_the_returned_start_only(self, monkeypatch):
+        built = []
+
+        def counting_model(*args, **kwargs):
+            built.append(MixtureModel(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ecm, "MixtureModel", counting_model)
+        data = generate(reference_model(), 50, seed=4)
+        res = fit(data, FitConfig(g=2, n_starts=5, seed=5), Kind.CMVN)
+        assert len(built) == 1 and built[0] is res.model
 
     def test_all_non_finite_starts_fail(self, monkeypatch):
         data = generate(reference_model(), 50, seed=4)
