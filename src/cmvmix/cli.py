@@ -18,7 +18,7 @@ from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, Sha
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, count_free_params, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
-from .studies import run_single_outlier_study, run_uniform_noise_study
+from .studies import DEFAULT_N, NOISE_RANGE, run_single_outlier_study, run_uniform_noise_study
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,7 +32,8 @@ class UsageError(CmvmixError):
 
 
 def _parse_kv(text, what, fields):
-    """Parse 'k=v,k=v' descriptors like obs=6,c=10 into a float dict."""
+    """Parse 'k=v,k=v' descriptors like obs=6,c=10 into a dict, converting
+    each value by its field's type in fields (a name -> int/float map)."""
     out = {}
     for part in text.split(","):
         if "=" not in part:
@@ -42,9 +43,10 @@ def _parse_kv(text, what, fields):
         if key not in fields:
             raise UsageError(f"unknown {what} field {key!r} (expected {sorted(fields)})")
         try:
-            out[key] = float(val)
+            out[key] = fields[key](val)
         except ValueError:
-            raise UsageError(f"bad number for {what} field {key!r}: {val!r}") from None
+            raise UsageError(
+                f"bad {fields[key].__name__} for {what} field {key!r}: {val!r}") from None
     return out
 
 
@@ -114,16 +116,16 @@ def _cmd_simulate(args) -> int:
     model = _read_model_spec(args.spec) if args.spec else reference_model()
     data = generate(model, args.n, args.seed)
     if args.perturb:
-        kv = _parse_kv(args.perturb, "--perturb", {"obs", "c"})
+        kv = _parse_kv(args.perturb, "--perturb", {"obs": int, "c": float})
         if "obs" not in kv or "c" not in kv:
             raise UsageError("--perturb needs obs=<unit>,c=<shift>")
-        data = perturb(data, int(kv["obs"]), kv["c"])
+        data = perturb(data, kv["obs"], kv["c"])
     if args.noise:
-        kv = _parse_kv(args.noise, "--noise", {"frac", "lo", "hi"})
+        kv = _parse_kv(args.noise, "--noise", dict.fromkeys(("frac", "lo", "hi"), float))
         if "frac" not in kv:
             raise UsageError("--noise needs at least frac=<fraction>")
-        data = add_uniform_noise(data, kv["frac"], kv.get("lo", -8.0),
-                                 kv.get("hi", 8.0), args.seed + 1)
+        data = add_uniform_noise(data, kv["frac"], kv.get("lo", NOISE_RANGE[0]),
+                                 kv.get("hi", NOISE_RANGE[1]), args.seed + 1)
     dataio.write_dataset(data, args.out)
     n_bad = int(np.count_nonzero(~data.good_flags)) if data.good_flags is not None else 0
     print(f"n={data.n} r={data.r} p={data.p} known_bad={n_bad} -> {args.out}")
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="model-spec JSON (weights + components)")
     src.add_argument("--paper-table1", action="store_true",
                      help="use the built-in two-group 2x4 generator")
-    p.add_argument("--n", type=int, default=150)
+    p.add_argument("--n", type=int, default=DEFAULT_N)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", help='e.g. "obs=6,c=10"')
     p.add_argument("--noise", help='e.g. "frac=0.1,lo=-8,hi=8"')

@@ -39,8 +39,9 @@ class Dataset:
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 3:
-            raise DimensionMismatch(f"samples must have shape (N, r, p), got {samples.shape}")
+        if samples.ndim != 3 or 0 in samples.shape:
+            raise DimensionMismatch(
+                f"samples must have shape (N, r, p) with N, r, p >= 1, got {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain non-finite entries")
         samples.setflags(write=False)

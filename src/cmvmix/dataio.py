@@ -71,6 +71,15 @@ def _warn_unknown(doc, known, path):
         warnings.warn(f"{path}: ignoring unknown fields {sorted(extra)}")
 
 
+def _typed(doc, key, kind):
+    """doc[key] if its JSON type is exactly kind (int, bool or list): a float
+    or a boolean is refused as an integer, not truncated or cast."""
+    val = doc[key]
+    if type(val) is not kind:
+        raise TypeError(f"{key} must be of JSON type {kind.__name__}, got {val!r}")
+    return val
+
+
 def write_dataset(data: Dataset, path) -> None:
     """Write a dataset as long CSV if path ends in .csv, else as canonical JSON."""
     if not str(path).endswith(".csv"):
@@ -112,7 +121,7 @@ def read_dataset(path) -> Dataset:
         return _read_dataset_csv(path)
     doc = _load_doc(path, _DATASET_KEYS)
     try:
-        n, r, p = int(doc["n"]), int(doc["r"]), int(doc["p"])
+        n, r, p = (_typed(doc, key, int) for key in ("n", "r", "p"))
         flat = doc["samples"]
         if len(flat) != n:
             raise ShapeError(f"{path}: expected {n} samples, found {len(flat)}")
@@ -267,7 +276,9 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
 
 def read_fit(path) -> FitResult:
     """Load a fit written by write_fit; the round trip is exact.  Its labels
-    and bad flags must be the classification of its z and v."""
+    and bad flags must be the classification of its z and v, and its g,
+    n_obs, iterations, loglik, seed and start_index must agree with its
+    components, z, trace and config."""
     doc = _load_doc(path, _FIT_KEYS)
     try:
         model = _model_from_doc(doc, Kind(doc["kind"]))
@@ -284,17 +295,29 @@ def read_fit(path) -> FitResult:
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
         config = FitConfig(**{k: v for k, v in cfg.items() if k in known})
+        trace = np.asarray(doc["loglik_trace"], dtype=float)
+        derived = {"g": model.g, "n_obs": len(resp.z), "iterations": len(trace),
+                   "seed": config.seed}
+        for key, want in derived.items():
+            if _typed(doc, key, int) != want:
+                raise ValueError(f"{key} must be {want!r}, got {doc[key]!r}")
+        if trace[-1:].tolist() != [doc["loglik"]]:  # also refuses an empty trace
+            raise ValueError("loglik must be the last loglik_trace value")
+        if not 0 <= _typed(doc, "start_index", int) < config.n_starts:
+            raise ValueError(f"start_index must be in [0, n_starts={config.n_starts})")
+        if not all(isinstance(w, str) for w in _typed(doc, "warnings", list)):
+            raise TypeError("warnings must be a list of strings")
         return FitResult(
             model=model,
             resp=resp,
-            loglik_trace=np.asarray(doc["loglik_trace"], dtype=float),
-            converged=bool(doc["converged"]),
-            iterations=int(doc["iterations"]),
+            loglik_trace=trace,
+            converged=_typed(doc, "converged", bool),
+            iterations=doc["iterations"],
             hard_labels=hard,
             bad_flags=flags,
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
             config=config,
-            start_index=int(doc["start_index"]),
+            start_index=doc["start_index"],
             warnings=tuple(doc["warnings"]),
         )
     except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:

@@ -36,6 +36,15 @@ class Kind(str, enum.Enum):
     CMVN = "cmvn"
 
 
+def _frozen(a, dtype=None):
+    """A read-only copy of a as an array (None passes through)."""
+    if a is None:
+        return None
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MixtureModel:
     """Mixing weights plus per-component parameter records."""
@@ -45,7 +54,7 @@ class MixtureModel:
     components: Tuple[Union[MvnParams, CmvnParams], ...]
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = _frozen(self.weights, float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
@@ -58,7 +67,6 @@ class MixtureModel:
             raise TypeError(f"{self.kind.value} model requires {want.__name__} components")
         if len({c.shape for c in comps}) > 1:
             raise DimensionMismatch(f"components differ in shape: {[c.shape for c in comps]}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "kind", Kind(self.kind))
@@ -76,12 +84,12 @@ class Responsibilities:
     v: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        z = _frozen(self.z, float)
         if z.ndim != 2:
             raise DimensionMismatch("z must be N x G")
         object.__setattr__(self, "z", z)
         if self.v is not None:
-            v = np.asarray(self.v, dtype=float)
+            v = _frozen(self.v, float)
             if v.shape != z.shape:
                 raise DimensionMismatch("v must match z in shape")
             object.__setattr__(self, "v", v)
@@ -109,6 +117,8 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be > 0 and finite")
         if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
@@ -130,6 +140,10 @@ class FitResult:
     config: FitConfig
     start_index: int = 0
     warnings: Tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in ("loglik_trace", "hard_labels", "bad_flags"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def loglik(self) -> float:

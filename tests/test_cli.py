@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import cmvmix
+from cmvmix import cli
 from cmvmix.cli import build_parser, main
 from cmvmix.dataio import REPORT_SCHEMA, read_dataset, write_dataset, write_fit
 from cmvmix.ecm import FitConfig, Kind, fit
 from cmvmix.simulate import generate, reference_model
+from cmvmix.studies import DEFAULT_N
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,28 @@ class TestSimulate:
                      "--perturb", "foo=1,c=2", "--out", str(tmp_path / "y.json")]) == 2
 
 
+    @pytest.mark.parametrize("obs", ["inf", "6.7", "nan"])
+    def test_perturb_unit_must_be_an_integer(self, tmp_path, capsys, obs):
+        assert main(["simulate", "--paper-table1", "--n", "10", "--perturb", f"obs={obs},c=1",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "bad int for --perturb field 'obs'" in err and "Traceback" not in err
+
+    def test_zero_units_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "none.json"
+        assert main(["simulate", "--paper-table1", "--n", "0", "--out", str(out)]) == 4
+        assert "N, r, p >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_range_defaults_to_the_studys(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "NOISE_RANGE", (-0.5, 0.5))
+        out = tmp_path / "noisy.json"
+        assert main(["simulate", "--paper-table1", "--n", "40", "--seed", "4",
+                     "--noise", "frac=0.5", "--out", str(out)]) == 0
+        data = read_dataset(out)
+        assert np.all(np.abs(data.samples[~data.good_flags]) <= 0.5)
+
+
 class TestFit:
     def test_ok(self, tmp_path, dataset_file, capsys):
         out = tmp_path / "fit.json"
@@ -178,6 +202,11 @@ class TestFit:
         err = capsys.readouterr().err
         assert "tol must be > 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_negative_seed(self, dataset_file, capsys):
+        assert main(["fit", "--data", str(dataset_file), "--g", "1", "--seed", "-1"]) == 4
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
 
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.json"), "--g", "1"]) == 3
@@ -217,6 +246,17 @@ class TestDetect:
         assert main(["detect", "--fit", str(fit_file)]) == 0
         out = capsys.readouterr().out
         assert "cluster 1:" in out and "alpha=" in out
+
+    def test_names_from_data(self, tmp_path, fit_file, dataset_file, capsys):
+        from cmvmix.data import Dataset
+        data = read_dataset(dataset_file)
+        named = tmp_path / "named.json"
+        write_dataset(Dataset(data.samples, unit_names=[f"u{i}" for i in range(data.n)]), named)
+        assert main(["detect", "--fit", str(fit_file), "--data", str(named),
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        bad = [bp for c in report["clusters"] for bp in c["bad_points"]]
+        assert bad and all(bp["name"] == f"u{bp['unit'] - 1}" for bp in bad)
 
     @pytest.mark.parametrize("key, value", [("labels", 0.5), ("bad_flags", 2)],
                              ids=["labels-fractional", "flags-not-bool"])
@@ -274,6 +314,22 @@ class TestEvaluate:
         write_dataset(bare, path)
         assert main(["evaluate", "--fit", str(fit_file), "--data", str(path)]) == 2
 
+    def test_exclude_bad_truth_scores_good_units(self, tmp_path, fit_file, capsys):
+        # true labels are the fit's own except on units marked bad, which are
+        # excluded, so the score is perfect only when the exclusion happens
+        from cmvmix.data import Dataset
+        from cmvmix.dataio import read_fit
+        result = read_fit(fit_file)
+        n = len(result.hard_labels)
+        good = np.arange(n) % 4 != 0
+        labels = np.where(good, result.hard_labels, 1 - result.hard_labels)
+        path = tmp_path / "flagged.json"
+        write_dataset(Dataset(np.zeros((n, 1, 1)), true_labels=labels, good_flags=good), path)
+        assert main(["evaluate", "--fit", str(fit_file), "--data", str(path),
+                     "--exclude-bad-truth"]) == 0
+        out = capsys.readouterr().out
+        assert "ARI 1.0000" in out and "MCR 0.00%" in out
+
     def test_exclude_bad_truth_needs_flags(self, tmp_path, fit_file, dataset_file):
         from cmvmix.data import Dataset
         data = read_dataset(dataset_file)
@@ -296,6 +352,15 @@ class TestSweep:
         doc = json.loads(out.read_text())
         assert len(doc["entries"]) == 2
 
+    def test_single_g(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--data", str(dataset_file), "--g", "2", "--starts", "2",
+                     "--out", str(out)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[:2] for row in rows] == [["mvn", "2"], ["cmvn", "2"]]
+        assert [(e["kind"], e["g"]) for e in json.loads(out.read_text())["entries"]] == [
+            ("mvn", 2), ("cmvn", 2)]
+
     def test_reversed_range(self, dataset_file):
         assert main(["sweep", "--data", str(dataset_file), "--g", "3:1"]) == 2
 
@@ -304,6 +369,19 @@ class TestSweep:
 
     def test_unparseable_g(self, dataset_file):
         assert main(["sweep", "--data", str(dataset_file), "--g", "two"]) == 2
+
+
+class TestReplicate:
+    def test_report_and_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["replicate", "--study", "uniform-noise", "--seed", "0", "--starts", "2",
+                     "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert (doc["study"], doc["seed"], doc["starts"]) == ("uniform-noise", 0, 2)
+        asserted = [c["passed"] for c in doc["checks"] if c["mode"] == "asserted"]
+        assert asserted and code == (0 if all(asserted) else 4)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(doc["checks"])
 
 
 class TestArgparseLevel:
@@ -324,6 +402,10 @@ class TestArgparseLevel:
         default = FitConfig()
         assert (args.starts, args.seed, args.tol, args.max_iter) == (
             default.n_starts, default.seed, default.tol, default.max_iter)
+
+    def test_simulate_n_default_is_the_studys(self):
+        args = build_parser().parse_args(["simulate", "--paper-table1", "--out", "x.json"])
+        assert args.n == DEFAULT_N
 
     def test_replicate_starts_default_is_fitconfigs(self):
         args = build_parser().parse_args(["replicate", "--study", "uniform-noise"])

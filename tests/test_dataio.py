@@ -120,6 +120,37 @@ class TestDatasetJson:
         with pytest.raises(ParseError, match="malformed dataset"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("fields", [
+        '"n": 2.0, "r": 1, "p": 1, "samples": [[1.0], [2.0]]',
+        '"n": 1, "r": true, "p": 1, "samples": [[1.0]]',
+        '"n": 1, "r": 1, "p": 1.0, "samples": [[1.0]]',
+        '"n": 2, "r": 0, "p": 1, "samples": [[], []]',
+        '"n": 0, "r": 2, "p": 2, "samples": []',
+    ], ids=["n-float", "r-bool", "p-float", "r-zero", "n-zero"])
+    def test_counts_must_be_positive_json_integers(self, tmp_path, fields):
+        path = tmp_path / "counts.json"
+        path.write_text('{"schema_version": 1, ' + fields + '}')
+        with pytest.raises(ParseError, match="malformed dataset"):
+            read_dataset(path)
+
+    def test_sample_count_differs_from_n(self, tmp_path):
+        path = tmp_path / "count.json"
+        path.write_text('{"schema_version": 1, "n": 2, "r": 1, "p": 1, "samples": [[1.0]]}')
+        with pytest.raises(ShapeError, match="expected 2 samples, found 1"):
+            read_dataset(path)
+
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "nosamples.json"
+        path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 1}')
+        with pytest.raises(ParseError, match="missing field 'samples'"):
+            read_dataset(path)
+
+    def test_top_level_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError, match="top level must be an object"):
+            read_dataset(path)
+
     def test_exact_text(self, tmp_path):
         path = tmp_path / "two.json"
         write_dataset(two_unit_dataset(), path)
@@ -249,6 +280,41 @@ class TestDatasetCsv:
         with pytest.raises(ParseError, match="line 3: malformed record"):
             read_dataset(path)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("unit,row,col,value\n\n1,1,1,0.5\n\n2,1,1,1.5\n\n")
+        np.testing.assert_array_equal(read_dataset(path).samples.ravel(), [0.5, 1.5])
+
+    def test_non_finite_value(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("unit,row,col,value\n1,1,1,1.0\n2,1,1,inf\n")
+        with pytest.raises(ParseError, match="line 3: non-finite value"):
+            read_dataset(path)
+
+    def test_malformed_label(self, tmp_path):
+        path = tmp_path / "label.csv"
+        path.write_text("unit,row,col,value,label\n1,1,1,1.0,one\n")
+        with pytest.raises(ParseError, match="line 2: malformed label"):
+            read_dataset(path)
+
+    def test_inconsistent_label(self, tmp_path):
+        path = tmp_path / "relabel.csv"
+        path.write_text("unit,row,col,value,label\n1,1,1,1.0,1\n1,1,2,2.0,2\n")
+        with pytest.raises(ParseError, match="line 3: inconsistent label for unit 1"):
+            read_dataset(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            read_dataset(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("unit,row,col,value\n")
+        with pytest.raises(ShapeError, match="no data cells"):
+            read_dataset(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("a,b,c,d\n1,1,1,1.0\n")
@@ -359,6 +425,45 @@ class TestFitRoundTrip:
         write_fit(result, path)
         doc = json.loads(path.read_text())
         doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="malformed fit document"):
+            read_fit(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", lambda v: v + 0.9),
+        ("iterations", lambda v: v + 1),
+        ("seed", lambda v: v + 0.5),
+        ("seed", lambda v: v + 1),
+        ("start_index", float),
+        ("start_index", lambda v: 99),
+        ("converged", lambda v: "false"),
+        ("converged", int),
+        ("warnings", lambda v: "oops"),
+        ("warnings", lambda v: [1]),
+        ("g", lambda v: 7),
+        ("loglik", lambda v: 123.0),
+        ("n_obs", lambda v: 5),
+    ], ids=["iterations-float", "iterations-not-trace-length", "seed-float",
+            "seed-not-config-seed", "start-float", "start-beyond-n-starts", "converged-text",
+            "converged-int", "warnings-text", "warnings-not-strings", "g-not-components",
+            "loglik-not-trace-end", "n-obs-not-z-rows"])
+    def test_malformed_or_inconsistent_fields_are_parse_errors(self, tmp_path, fitted, key,
+                                                               value):
+        _, result = fitted
+        path = tmp_path / "fields.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value(doc[key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="malformed fit document"):
+            read_fit(path)
+
+    def test_empty_trace_is_parse_error(self, tmp_path, fitted):
+        _, result = fitted
+        path = tmp_path / "notrace.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc["loglik_trace"], doc["iterations"] = [], 0
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="malformed fit document"):
             read_fit(path)

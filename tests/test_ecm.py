@@ -864,6 +864,11 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="tol must be > 0"):
             FitConfig(tol=tol)
 
+    def test_negative_seed_rejected(self):
+        # default_rng would refuse seed ^ s only once the first start runs
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FitConfig(seed=-1)
+
 
 class TestClassify:
     def test_basic(self):

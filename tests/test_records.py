@@ -1,10 +1,14 @@
 """The record constructors keep their own copy of the arrays they validate."""
 
 import numpy as np
+import pytest
 
 from cmvmix.data import Dataset
+from cmvmix.dataio import read_fit, write_fit
 from cmvmix.distributions import MvnParams
-from cmvmix.ecm import Kind, MixtureModel
+from cmvmix.ecm import FitConfig, Kind, MixtureModel, Responsibilities, fit
+from cmvmix.errors import DimensionMismatch
+from cmvmix.simulate import generate, reference_model
 
 
 def test_dataset_leaves_callers_arrays_writeable():
@@ -36,3 +40,31 @@ def test_model_records_copy_their_inputs():
     m[0, 0], w[0] = np.nan, 0.5
     assert comp.m[0, 0] == 1.0 and model.weights[0] == 0.25
     assert not (comp.m.flags.writeable or model.weights.flags.writeable)
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 2), (0, 2, 4), (2, 3, 0)])
+def test_dataset_refuses_empty_shapes(shape):
+    with pytest.raises(DimensionMismatch, match="N, r, p >= 1"):
+        Dataset(np.zeros(shape))
+
+
+def test_responsibilities_copy_and_freeze_their_inputs():
+    z = np.array([[0.25, 0.75], [1.0, 0.0]])
+    v = np.array([[0.9, 0.6], [0.7, 0.8]])
+    resp = Responsibilities(z=z, v=v)
+    assert z.flags.writeable and v.flags.writeable
+    z[0, 0], v[0, 0] = np.nan, np.nan
+    assert resp.z[0, 0] == 0.25 and resp.v[0, 0] == 0.9
+    assert not (resp.z.flags.writeable or resp.v.flags.writeable)
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["fit", "read_fit"])
+def test_fit_results_are_read_only(tmp_path, read_back):
+    data = generate(reference_model(), 40, seed=2)
+    result = fit(data, FitConfig(g=2, n_starts=2, seed=1), Kind.CMVN)
+    if read_back:
+        write_fit(result, tmp_path / "fit.json")
+        result = read_fit(tmp_path / "fit.json")
+    arrays = (result.resp.z, result.resp.v, result.hard_labels, result.bad_flags,
+              result.loglik_trace)
+    assert not any(a.flags.writeable for a in arrays)
