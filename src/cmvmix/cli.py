@@ -112,7 +112,15 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed):
+    """simulate and replicate draw from numpy without a FitConfig to refuse
+    a negative seed, so they refuse it here with FitConfig's message."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def _cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     model = _read_model_spec(args.spec) if args.spec else reference_model()
     data = generate(model, args.n, args.seed)
     if args.perturb:
@@ -184,6 +192,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
+    _check_seed(args.seed)
     if args.study == "single-outlier":
         report = run_single_outlier_study(args.seed, starts=args.starts)
     else:

@@ -14,7 +14,8 @@ import os
 import warnings
 from array import array
 from dataclasses import asdict, fields
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
+from operator import add
 
 import numpy as np
 
@@ -30,18 +31,54 @@ _DATASET_KEYS = {"schema_version", "n", "r", "p", "samples", "labels", "good_fla
 
 
 def _dump_canonical(doc, path):
-    """Stream doc's indented JSON into a file beside path, then rename it onto
-    path, so a failed encode never leaves a partly written target."""
+    """Write doc's JSONEncoder(indent=1) text, newline-ended, into a file
+    beside path, then rename it onto path, so a failed encode never leaves a
+    partly written target.  A numpy array value is written chunk by chunk
+    from repr (see _number_block); json encodes every other value."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.writelines(json.JSONEncoder(indent=1).iterencode(doc))
-            fh.write("\n")
+            sep = "{\n"
+            for key, val in doc.items():
+                if isinstance(val, np.ndarray):
+                    fh.write(f"{sep} {json.dumps(key)}: ")
+                    fh.writelines(_number_block(val))
+                else:  # the item as a one-key object, less its braces, is already at depth 1
+                    fh.write(sep + json.dumps({key: val}, indent=1)[2:-2])
+                sep = ",\n"
+            fh.write("\n}\n" if doc else "{}\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+# Units per repr call.  It exists for peak memory: building a whole file's
+# text at once raised io-roundtrip's peak RSS by 15%.
+_CHUNK = 2048
+
+
+def _repr_chunks(arr):
+    """repr(chunk.tolist()) of arr, _CHUNK units at a time.  The repr of a
+    list of ints or floats is json's and csv's text for each number."""
+    for start in range(0, len(arr), _CHUNK):
+        yield repr(arr[start:start + _CHUNK].tolist())
+
+
+def _number_block(arr):
+    """A non-empty 1-D or 2-D array as the value of a top-level key, in
+    JSONEncoder(indent=1)'s layout: its repr with ", " and "], [" laid out anew."""
+    d = arr.ndim
+    item = ",\n" + " " * (d + 1)  # between two numbers of one list
+    outer = item if d == 1 else "\n  ],\n  [\n   "  # between two rows, so two chunks
+    yield "[\n  " if d == 1 else "[\n  [\n   "
+    for i, text in enumerate(_repr_chunks(arr)):
+        text = text[d:-d].replace(", ", item).replace("]" + item + "[", outer)
+        if arr.dtype == bool:
+            text = text.replace("True", "true").replace("False", "false")
+        yield (outer if i else "") + text
+    yield "\n ]" if d == 1 else "\n  ]\n ]"
 
 
 def _load_json(path):
@@ -82,36 +119,36 @@ def _typed(doc, key, kind):
 
 def write_dataset(data: Dataset, path) -> None:
     """Write a dataset as long CSV if path ends in .csv, else as canonical JSON."""
+    rows = data.samples.reshape(data.n, -1)
     if not str(path).endswith(".csv"):
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "n": data.n,
-            "r": data.r,
-            "p": data.p,
-            "samples": data.samples.reshape(data.n, -1).tolist(),
-        }
+        doc = {"schema_version": SCHEMA_VERSION, "n": data.n, "r": data.r, "p": data.p,
+               "samples": rows}
         if data.true_labels is not None:
-            doc["labels"] = data.true_labels.tolist()
+            doc["labels"] = data.true_labels
         if data.good_flags is not None:
-            doc["good_flags"] = data.good_flags.tolist()
+            doc["good_flags"] = data.good_flags
         if data.unit_names is not None:
             doc["names"] = list(data.unit_names)
         _dump_canonical(doc, path)
-    else:
-        # csv writes a float as str(), its shortest repr; every column but the
-        # values is an iterator, so a write makes no other per-cell objects
-        rp = data.r * data.p
-        rows, cols = (np.indices((data.r, data.p)).reshape(2, -1) + 1).tolist()
-        header = ["unit", "row", "col", "value"]
-        columns = [chain.from_iterable(map(repeat, range(1, data.n + 1), repeat(rp))),
-                   cycle(rows), cycle(cols), data.samples.reshape(-1).tolist()]
-        if data.true_labels is not None:
-            header.append("label")
-            columns.append(chain.from_iterable(map(repeat, data.true_labels.tolist(), repeat(rp))))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*columns))
+        return
+    # a record is "unit," + "row,col," + value + ",label\r\n", the text that
+    # csv.writer gives it: str() of an int, and a float's shortest repr
+    rp = data.r * data.p
+    cells = [f"{a},{b}," for a in range(1, data.r + 1) for b in range(1, data.p + 1)]
+    units = (f"{u}," for u in range(1, data.n + 1))
+    labels = data.true_labels
+    ends = repeat("\r\n") if labels is None else (f",{lab}\r\n" for lab in labels.tolist())
+
+    def per_cell(per_unit, k):  # the next k units' pieces, each repeated for its rp cells
+        return chain.from_iterable(map(repeat, islice(per_unit, k), repeat(rp)))
+
+    with open(path, "w", newline="") as fh:
+        fh.write("unit,row,col,value\r\n" if labels is None else "unit,row,col,value,label\r\n")
+        for text in _repr_chunks(rows):
+            values = text[2:-2].replace("], [", ", ").split(", ")
+            k = len(values) // rp
+            fh.write("".join(map(add, map(add, map(add, per_cell(units, k), cycle(cells)), values),
+                                 per_cell(ends, k))))
 
 
 def read_dataset(path) -> Dataset:
@@ -142,20 +179,61 @@ def read_dataset(path) -> Dataset:
         raise ParseError(f"{path}: malformed dataset: {exc}") from None
 
 
-def _read_dataset_csv(path) -> Dataset:
-    cells = array("q")  # unit, row, col of each record, in file order
-    values = array("d")
-    labels = {}
+def _read_dataset_csv(path, fast=True) -> Dataset:
+    """A long-CSV dataset, its records parsed by one np.loadtxt call; the
+    line-by-line reader runs instead when not fast or when that call fails."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         if header[:4] != ["unit", "row", "col", "value"]:
             raise ParseError(f"{path}: line 1: expected header unit,row,col,value[,label]")
         with_label = header[4:5] == ["label"]
         _warn_unknown(header[4 + with_label:], set(), path)
+        records = _load_records(fh, with_label) if fast else None
+    if records is None:
+        records = _read_records_by_line(path, with_label)
+    return _dataset_from_records(path, *records)
+
+
+def _load_records(fh, with_label):
+    """(cells, values, labels) of the records left in fh, as
+    _read_records_by_line gives them; None if a record is faulty."""
+    k = 4 + with_label
+    dtype = [("unit", "i8"), ("row", "i8"), ("col", "i8"), ("value", "f8"), ("label", "i8")]
+    try:
+        with warnings.catch_warnings():  # a header-only file reads as "no data cells"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rec = np.loadtxt(fh, dtype=dtype[:k], delimiter=",", quotechar='"',
+                             comments=None, usecols=range(k), ndmin=1)
+    except ValueError:
+        return None
+    if not np.isfinite(rec["value"]).all():
+        return None
+    unit, labels = rec["unit"], {}
+    if with_label:
+        units, first = np.unique(unit, return_index=True)
+        lab = rec["label"][first]
+        if (rec["label"] != lab[np.searchsorted(units, unit)]).any():
+            return None
+        labels = dict(zip(units.tolist(), lab.tolist()))
+    # copies, so the record array is freed before the cell checks' np.unique
+    return np.stack([unit, rec["row"], rec["col"]], axis=1), rec["value"].copy(), labels
+
+
+def _read_records_by_line(path, with_label):
+    """The records after the header, read one line at a time; the first
+    faulty line raises its numbered message.  It stays beside _load_records,
+    whose errors count rows, not lines (blank ones go uncounted), and which
+    refuses forms that int() and float() accept, such as 1_0 and non-ASCII
+    digits.  The tests use it as the fast reader's oracle."""
+    cells = array("q")  # unit, row, col of each record, in file order
+    values = array("d")
+    labels = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -175,9 +253,14 @@ def _read_dataset_csv(path) -> Dataset:
                     raise ParseError(f"{path}: line {lineno}: malformed label") from None
                 if labels.setdefault(unit, lab) != lab:
                     raise ParseError(f"{path}: line {lineno}: inconsistent label for unit {unit}")
-    if not values:
+    return np.frombuffer(cells, dtype=np.int64).reshape(-1, 3), np.frombuffer(values), labels
+
+
+def _dataset_from_records(path, cells, values, labels) -> Dataset:
+    """The dataset whose (unit, row, col) cells hold values, with labels
+    mapping each unit to its label (empty without a label column)."""
+    if not len(values):
         raise ShapeError(f"{path}: no data cells")
-    cells = np.frombuffer(cells, dtype=np.int64).reshape(-1, 3)
     below = np.flatnonzero(np.any(cells < 1, axis=1))
     if below.size:
         unit, a, b = cells[below[0]]
@@ -193,7 +276,7 @@ def _read_dataset_csv(path) -> Dataset:
         unit, a, b = _first_missing(distinct, r, p)
         raise ShapeError(f"{path}: missing cell (unit={unit}, row={a}, col={b})")
     # the distinct cells are sorted, so a complete set is the grid in row-major order
-    samples = np.frombuffer(values)[first].reshape(n, r, p)
+    samples = values[first].reshape(n, r, p)
     true_labels = [labels[i] for i in range(1, n + 1)] if labels else None
     return Dataset(samples=samples, true_labels=true_labels)
 
@@ -294,7 +377,12 @@ def read_fit(path) -> FitResult:
         cfg = dict(doc["config"])
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
+        for key in ("g", "n_starts", "max_iter", "seed"):
+            if key in cfg:
+                _typed(cfg, key, int)
         config = FitConfig(**{k: v for k, v in cfg.items() if k in known})
+        if config.g != model.g:
+            raise ValueError(f"config.g must be {model.g}, got {config.g!r}")
         trace = np.asarray(doc["loglik_trace"], dtype=float)
         derived = {"g": model.g, "n_obs": len(resp.z), "iterations": len(trace),
                    "seed": config.seed}

@@ -158,6 +158,13 @@ class TestSimulate:
         assert "N, r, p >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "neg.json"
+        assert main(["simulate", "--paper-table1", "--seed", "-1", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_noise_range_defaults_to_the_studys(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "NOISE_RANGE", (-0.5, 0.5))
         out = tmp_path / "noisy.json"
@@ -382,6 +389,14 @@ class TestReplicate:
         assert asserted and code == (0 if all(asserted) else 4)
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == len(doc["checks"])
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "neg.json"
+        code = main(["replicate", "--study", "single-outlier", "--seed", "-1", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestArgparseLevel:

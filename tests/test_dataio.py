@@ -1,5 +1,7 @@
 """Tests for dataset / fit serialization and the file schemas."""
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -12,7 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from cmvmix.data import Dataset
 from cmvmix.dataio import (
+    _CHUNK,
     _dump_canonical,
+    _read_dataset_csv,
     read_dataset,
     read_fit,
     write_dataset,
@@ -38,6 +42,15 @@ def random_dataset(rng, with_extras=True):
 
 def two_unit_dataset():
     return Dataset(np.array([[[1.5, -0.25]], [[3.0, 1e-07]]]), true_labels=[1, 2])
+
+
+def chunk_edge_datasets():
+    """Labelled, flagged and named datasets of one unit less than a write
+    chunk, one chunk, and one unit more."""
+    rng = np.random.default_rng(8)
+    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+        yield Dataset(rng.standard_normal((n, 2, 3)), true_labels=rng.integers(-3, 3, size=n),
+                      good_flags=rng.random(n) > 0.3, unit_names=[f"u{i}\u00e9" for i in range(n)])
 
 
 def assert_datasets_equal(a, b):
@@ -158,6 +171,14 @@ class TestDatasetJson:
             '{\n "schema_version": 1,\n "n": 2,\n "r": 1,\n "p": 2,\n "samples": [\n'
             '  [\n   1.5,\n   -0.25\n  ],\n  [\n   3.0,\n   1e-07\n  ]\n ],\n'
             ' "labels": [\n  1,\n  2\n ]\n}\n')
+        # across a write chunk's edges, the text json's own encoder gives
+        for data in chunk_edge_datasets():
+            write_dataset(data, path)
+            doc = {"schema_version": 1, "n": data.n, "r": data.r, "p": data.p,
+                   "samples": data.samples.reshape(data.n, -1).tolist(),
+                   "labels": data.true_labels.tolist(), "good_flags": data.good_flags.tolist(),
+                   "names": list(data.unit_names)}
+            assert path.read_text() == json.JSONEncoder(indent=1).encode(doc) + "\n"
 
     def test_optionals_omitted(self, tmp_path):
         data = Dataset(np.ones((1, 1, 1)))
@@ -203,6 +224,68 @@ def test_dataset_round_trip_property(data):
                               read_dataset(csv_path))
 
 
+@st.composite
+def faulty_csv_texts(draw):
+    """A labelled or unlabelled dataset's long CSV with its records
+    shuffled, then some repeated, dropped or split by blank lines, a label
+    changed, or a field replaced by a token the reader may refuse."""
+    n, r, p = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    data = Dataset(draw(arrays(np.float64, (n, r, p), elements=finite)),
+                   true_labels=draw(st.none() | st.lists(st.integers(0, 2), min_size=n,
+                                                         max_size=n)))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ds.csv")
+        write_dataset(data, path)
+        with open(path) as fh:
+            header, *records = fh.read().splitlines()
+    records = draw(st.permutations(records))
+    edits = st.sampled_from(["repeat", "drop", "blank", "label", "token"])
+    for edit in draw(st.lists(edits, min_size=1, max_size=3)):
+        if not records:
+            break
+        i = draw(st.integers(0, len(records) - 1))
+        if edit == "repeat":
+            records.insert(draw(st.integers(0, len(records))), records[i])
+        elif edit == "drop":
+            del records[i]
+        elif edit == "blank":
+            records.insert(i, "")
+        else:
+            fields = records[i].split(",")
+            if edit == "label":
+                fields[-1] = "9"  # a label not drawn; without labels, a valid value
+            else:
+                column = draw(st.sampled_from(range(len(fields))[::-1]))  # value or label first
+                fields[column] = draw(st.sampled_from(
+                    ["inf", "1e400", "1.5", "1_0", "abc", '""', "99999999999999999999"]))
+            records[i] = ",".join(fields)
+    return draw(st.sampled_from(["\n", "\r\n"])).join([header, *records, ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_csv_texts())
+def test_csv_reader_matches_line_reader(text):
+    """The one-call parse and the line-by-line reader it falls back on give
+    the same dataset, or the same error with the same message."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "edited.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        for read in (read_dataset, lambda q: _read_dataset_csv(q, fast=False)):
+            try:
+                outcomes.append(read(path))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+    fast, by_line = outcomes
+    if isinstance(by_line, Dataset):
+        assert isinstance(fast, Dataset)
+        assert_datasets_equal(fast, by_line)
+    else:
+        assert fast == by_line
+
+
 class TestDatasetCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -218,6 +301,16 @@ class TestDatasetCsv:
         write_dataset(two_unit_dataset(), path)
         assert path.read_bytes() == (b"unit,row,col,value,label\r\n1,1,1,1.5,1\r\n1,1,2,-0.25,1\r\n"
                                      b"2,1,1,3.0,2\r\n2,1,2,1e-07,2\r\n")
+        # across a write chunk's edges, the text csv.writer gives the same rows
+        for data in chunk_edge_datasets():
+            write_dataset(data, path)
+            want = io.StringIO(newline="")
+            writer = csv.writer(want)
+            writer.writerow(["unit", "row", "col", "value", "label"])
+            for (unit, a, b), value in np.ndenumerate(data.samples):
+                writer.writerow([unit + 1, a + 1, b + 1, value.item(),
+                                 data.true_labels[unit].item()])
+            assert path.read_bytes() == want.getvalue().encode()
 
     def test_shuffled_rows_read_equal(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -273,6 +366,9 @@ class TestDatasetCsv:
         path.write_text("unit,row,col,value\n1,1,1,abc\n")
         with pytest.raises(ParseError, match="line 2"):
             read_dataset(path)
+        path.write_text("unit,row,col,value\n1.5,1,1,0.5\n")  # a unit is an integer
+        with pytest.raises(ParseError, match="line 2: malformed record"):
+            read_dataset(path)
 
     def test_index_beyond_64_bits_malformed(self, tmp_path):
         path = tmp_path / "wide.csv"
@@ -283,6 +379,8 @@ class TestDatasetCsv:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("unit,row,col,value\n\n1,1,1,0.5\n\n2,1,1,1.5\n\n")
+        np.testing.assert_array_equal(read_dataset(path).samples.ravel(), [0.5, 1.5])
+        path.write_text('unit,row,col,value\n\n"1","1","1","0.5"\n\n2,1,1,1.5\n\n')  # quoted
         np.testing.assert_array_equal(read_dataset(path).samples.ravel(), [0.5, 1.5])
 
     def test_non_finite_value(self, tmp_path):
@@ -443,10 +541,17 @@ class TestFitRoundTrip:
         ("g", lambda v: 7),
         ("loglik", lambda v: 123.0),
         ("n_obs", lambda v: 5),
+        ("config", lambda v: {**v, "g": 2.5}),
+        ("config", lambda v: {**v, "g": 3}),
+        ("config", lambda v: {**v, "n_starts": float(v["n_starts"])}),
+        ("config", lambda v: {**v, "max_iter": True}),
+        ("config", lambda v: {**v, "seed": float(v["seed"])}),
     ], ids=["iterations-float", "iterations-not-trace-length", "seed-float",
             "seed-not-config-seed", "start-float", "start-beyond-n-starts", "converged-text",
             "converged-int", "warnings-text", "warnings-not-strings", "g-not-components",
-            "loglik-not-trace-end", "n-obs-not-z-rows"])
+            "loglik-not-trace-end", "n-obs-not-z-rows", "config-g-float",
+            "config-g-not-model-g", "config-n-starts-float", "config-max-iter-bool",
+            "config-seed-float"])
     def test_malformed_or_inconsistent_fields_are_parse_errors(self, tmp_path, fitted, key,
                                                                value):
         _, result = fitted
