@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio
 from .data import Dataset
-from .ecm import FitConfig, Kind, MixtureModel, fit
+from .ecm import FitConfig, Kind, MixtureModel, check_seed, fit
 from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, count_free_params, sweep
@@ -112,15 +112,8 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _check_seed(seed):
-    """simulate and replicate draw from numpy without a FitConfig to refuse
-    a negative seed, so they refuse it here with FitConfig's message."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-
-
 def _cmd_simulate(args) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)  # simulate and replicate build no FitConfig to refuse it
     model = _read_model_spec(args.spec) if args.spec else reference_model()
     data = generate(model, args.n, args.seed)
     if args.perturb:
@@ -192,7 +185,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    _check_seed(args.seed)
+    check_seed(args.seed)  # simulate and replicate build no FitConfig to refuse it
     if args.study == "single-outlier":
         report = run_single_outlier_study(args.seed, starts=args.starts)
     else:

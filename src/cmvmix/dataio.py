@@ -179,10 +179,9 @@ def read_dataset(path) -> Dataset:
         raise ParseError(f"{path}: malformed dataset: {exc}") from None
 
 
-def _read_dataset_csv(path, fast=True) -> Dataset:
+def _read_dataset_csv(path) -> Dataset:
     """A long-CSV dataset, its records parsed by one np.loadtxt call; the
-    line-by-line reader runs instead when not fast, or when that parse
-    finds a faulty record."""
+    line-by-line reader runs instead when that parse finds a faulty record."""
     with open(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
@@ -192,7 +191,7 @@ def _read_dataset_csv(path, fast=True) -> Dataset:
             raise ParseError(f"{path}: line 1: expected header unit,row,col,value[,label]")
         with_label = header[4:5] == ["label"]
         _warn_unknown(header[4 + with_label:], set(), path)
-        records = _load_records(fh, with_label) if fast else None
+        records = _load_records(fh, with_label)
     if records is None:
         records = _read_records_by_line(path, with_label)
     return _dataset_from_records(path, *records)

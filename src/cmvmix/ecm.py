@@ -95,6 +95,13 @@ class Responsibilities:
             object.__setattr__(self, "v", v)
 
 
+def check_seed(seed):
+    """Refuse a negative seed by name: numpy's generators refuse it with a
+    message that names neither the option nor the value."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the ECM driver.
@@ -117,8 +124,7 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_seed(self.seed)
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be > 0 and finite")
         if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
