@@ -12,11 +12,10 @@ import sys
 import numpy as np
 
 from . import dataio
-from .data import Dataset
 from .ecm import FitConfig, Kind, MixtureModel, check_seed, fit
 from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
-from .selection import bic_of, count_free_params, sweep
+from .selection import bic_of, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
 from .studies import DEFAULT_N, NOISE_RANGE, run_single_outlier_study, run_uniform_noise_study
 

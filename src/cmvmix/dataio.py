@@ -181,7 +181,8 @@ def read_dataset(path) -> Dataset:
 
 def _read_dataset_csv(path) -> Dataset:
     """A long-CSV dataset, its records parsed by one np.loadtxt call; the
-    line-by-line reader runs instead when that parse finds a faulty record."""
+    line-by-line reader runs instead when that parse finds a faulty record
+    or a unit whose records disagree on its label."""
     with open(path, newline="") as fh:
         try:
             header = next(csv.reader(fh))
@@ -192,9 +193,10 @@ def _read_dataset_csv(path) -> Dataset:
         with_label = header[4:5] == ["label"]
         _warn_unknown(header[4 + with_label:], set(), path)
         records = _load_records(fh, with_label)
-    if records is None:
-        records = _read_records_by_line(path, with_label)
-    return _dataset_from_records(path, *records)
+    data = None if records is None else _dataset_from_records(path, *records)
+    if data is None:
+        data = _dataset_from_records(path, *_read_records_by_line(path, with_label))
+    return data
 
 
 def _load_records(fh, with_label):
@@ -211,15 +213,9 @@ def _load_records(fh, with_label):
         return None
     if not np.isfinite(rec["value"]).all():
         return None
-    unit, labels = rec["unit"], {}
-    if with_label:
-        units, first = np.unique(unit, return_index=True)
-        lab = rec["label"][first]
-        if (rec["label"] != lab[np.searchsorted(units, unit)]).any():
-            return None
-        labels = dict(zip(units.tolist(), lab.tolist()))
-    # copies, so the record array is freed before the cell checks' np.unique
-    return np.stack([unit, rec["row"], rec["col"]], axis=1), rec["value"].copy(), labels
+    # copies, so the record array is freed before the cell checks' sort
+    labels = rec["label"].copy() if with_label else None
+    return np.stack([rec["unit"], rec["row"], rec["col"]], axis=1), rec["value"].copy(), labels
 
 
 def _read_records_by_line(path, with_label):
@@ -230,7 +226,7 @@ def _read_records_by_line(path, with_label):
     digits.  The tests use it as the fast reader's oracle."""
     cells = array("q")  # unit, row, col of each record, in file order
     values = array("d")
-    labels = {}
+    labels, first = [], {}  # each record's label, as int() gives it; each unit's first
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -251,47 +247,47 @@ def _read_records_by_line(path, with_label):
                     lab = int(row[4])
                 except (ValueError, IndexError):
                     raise ParseError(f"{path}: line {lineno}: malformed label") from None
-                if labels.setdefault(unit, lab) != lab:
+                if first.setdefault(unit, lab) != lab:
                     raise ParseError(f"{path}: line {lineno}: inconsistent label for unit {unit}")
-    return np.frombuffer(cells, dtype=np.int64).reshape(-1, 3), np.frombuffer(values), labels
+                labels.append(lab)
+    return (np.frombuffer(cells, dtype=np.int64).reshape(-1, 3), np.frombuffer(values),
+            np.array(labels, dtype=object) if with_label else None)
 
 
-def _dataset_from_records(path, cells, values, labels) -> Dataset:
-    """The dataset whose (unit, row, col) cells hold values, with labels
-    mapping each unit to its label (empty without a label column)."""
+def _dataset_from_records(path, cells, values, labels):
+    """The dataset whose (unit, row, col) cells hold values, with each
+    record's label (None without a label column); None if a unit's records
+    disagree on its label, which only _load_records passes on.
+
+    One stable sort of the cells orders them row-major, equal cells in file
+    order; a complete set without repeats is then the grid itself."""
     if not len(values):
         raise ShapeError(f"{path}: no data cells")
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    if labels is not None:
+        lab = labels[order]
+        if ((cells[1:, 0] == cells[:-1, 0]) & (lab[1:] != lab[:-1])).any():
+            return None
     below = np.flatnonzero(np.any(cells < 1, axis=1))
     if below.size:
-        unit, a, b = cells[below[0]]
+        unit, a, b = cells[below[np.argmin(order[below])]]
         raise ShapeError(f"{path}: cell (unit={unit}, row={a}, col={b}) has an index below 1")
-    distinct, first = np.unique(cells, axis=0, return_index=True)
-    if len(distinct) < len(cells):
-        repeated = np.ones(len(cells), dtype=bool)
-        repeated[first] = False
-        unit, a, b = cells[np.argmax(repeated)]
+    # every record whose cell equals the one before: each cell's repeats, not its first
+    repeated = np.flatnonzero(np.all(cells[1:] == cells[:-1], axis=1)) + 1
+    if repeated.size:
+        unit, a, b = cells[repeated[np.argmin(order[repeated])]]
         raise ShapeError(f"{path}: duplicate cell (unit={unit}, row={a}, col={b})")
-    n, r, p = (int(k) for k in distinct.max(axis=0))
-    if len(distinct) != n * r * p:
-        unit, a, b = _first_missing(distinct, r, p)
+    n, r, p = (int(k) for k in cells.max(axis=0))
+    if len(cells) != n * r * p:
+        k = np.arange(len(cells) + 1)
+        grid = np.stack([k // p // r, k // p % r, k % p], axis=1) + 1  # no r * p to overflow
+        gap = np.flatnonzero(np.any(cells != grid[:-1], axis=1))
+        unit, a, b = grid[gap[0] if gap.size else -1]
         raise ShapeError(f"{path}: missing cell (unit={unit}, row={a}, col={b})")
-    # the distinct cells are sorted, so a complete set is the grid in row-major order
-    samples = values[first].reshape(n, r, p)
-    true_labels = [labels[i] for i in range(1, n + 1)] if labels else None
-    return Dataset(samples=samples, true_labels=true_labels)
-
-
-def _first_missing(cells, r, p):
-    """First (unit, row, col) in row-major order absent from the sorted,
-    distinct, in-range cells: the successor of the cell before the first gap."""
-    prev = np.vstack([[1, 1, 0], cells])  # (1, 1, 0) comes just before (1, 1, 1)
-    end_col = prev[:, 2] == p
-    end_row = end_col & (prev[:, 1] == r)
-    succ = np.stack([prev[:, 0] + end_row,
-                     np.where(end_row, 1, prev[:, 1] + end_col),
-                     np.where(end_col, 1, prev[:, 2] + 1)], axis=1)
-    gap = np.flatnonzero(np.any(succ[:-1] != cells, axis=1))
-    return succ[gap[0] if gap.size else -1]
+    del cells  # the sorted copy, before Dataset copies the samples
+    true_labels = None if labels is None else labels[order[::r * p]].tolist()
+    return Dataset(samples=values[order].reshape(n, r, p), true_labels=true_labels)
 
 
 _FIT_KEYS = {
@@ -368,6 +364,8 @@ def read_fit(path) -> FitResult:
         resp = Responsibilities(z=doc["z"], v=doc.get("v"))
         if resp.z.shape[1] != model.g or (resp.v is None) == (model.kind is Kind.CMVN):
             raise ValueError(f"z must be N x {model.g}, with v exactly when kind is cmvn")
+        if not all(np.isfinite(a).all() for a in (resp.z, resp.v) if a is not None):
+            raise ValueError("z and v must be finite")
         labels, bad = classify_from(resp, model.kind)
         hard = as_vector(doc.get("labels"), "labels", int, len(resp.z))
         flags = as_vector(doc.get("bad_flags"), "bad_flags", bool, len(resp.z))

@@ -74,8 +74,8 @@ class CmvnParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.eta < ETA_MIN:
-            raise ValueError(f"eta must be >= {ETA_MIN}, got {self.eta}")
+        if not ETA_MIN <= self.eta < np.inf:
+            raise ValueError(f"eta must be >= {ETA_MIN} and finite, got {self.eta}")
 
     @property
     def shape(self):
@@ -144,11 +144,11 @@ def h_weight(delta, alpha, eta, r, p):
     h(delta) = 1 / (1 + ((1-alpha)/alpha) eta^(-rp/2) exp[(delta/2)(1 - 1/eta)]),
     strictly decreasing in delta; value in (0, 1), clipped like posterior_good_prob.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be >= 0 and finite, got {delta}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if eta <= 1.0:
+    if not eta > 1.0:
         raise ValueError(f"eta must be > 1, got {eta}")
     if r < 1 or p < 1:
         raise ValueError("r and p must be positive")

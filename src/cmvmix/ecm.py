@@ -57,7 +57,7 @@ class MixtureModel:
         w = _frozen(self.weights, float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails both
             raise ValueError("weights must be strictly positive and sum to 1")
         comps = tuple(self.components)
         if len(comps) != w.size:

@@ -2,8 +2,6 @@
 perturbation / background-noise transforms used by the sensitivity studies.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from .data import Dataset

@@ -265,8 +265,9 @@ class TestDetect:
         bad = [bp for c in report["clusters"] for bp in c["bad_points"]]
         assert bad and all(bp["name"] == f"u{bp['unit'] - 1}" for bp in bad)
 
-    @pytest.mark.parametrize("key, value", [("labels", 0.5), ("bad_flags", 2)],
-                             ids=["labels-fractional", "flags-not-bool"])
+    @pytest.mark.parametrize("key, value", [("labels", 0.5), ("bad_flags", 2),
+                                            ("weights", float("nan"))],
+                             ids=["labels-fractional", "flags-not-bool", "weights-nan"])
     def test_malformed_fit_is_io_error(self, tmp_path, fit_file, capsys, key, value):
         doc = json.loads(fit_file.read_text())
         doc[key] = [value] * len(doc[key])

@@ -338,6 +338,28 @@ class TestDatasetCsv:
         with pytest.raises(ShapeError, match=r"missing cell \(unit=1, row=1, col=2\)"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("rows, cell", [
+        ("1,1,1,1.0\n1,4294967296,4294967296,2.0", "unit=1, row=1, col=2"),  # r * p = 2**64
+        ("1,1,1,1.0\n1,1,2,2.0\n1,2,2,4.0", "unit=1, row=2, col=1"),
+        ("3,1,1,3.0\n1,1,1,1.0", "unit=2, row=1, col=1"),
+        ("1,1,1,1.0\n2,1,2,4.0\n2,1,1,3.0", "unit=1, row=1, col=2"),
+    ], ids=["rp-beyond-int64", "row-start", "unit-absent", "unit-end"])
+    def test_missing_cell_at_an_edge(self, tmp_path, rows, cell):
+        path = tmp_path / "edge.csv"
+        path.write_text(f"unit,row,col,value\n{rows}\n")
+        with pytest.raises(ShapeError, match=rf"missing cell \({cell}\)"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("rows", [
+        "1,1,1,1.0\n1,1,1,2.0\n1,2,2,4.0",
+        "1,2,2,4.0\n1,1,1,1.0\n1,2,1,3.0\n1,1,1,2.0",  # as many records as the 2x2 grid
+    ], ids=["fewer-records", "grid-count"])
+    def test_duplicate_reported_before_missing(self, tmp_path, rows):
+        path = tmp_path / "both.csv"
+        path.write_text(f"unit,row,col,value\n{rows}\n")
+        with pytest.raises(ShapeError, match=r"duplicate cell \(unit=1, row=1, col=1\)"):
+            read_dataset(path)
+
     def test_duplicate_cell(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("unit,row,col,value\n1,1,1,1.0\n1,1,1,2.0\n")
@@ -549,12 +571,19 @@ class TestFitRoundTrip:
         ("config", lambda v: {**v, "n_starts": float(v["n_starts"])}),
         ("config", lambda v: {**v, "max_iter": True}),
         ("config", lambda v: {**v, "seed": float(v["seed"])}),
+        ("components", lambda v: [{**v[0], "eta": float("nan")}, *v[1:]]),
+        ("components", lambda v: [{**v[0], "eta": float("inf")}, *v[1:]]),
+        ("weights", lambda v: [float("nan"), *v[1:]]),
+        # NaN across the row most surely in cluster 0: argmax picks the first NaN, as its label
+        ("z", lambda v: [[float("nan")] * len(row) if row == max(v) else row for row in v]),
+        ("v", lambda v: [[float("nan")] * len(v[0]), *v[1:]]),
     ], ids=["iterations-float", "iterations-not-trace-length", "seed-float",
             "seed-not-config-seed", "start-float", "start-beyond-n-starts", "converged-text",
             "converged-int", "warnings-text", "warnings-not-strings", "g-not-components",
             "loglik-not-trace-end", "n-obs-not-z-rows", "config-g-float",
             "config-g-not-model-g", "config-n-starts-float", "config-max-iter-bool",
-            "config-seed-float"])
+            "config-seed-float", "eta-nan", "eta-infinite", "weight-nan", "z-row-nan",
+            "v-row-nan"])
     def test_malformed_or_inconsistent_fields_are_parse_errors(self, tmp_path, fitted, key,
                                                                value):
         _, result = fitted

@@ -203,11 +203,17 @@ class TestWeights:
                     assert vb <= va
 
     def test_domain_violations(self):
-        for bad in (dict(delta=-1.0), dict(alpha=0.0), dict(alpha=1.0), dict(eta=1.0)):
+        for bad in (dict(delta=-1.0), dict(alpha=0.0), dict(alpha=1.0), dict(eta=1.0),
+                    dict(delta=np.nan), dict(delta=np.inf), dict(eta=np.nan)):
             kwargs = dict(delta=1.0, alpha=0.8, eta=2.0)
             kwargs.update(bad)
             with pytest.raises(ValueError):
                 h_weight(kwargs["delta"], kwargs["alpha"], kwargs["eta"], 2, 2)
+
+    @pytest.mark.parametrize("delta, eta", [(np.nan, 2.0), (np.inf, 2.0), (1.0, np.nan)])
+    def test_w_weight_refuses_non_finite(self, delta, eta):
+        with pytest.raises(ValueError):
+            w_weight(delta, 0.8, eta, 2, 2)
 
     def test_boundary_agreement_with_posterior(self):
         # the two code paths cross 0.5 at the same distance

@@ -5,7 +5,7 @@ import pytest
 
 from cmvmix.data import Dataset
 from cmvmix.dataio import read_fit, write_fit
-from cmvmix.distributions import MvnParams
+from cmvmix.distributions import CmvnParams, MvnParams
 from cmvmix.ecm import FitConfig, Kind, MixtureModel, Responsibilities, fit
 from cmvmix.errors import DimensionMismatch
 from cmvmix.simulate import generate, reference_model
@@ -68,3 +68,25 @@ def test_fit_results_are_read_only(tmp_path, read_back):
     arrays = (result.resp.z, result.resp.v, result.hard_labels, result.bad_flags,
               result.loglik_trace)
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf], ids=["nan", "infinite"])
+def test_cmvn_params_refuse_non_finite_eta(eta):
+    base = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
+    with pytest.raises(ValueError, match="eta must be"):
+        CmvnParams(base, 0.9, eta)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.nan, np.nan], [np.inf, 0.5]],
+                         ids=["one-nan", "all-nan", "infinite"])
+def test_mixture_model_refuses_non_finite_weights(weights):
+    comp = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        MixtureModel(kind=Kind.MVN, weights=weights, components=(comp, comp))
+
+
+def test_responsibilities_keep_non_finite_posteriors():
+    # a start whose unit has no finite density yields NaN z; fit reports it as
+    # a non-finite log-likelihood, so the record must not refuse it
+    resp = Responsibilities(z=[[np.nan, np.nan]], v=[[0.5, np.nan]])
+    assert np.isnan(resp.z).all()
