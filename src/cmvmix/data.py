@@ -9,18 +9,24 @@ from .errors import DimensionMismatch
 
 
 def as_vector(val, name, dtype, n):
-    """A read-only copy of val as a length-n int or bool vector (None passes through);
-    other element types are refused, not cast (1.5 would read as 1, 2 as True)."""
+    """A read-only copy of val as a length-n int64 or bool vector (None passes through);
+    other element types, and integers int64 cannot hold, are refused, not cast
+    (1.5 would read as 1, 2 as True, True as 1 and 2**63 as -2**63)."""
     if val is None:
         return None
-    val = np.array(val)
-    if val.dtype.kind not in {int: "iu", bool: "b"}[dtype]:
-        raise ValueError(f"{name} must be of type {dtype.__name__}, got {val.dtype}")
-    if val.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got {val.shape}")
-    val = val.astype(dtype, copy=False)
-    val.setflags(write=False)
-    return val
+    arr = np.array(val)
+    if arr.dtype.kind not in {int: "iu", bool: "b"}[dtype]:
+        raise ValueError(f"{name} must be of type {dtype.__name__}, got {arr.dtype}")
+    if arr.shape != (n,):
+        raise DimensionMismatch(f"{name} must have length {n}, got {arr.shape}")
+    if arr.dtype.kind == "u" and (arr > np.iinfo(np.int64).max).any():
+        raise ValueError(f"{name} must fit int64, got {arr.max()}")
+    if dtype is int and not isinstance(val, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, val)):  # np.array reads [True, 2] as [1, 2]
+        raise ValueError(f"{name} must be integers, not booleans")
+    arr = arr.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

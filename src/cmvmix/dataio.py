@@ -14,8 +14,6 @@ import os
 import warnings
 from array import array
 from dataclasses import asdict, fields
-from itertools import chain, cycle, islice, repeat
-from operator import add
 
 import numpy as np
 
@@ -131,24 +129,18 @@ def write_dataset(data: Dataset, path) -> None:
             doc["names"] = list(data.unit_names)
         _dump_canonical(doc, path)
         return
-    # a record is "unit," + "row,col," + value + ",label\r\n", the text that
-    # csv.writer gives it: str() of an int, and a float's shortest repr
-    rp = data.r * data.p
+    # a record is "unit," + "row,col," + value + ",label\r\n", csv.writer's text for
+    # it: str() of an int (labels via tolist(), twice as fast as int64 scalars), a float's repr
     cells = [f"{a},{b}," for a in range(1, data.r + 1) for b in range(1, data.p + 1)]
-    units = (f"{u}," for u in range(1, data.n + 1))
     labels = data.true_labels
-    ends = repeat("\r\n") if labels is None else (f",{lab}\r\n" for lab in labels.tolist())
-
-    def per_cell(per_unit, k):  # the next k units' pieces, each repeated for its rp cells
-        return chain.from_iterable(map(repeat, islice(per_unit, k), repeat(rp)))
-
     with open(path, "w", newline="") as fh:
         fh.write("unit,row,col,value\r\n" if labels is None else "unit,row,col,value,label\r\n")
-        for text in _repr_chunks(rows):
-            values = text[2:-2].replace("], [", ", ").split(", ")
-            k = len(values) // rp
-            fh.write("".join(map(add, map(add, map(add, per_cell(units, k), cycle(cells)), values),
-                                 per_cell(ends, k))))
+        for start, text in zip(range(0, data.n, _CHUNK), _repr_chunks(rows)):
+            ends = (["\r\n"] * _CHUNK if labels is None
+                    else [f",{lab}\r\n" for lab in labels[start:start + _CHUNK].tolist()])
+            units = zip(range(start + 1, data.n + 1), text[2:-2].split("], ["), ends)
+            fh.write("".join([f"{unit},{cell}{value}{end}" for unit, unit_values, end in units
+                              for cell, value in zip(cells, unit_values.split(", "))]))
 
 
 def read_dataset(path) -> Dataset:
@@ -226,7 +218,7 @@ def _read_records_by_line(path, with_label):
     digits.  The tests use it as the fast reader's oracle."""
     cells = array("q")  # unit, row, col of each record, in file order
     values = array("d")
-    labels, first = [], {}  # each record's label, as int() gives it; each unit's first
+    labels, first = array("q"), {}  # each record's label; each unit's first
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -244,14 +236,13 @@ def _read_records_by_line(path, with_label):
             values.append(value)
             if with_label:
                 try:
-                    lab = int(row[4])
-                except (ValueError, IndexError):
+                    labels.append(int(row[4]))  # OverflowError outside int64
+                except (ValueError, IndexError, OverflowError):
                     raise ParseError(f"{path}: line {lineno}: malformed label") from None
-                if first.setdefault(unit, lab) != lab:
+                if first.setdefault(unit, labels[-1]) != labels[-1]:
                     raise ParseError(f"{path}: line {lineno}: inconsistent label for unit {unit}")
-                labels.append(lab)
     return (np.frombuffer(cells, dtype=np.int64).reshape(-1, 3), np.frombuffer(values),
-            np.array(labels, dtype=object) if with_label else None)
+            np.frombuffer(labels, dtype=np.int64) if with_label else None)
 
 
 def _dataset_from_records(path, cells, values, labels):
@@ -286,7 +277,7 @@ def _dataset_from_records(path, cells, values, labels):
         unit, a, b = grid[gap[0] if gap.size else -1]
         raise ShapeError(f"{path}: missing cell (unit={unit}, row={a}, col={b})")
     del cells  # the sorted copy, before Dataset copies the samples
-    true_labels = None if labels is None else labels[order[::r * p]].tolist()
+    true_labels = None if labels is None else labels[order[::r * p]]
     return Dataset(samples=values[order].reshape(n, r, p), true_labels=true_labels)
 
 

@@ -173,8 +173,8 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator):
 def sample_mvn_stack(params: MvnParams, n: int, rng: np.random.Generator):
     """Draw n iid matrices as a stack of shape (n, r, p)."""
     r, p = params.shape
-    a = linalg.cholesky(params.sigma, "sigma")
-    b = linalg.cholesky(params.psi, "psi")
+    a = linalg.factor(params.sigma, "sigma")  # MvnParams validated both scales
+    b = linalg.factor(params.psi, "psi")
     z = rng.standard_normal((n, r, p))
     return params.m[None, :, :] + np.einsum("ij,njk,lk->nil", a, z, b)
 

@@ -74,6 +74,8 @@ def perturb(data: Dataset, obs: int, c: float) -> Dataset:
     """
     if not (1 <= obs <= data.n):
         raise ValueError(f"obs must be in 1..{data.n}, got {obs}")
+    if not np.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     samples = np.array(data.samples)
     samples[obs - 1] += c
     flags = data.good_flags
@@ -93,8 +95,8 @@ def add_uniform_noise(data: Dataset, frac: float, lo: float, hi: float,
     """
     if not (0.0 <= frac <= 1.0):
         raise ValueError(f"frac must be in [0, 1], got {frac}")
-    if hi <= lo:
-        raise ValueError("need hi > lo")
+    if not (lo < hi and np.isfinite(hi - lo)):  # what rng.uniform can draw from
+        raise ValueError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
     rng = np.random.default_rng(seed)
     n_noise = int(round(frac * data.n))
     idx = rng.choice(data.n, size=n_noise, replace=False)

@@ -225,14 +225,22 @@ class TestFit:
 
     @pytest.mark.parametrize("fields", ['"samples": 5', '"samples": [["x"]]',
                                         '"samples": [[1.0]], "labels": [1.5]',
-                                        '"samples": [[1.0]], "good_flags": [2]'],
+                                        '"samples": [[1.0]], "good_flags": [2]',
+                                        '"samples": [[1.0]], "labels": [9223372036854775808]'],
                              ids=["samples-number", "value-text", "labels-fractional",
-                                  "flags-not-bool"])
+                                  "flags-not-bool", "label-beyond-int64"])
     def test_malformed_dataset_is_io_error(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 1, ' + fields + '}')
         assert main(["fit", "--data", str(path), "--g", "1"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_label_beyond_int64_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("unit,row,col,value,label\n1,1,1,1.0,99999999999999999999\n")
+        assert main(["fit", "--data", str(path), "--g", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "line 2: malformed label" in err and "Traceback" not in err
 
     def test_infeasible_fit(self, tmp_path):
         # four observations cannot support four 2x4 clusters
@@ -426,6 +434,35 @@ class TestArgparseLevel:
     def test_replicate_starts_default_is_fitconfigs(self):
         args = build_parser().parse_args(["replicate", "--study", "uniform-noise"])
         assert args.starts == FitConfig().n_starts
+
+
+HOSTILE = ["nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "1e-320"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["simulate", "--noise", f"frac=0.1,{field}={v}"] for field in ("lo", "hi") for v in HOSTILE),
+    *(["simulate", "--noise", f"frac={v}"] for v in HOSTILE),
+    ["simulate", "--noise", "frac=0.1,lo=-1e308,hi=1e308"],
+    *(["simulate", "--perturb", f"obs=1,c={v}"] for v in HOSTILE),
+    *([cmd, f"--tol={v}"] for cmd in ("fit", "sweep") for v in HOSTILE),
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_hostile_numbers_end_in_an_exit_code(tmp_path, capsys, dataset_file, argv):
+    """Every such value ends in one of the documented exit codes, never a
+    traceback.  Huge --n, --starts and --max-iter are left out: they would
+    allocate or run for a long time before any check could refuse them."""
+    cmd, *opts = argv
+    if cmd == "simulate":
+        argv = [cmd, "--paper-table1", "--n", "20", "--out", str(tmp_path / "sim.json"), *opts]
+    else:
+        argv = [cmd, "--data", str(dataset_file), "--g", "1", "--starts", "1",
+                "--max-iter", "5", *opts] + (["--models", "mvn"] if cmd == "sweep" else [])
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing the value
+        code = exc.code
+        assert code == 2
+    assert code in (0, 2, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -126,8 +126,10 @@ class TestDatasetJson:
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [1]',
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [1.5, 2.9]',
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "good_flags": [2, "no"]',
+        '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "labels": [9223372036854775808]',
+        '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [true, 2]',
     ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short",
-            "labels-fractional", "flags-not-bool"])
+            "labels-fractional", "flags-not-bool", "label-beyond-int64", "label-bool"])
     def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, ' + fields + '}')
@@ -259,7 +261,8 @@ def faulty_csv_texts(draw):
             else:
                 column = draw(st.sampled_from(range(len(fields))[::-1]))  # value or label first
                 fields[column] = draw(st.sampled_from(
-                    ["inf", "1e400", "1.5", "1_0", "abc", '""', "99999999999999999999"]))
+                    ["inf", "1e400", "1.5", "1_0", "abc", '""', "99999999999999999999",
+                     "9223372036854775808"]))
             records[i] = ",".join(fields)
     return draw(st.sampled_from(["\n", "\r\n"])).join([header, *records, ""])
 
@@ -304,16 +307,20 @@ class TestDatasetCsv:
         write_dataset(two_unit_dataset(), path)
         assert path.read_bytes() == (b"unit,row,col,value,label\r\n1,1,1,1.5,1\r\n1,1,2,-0.25,1\r\n"
                                      b"2,1,1,3.0,2\r\n2,1,2,1e-07,2\r\n")
-        # across a write chunk's edges, the text csv.writer gives the same rows
-        for data in chunk_edge_datasets():
-            write_dataset(data, path)
-            want = io.StringIO(newline="")
-            writer = csv.writer(want)
-            writer.writerow(["unit", "row", "col", "value", "label"])
-            for (unit, a, b), value in np.ndenumerate(data.samples):
-                writer.writerow([unit + 1, a + 1, b + 1, value.item(),
-                                 data.true_labels[unit].item()])
-            assert path.read_bytes() == want.getvalue().encode()
+        # across a write chunk's edges, the text csv.writer gives the same rows,
+        # with the drawn labels, without labels, and with labels at int64's ends
+        for edge in chunk_edge_datasets():
+            extremes = np.where(np.arange(edge.n) % 2, 2**63 - 1, -2**63)
+            for data in (edge, Dataset(edge.samples), Dataset(edge.samples, true_labels=extremes)):
+                write_dataset(data, path)
+                k = 4 + (data.true_labels is not None)  # columns
+                want = io.StringIO(newline="")
+                writer = csv.writer(want)
+                writer.writerow(["unit", "row", "col", "value", "label"][:k])
+                for (unit, a, b), value in np.ndenumerate(data.samples):
+                    label = None if k == 4 else data.true_labels[unit].item()
+                    writer.writerow([unit + 1, a + 1, b + 1, value.item(), label][:k])
+                assert path.read_bytes() == want.getvalue().encode()
 
     def test_shuffled_rows_read_equal(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -416,9 +423,12 @@ class TestDatasetCsv:
 
     def test_malformed_label(self, tmp_path):
         path = tmp_path / "label.csv"
-        path.write_text("unit,row,col,value,label\n1,1,1,1.0,one\n")
-        with pytest.raises(ParseError, match="line 2: malformed label"):
-            read_dataset(path)
+        # a label is an int64: one outside it is refused where it is read, not wrapped
+        for label in ("one", "9223372036854775808", "-9223372036854775809",
+                      "99999999999999999999"):
+            path.write_text(f"unit,row,col,value,label\n1,1,1,1.0,{label}\n")
+            with pytest.raises(ParseError, match="line 2: malformed label"):
+                read_dataset(path)
 
     def test_inconsistent_label(self, tmp_path):
         path = tmp_path / "relabel.csv"

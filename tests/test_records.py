@@ -48,6 +48,13 @@ def test_dataset_refuses_empty_shapes(shape):
         Dataset(np.zeros(shape))
 
 
+@pytest.mark.parametrize("labels", [np.array([2**63, 1], np.uint64), [True, 2]],
+                         ids=["uint64-beyond-int64", "bool-among-ints"])
+def test_dataset_refuses_labels_int64_cannot_hold(labels):
+    with pytest.raises(ValueError, match="true_labels must"):
+        Dataset(np.zeros((2, 1, 1)), true_labels=labels)
+
+
 def test_responsibilities_copy_and_freeze_their_inputs():
     z = np.array([[0.25, 0.75], [1.0, 0.0]])
     v = np.array([[0.9, 0.6], [0.7, 0.8]])

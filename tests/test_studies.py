@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmvmix.data import Dataset
-from cmvmix.simulate import perturb
+from cmvmix.simulate import add_uniform_noise, perturb
 from cmvmix.studies import (
     Check,
     ReplicationReport,
@@ -115,3 +115,16 @@ def test_perturb_marks_shifted_unit_when_dataset_has_no_flags():
     np.testing.assert_array_equal(shifted.good_flags, [True, False, True, True, True])
     np.testing.assert_array_equal(shifted.samples[1], np.full((2, 3), 4.0))
     assert perturb(data, 2, 0.0).good_flags is None
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf),
+                                    (-1e308, 1e308), (1.0, 1.0)])
+def test_noise_bounds_must_span_a_finite_range(lo, hi):
+    with pytest.raises(ValueError, match="need lo < hi with hi - lo finite"):
+        add_uniform_noise(Dataset(np.zeros((4, 1, 1))), 0.5, lo, hi, seed=0)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_perturb_refuses_non_finite_shift(c):
+    with pytest.raises(ValueError, match="c must be finite"):
+        perturb(Dataset(np.zeros((2, 1, 1))), 1, c)
