@@ -414,35 +414,3 @@ def write_sweep(sweep_result, path) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "entries": entries, "best": sweep_result.best}
     _dump_canonical(doc, path)
 
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "clusters"],
-    "properties": {
-        "schema_version": {"const": 1},
-        "clusters": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["cluster", "alpha", "eta", "bad_points"],
-                "properties": {
-                    "cluster": {"type": "integer", "minimum": 1},
-                    "alpha": {"type": "number"},
-                    "eta": {"type": "number"},
-                    "bad_points": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["unit", "name", "v"],
-                            "properties": {
-                                "unit": {"type": "integer", "minimum": 1},
-                                "name": {"type": "string"},
-                                "v": {"type": "number"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}

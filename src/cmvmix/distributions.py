@@ -17,6 +17,7 @@ from .errors import DimensionMismatch
 ETA_MIN = 1.0001
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_V_MIN, _V_MAX = np.finfo(float).tiny, np.nextafter(1.0, 0.0)  # v's open-interval clip
 
 
 @dataclass(frozen=True)
@@ -117,20 +118,25 @@ def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
 
     delta, log_det, alpha and eta broadcast together (one law, or one column
     per mixture component).  With alpha None the law is the plain matrix
-    normal and v is None; otherwise the log density mixes the good part
+    normal and v is None.  Otherwise the log density mixes the good part
     (weight alpha) with the eta-inflated part, whose scale only rescales
-    delta and the determinant, and v, the posterior probability of the good
-    part, is clipped into the open unit interval.
+    delta and the determinant, in the closed form of h_weight: with d the
+    log-odds of bad against good (+inf when both parts are 0, at delta =
+    +inf), e = exp(-|d|) gives log f = max(good, bad) + log1p(e) and v, the
+    posterior probability of the good part, = 1/(1 + e) for d <= 0 and
+    e/(1 + e) for d > 0, clipped into the open unit interval.
     """
     const = -0.5 * (rp * _LOG_2PI + log_det)
-    log_good = const - 0.5 * delta
+    half = 0.5 * delta
+    log_good = const - half
     if alpha is None:
         return log_good, None
     num = np.log(alpha) + log_good
-    log_bad = const - 0.5 * rp * np.log(eta) - 0.5 * delta / eta
-    tot = np.logaddexp(num, np.log1p(-alpha) + log_bad)
-    v = np.clip(np.exp(num - tot), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-    return tot, v
+    bad = np.log1p(-alpha) + (const - 0.5 * rp * np.log(eta) - half / eta)
+    d = np.fmin(bad - num, np.inf)  # a NaN from -inf - -inf becomes +inf
+    e = np.exp(-np.abs(d))
+    v = np.where(d > 0, e, 1.0) / (1.0 + e)
+    return np.maximum(num, bad) + np.log1p(e), np.minimum(np.maximum(v, _V_MIN), _V_MAX)
 
 
 def posterior_good_prob(x, params: CmvnParams) -> float:

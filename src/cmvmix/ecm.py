@@ -223,6 +223,13 @@ def _factors(mats, name):
     return np.stack([linalg.cholesky(a, name) for a in mats])
 
 
+def _weighted_residuals(samples, u, means):
+    """sqrt(u)-weighted residuals (G, r, p, N) of units (N, r, p) under
+    weights u (N, G), as the scale updates take them."""
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    return np.multiply(d, np.sqrt(np.asarray(u).T)[:, None, None], out=d)
+
+
 def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     """Row-scale update: weighted scatter through the previous column scale.
 
@@ -230,16 +237,16 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     when the component record is built, after the column scale is also
     updated, so the Kronecker product is preserved exactly.
     """
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
-    t = linalg._whiten(None, np.linalg.inv(_factors(prev_psis, "psi")), d)
-    return list(linalg._scatter(t.swapaxes(1, 2), np.asarray(u).T, np.asarray(ng, dtype=float)))
+    b = _weighted_residuals(samples, u, means)
+    pi = np.linalg.inv(_factors(prev_psis, "psi"))
+    return list(linalg._row_scatter(b, pi, np.asarray(ng, dtype=float)))
 
 
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
-    s = linalg._whiten(np.linalg.inv(_factors(new_sigmas, "sigma")), None, d)
-    return list(linalg._scatter(s, np.asarray(u).T, np.asarray(ng, dtype=float)))
+    b = _weighted_residuals(samples, u, means)
+    si = np.linalg.inv(_factors(new_sigmas, "sigma"))
+    return list(linalg._col_scatter(b, si, np.asarray(ng, dtype=float)))
 
 
 def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
@@ -267,28 +274,29 @@ def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
     axis: from units xt (r, p, N), posteriors z, v (G, N), the previous etas
     and inverse column factors psi_inv (G, p, p) to theta' = (weights,
     alphas, means, sigmas, psis, etas), the new psi_inv, distances (G, N)
-    and log determinants.  The (G, r, p, N) work arrays (residuals D,
-    whitened W, row-whitened S, the scatters' weighted copy A) are written
-    in place.  Each scale is factored and inverted once; S, whitened by the
-    new column inverse, gives the distances for eta and the E-pass.  Plain
-    MVN is v None (v = 1, no alpha or eta).  Raises DegenerateCluster when a
-    component's mass falls below mcw."""
+    and log determinants.  The (G, r, p, N) work arrays (residuals D, a
+    whitened copy W, another S, and B = sqrt(u) D) are written in place.
+    B is formed once and whitened by the previous column inverse for the
+    row scale and by the new row inverse for the column scale; each scale is
+    factored and inverted once, and D, whitened by both new inverses, gives
+    the distances for eta and the E-pass.  Plain MVN is v None (v = 1, no
+    alpha or eta).  Raises DegenerateCluster when a component's mass falls
+    below mcw."""
     ng = z.sum(axis=1)
     if np.any(ng < mcw):
         raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
     r, p, _ = xt.shape
-    D, W, S, A = work
+    D, W, S, B = work
     weights, alphas, means, u = _cm_step_1(xt, z, v, etas, ng)
-    root_u = np.sqrt(u)
     linalg._residuals(xt, means, out=D)
-    linalg._whiten(None, psi_inv, D, out=W)
-    sigmas = linalg._scatter(W.swapaxes(1, 2), u, ng, A.swapaxes(1, 2), root_u)
+    np.multiply(D, np.sqrt(u)[:, None, None], out=B)
+    sigmas = linalg._row_scatter(B, psi_inv, ng, out=W)
     L_sigma = linalg.factor(sigmas, "sigma")
-    linalg._whiten(np.linalg.inv(L_sigma), None, D, out=S)
-    psis = linalg._scatter(S, u, ng, A, root_u)
+    sigma_inv = np.linalg.inv(L_sigma)
+    psis = linalg._col_scatter(B, sigma_inv, ng, out=S)
     L_psi = linalg.factor(psis, "psi")
     psi_inv = np.linalg.inv(L_psi)
-    delta = linalg._whitened_distances(S, psi_inv, out=W)
+    delta = linalg._whitened_distances(linalg._whiten(sigma_inv, None, D, out=W), psi_inv, out=S)
     log_det = linalg._log_det_kron(L_sigma, L_psi)
     if v is not None:
         etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
@@ -327,6 +335,18 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     return theta, Responsibilities(z=z.T, v=v.T if cmvn else None), np.array(trace), converged, it
 
 
+def _check_spread(samples):
+    """Refuse data whose scale updates would overflow, naming the cause: the
+    chain's scatters sum squared deviations of the units from their means,
+    so the total squared deviation from the mean unit, sum_i ||X_i - mean||^2,
+    must be finite in float64 (it is not once entries differ by about 1e154)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.square(samples - samples.mean(axis=0)).sum()
+    if not np.isfinite(spread):
+        raise ValueError("data overflow: the units' squared deviations from their mean "
+                         "exceed float64 (about 1.8e308); rescale the data")
+
+
 def _initial_responsibilities(rng, n, g, kind):
     z = rng.dirichlet(np.ones(g), size=n)
     v = rng.uniform(0.5, 1.0, size=(n, g)) if kind is Kind.CMVN else None
@@ -345,6 +365,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     cmvn = kind is Kind.CMVN
     if data.n < config.g:
         raise DimensionMismatch(f"need at least G={config.g} observations, have {data.n}")
+    _check_spread(data.samples)
     # Chains are ranked admissible-first, then converged, then by final
     # log-likelihood.  A chain whose final alpha leaves (0.5, 1) sits outside
     # the parameter space ("good" points must be the majority of every

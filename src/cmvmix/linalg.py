@@ -73,11 +73,6 @@ def log_det_from_factor(L):
     return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def log_det_spd(a):
-    """log determinant of an SPD matrix via its Cholesky factor."""
-    return log_det_from_factor(cholesky(a))
-
-
 def trace_quad_form(x, m, sigma, psi):
     """Squared Mahalanobis-type distance for an r x p observation.
 
@@ -96,23 +91,7 @@ def trace_quad_form(x, m, sigma, psi):
         raise DimensionMismatch(f"sigma is {L_sigma.shape[0]}x{L_sigma.shape[0]}, rows are {r}")
     if L_psi.shape[0] != p:
         raise DimensionMismatch(f"psi is {L_psi.shape[0]}x{L_psi.shape[0]}, cols are {p}")
-    return float(trace_quad_forms(x[None, :, :], m, L_sigma, L_psi)[0])
-
-
-def trace_quad_forms(xs, m, L_sigma, L_psi):
-    """Vectorized trace quadratic form for a stack of observations.
-
-    Parameters
-    ----------
-    xs : ndarray, shape (N, r, p)
-    m : ndarray, shape (r, p)
-    L_sigma, L_psi : lower Cholesky factors of the row/column scale matrices.
-
-    Returns
-    -------
-    ndarray, shape (N,), the distances delta_i >= 0.
-    """
-    return _distances(xs.transpose(1, 2, 0), m[None], L_sigma[None], L_psi[None])[0]
+    return float(_distances(x[:, :, None], m[None], L_sigma[None], L_psi[None])[0, 0])
 
 
 def _log_det_kron(L_sigma, L_psi):
@@ -149,21 +128,28 @@ def _whiten(Si, Pi, d, out=None):
     return d
 
 
-def _scatter(w, u, ng, out=None, root_u=None):
-    """sum_i u_gi W_gi' W_gi / (k ng_g) for whitened residuals w (G, k, m, N)
-    and weights u (G, N); a (G, m, m) stack, symmetrized against roundoff.
-    The weighted copy sqrt(u) W goes into out (shaped like w) when given;
-    root_u is sqrt(u) when the caller has already taken it.
-
-    With w = D L_psi^-T swapped to (G, p, r, N) this is the row-scale update
-    (k = p), with w = L_sigma^-1 D the column-scale update (k = r).
+def _row_scatter(b, Pi, ng, out=None):
+    """Row scales sum_i B_gi Psi_g^-1 B_gi' / (p ng_g), a (G, r, r) stack, from
+    sqrt(u)-weighted residuals b (G, r, p, N) and the inverse column factors
+    Pi (G, p, p).  The whitened residuals (written into out, when given) are
+    one r x p*N matrix per component, so the sum is one product of that
+    matrix with its own transpose, which numpy returns exactly symmetric
+    (BLAS syrk fills one triangle and numpy copies it to the other).
     """
-    k = w.shape[1]
-    if root_u is None:
-        root_u = np.sqrt(u)
-    a = np.multiply(w, root_u[:, None, None, :], out=out)
-    s = np.matmul(a, a.swapaxes(-1, -2)).sum(axis=1)
-    return (s + s.swapaxes(-1, -2)) / (2.0 * k * ng[:, None, None])
+    g, r, p, n = b.shape
+    w = _whiten(None, Pi, b, out).reshape(g, r, p * n)
+    return np.matmul(w, w.swapaxes(1, 2)) / (p * ng[:, None, None])
+
+
+def _col_scatter(b, Si, ng, out=None):
+    """Column scales sum_i B_gi' Sigma_g^-1 B_gi / (r ng_g), a (G, p, p)
+    stack, from the same weighted residuals b whitened by the inverse row
+    factors Si (G, r, r) (into out, when given): a sum over the r rows of
+    p x N blocks, each times its own transpose, so again exactly symmetric.
+    """
+    r = b.shape[1]
+    s = _whiten(Si, None, b, out)
+    return np.matmul(s, s.swapaxes(-1, -2)).sum(axis=1) / (r * ng[:, None, None])
 
 
 def _whitened_distances(s, Pi, out=None):

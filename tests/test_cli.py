@@ -12,10 +12,43 @@ import pytest
 import cmvmix
 from cmvmix import cli
 from cmvmix.cli import build_parser, main
-from cmvmix.dataio import REPORT_SCHEMA, read_dataset, write_dataset, write_fit
+from cmvmix.dataio import read_dataset, write_dataset, write_fit
 from cmvmix.ecm import FitConfig, Kind, fit
 from cmvmix.simulate import generate, reference_model
 from cmvmix.studies import DEFAULT_N
+
+# The JSON layout of `cmvmix detect --format json` (metrics.outlier_report).
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "clusters"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "clusters": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["cluster", "alpha", "eta", "bad_points"],
+                "properties": {
+                    "cluster": {"type": "integer", "minimum": 1},
+                    "alpha": {"type": "number"},
+                    "eta": {"type": "number"},
+                    "bad_points": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["unit", "name", "v"],
+                            "properties": {
+                                "unit": {"type": "integer", "minimum": 1},
+                                "name": {"type": "string"},
+                                "v": {"type": "number"},
+                            },
+                        },
+                    },
+                },
+            },
+        },
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +247,32 @@ class TestFit:
         assert main(["fit", "--data", str(dataset_file), "--g", "1", "--seed", "-1"]) == 4
         err = capsys.readouterr().err
         assert "seed must be >= 0" in err and "Traceback" not in err
+
+    @staticmethod
+    def _shifted_data(tmp_path, capsys, c):
+        path = tmp_path / f"shifted-{c}.json"
+        assert main(["simulate", "--paper-table1", "--n", "60", "--perturb", f"obs=1,c={c}",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, g", [("fit", "2"), ("sweep", "1:2")])
+    def test_overflowing_data_refused(self, tmp_path, capsys, command, g):
+        # entries near 1e160 square beyond float64: one line naming the
+        # overflow, and no numpy warning on the way
+        data = self._shifted_data(tmp_path, capsys, "1e160")
+        assert main([command, "--data", data, "--g", g, "--starts", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data overflow" in err and "Traceback" not in err
+
+    def test_large_finite_data_reaches_the_chain(self, tmp_path, capsys):
+        # entries near 1e150 square to about 1e300: the chain runs and its
+        # starts fail on their own
+        data = self._shifted_data(tmp_path, capsys, "1e150")
+        assert main(["fit", "--data", data, "--g", "2", "--starts", "2"]) == 4
+        err = capsys.readouterr().err
+        assert "sigma is not positive definite" in err and "overflow" not in err
 
     def test_missing_data_file(self, tmp_path):
         assert main(["fit", "--data", str(tmp_path / "absent.json"), "--g", "1"]) == 3

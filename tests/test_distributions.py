@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from cmvmix.distributions import (
@@ -17,6 +20,8 @@ from cmvmix.distributions import (
     sample_mvn_stack,
     w_weight,
 )
+from cmvmix.distributions import _logs_from_distances
+from cmvmix.ecm import _ALPHA_EPS
 from cmvmix.linalg import trace_quad_form
 
 from test_linalg import random_spd
@@ -149,6 +154,39 @@ class TestPosteriorGoodProb:
             x = np.array([[np.sqrt(d)]])
             assert posterior_good_prob(x, params) == pytest.approx(
                 h_weight(d, 0.85, 5.0, 1, 1), rel=1e-12)
+
+
+def two_term_oracle(delta, log_det, rp, alpha, eta):
+    """log f and v from the good and bad log terms through scipy's logsumexp."""
+    const = -0.5 * (rp * LOG_2PI + log_det)
+    num = np.log(alpha) + const - 0.5 * delta
+    bad = np.log1p(-alpha) + const - 0.5 * rp * np.log(eta) - 0.5 * delta / eta
+    logf = logsumexp(np.stack([num, bad]), axis=0)
+    v = np.clip(np.exp(num - logf), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+    return logf, v, np.abs(num) + np.abs(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    deltas=st.lists(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e4), st.floats(0.0, 1e300),
+                              st.sampled_from([0.0, 1e300])), min_size=1, max_size=8),
+    log_det=st.floats(-30.0, 30.0),
+    rp=st.integers(1, 60),
+    alpha=st.one_of(st.sampled_from([_ALPHA_EPS, 1.0 - _ALPHA_EPS]),
+                    st.floats(_ALPHA_EPS, 1.0 - _ALPHA_EPS)),
+    eta=st.one_of(st.sampled_from([ETA_MIN, 1e6]), st.floats(ETA_MIN, 1e6)),
+)
+def test_closed_form_matches_two_term_logsumexp(deltas, log_det, rp, alpha, eta):
+    # Both sides round the good and bad log terms, whose magnitudes reach
+    # |num| + |bad|; the log-odds, and so log f (absolutely) and v
+    # (relatively), are good to a few ulps of that: tolerance 64 eps times it.
+    delta = np.array(deltas)
+    logf, v = _logs_from_distances(delta, log_det, rp, alpha, eta)
+    want_logf, want_v, scale = two_term_oracle(delta, log_det, rp, alpha, eta)
+    tol = 64 * np.finfo(float).eps * (1.0 + scale)
+    assert np.all(np.abs(logf - want_logf) <= tol)
+    assert np.all(np.abs(v - want_v) <= tol * want_v)
+    assert np.all((0.0 < v) & (v < 1.0))
 
 
 class TestWeights:

@@ -281,6 +281,26 @@ class TestEPass:
             _, _, ll = ecm._e_pass(delta.T, np.zeros(3), log_w, 4, None, None)
         assert not np.isfinite(ll)
 
+    def test_minus_inf_entries_cmvn(self):
+        # a component at delta = +inf: both of its parts are 0, so log f is
+        # -inf and v is the clip floor (the logaddexp form gave v = NaN
+        # there), while the other components still explain the unit
+        from cmvmix.distributions import _logs_from_distances
+        delta = np.array([[1.0, np.inf, 4.0], [2.0, 5.0, 3.0]])
+        log_w = np.log(np.full(3, 1 / 3))
+        alphas, etas = np.array([0.9, 0.8, 0.7]), np.array([2.0, 3.0, 4.0])
+        with np.errstate(invalid="ignore"):  # -inf - -inf in the log-odds
+            logf, v_direct = _logs_from_distances(delta, np.zeros(3), 4, alphas, etas)
+            z, v, ll = ecm._e_pass(delta.T, np.zeros(3), log_w, 4, alphas, etas)
+        z, v = z.T, v.T
+        assert logf[0, 1] == -np.inf
+        assert not np.any(np.isnan(v)) and not np.any(np.isnan(v_direct))
+        assert v[0, 1] == np.finfo(float).tiny
+        assert z[0, 1] == 0.0
+        assert np.isfinite(ll)
+        logw = logf + log_w
+        np.testing.assert_allclose(z[0], np.exp(logw[0] - logsumexp(logw[0])), rtol=1e-14)
+
 
 class TestCmSteps:
     def _setup(self, seed=4, n=30, g=2, r=2, p=3):
@@ -544,7 +564,7 @@ class TestFit:
 
     def test_effective_weight_rank_check(self):
         # within a fitted component, v + (1-v)/eta is non-increasing in distance
-        from cmvmix.linalg import cholesky, trace_quad_forms
+        from cmvmix.linalg import _distances, cholesky
         data = generate(reference_model(), 100, seed=9)
         from cmvmix.simulate import perturb
         data = perturb(data, 6, 8.0)
@@ -553,7 +573,8 @@ class TestFit:
             idx = np.flatnonzero(res.hard_labels == j)
             L_s = cholesky(comp.base.sigma)
             L_p = cholesky(comp.base.psi)
-            delta = trace_quad_forms(data.samples[idx], comp.base.m, L_s, L_p)
+            delta = _distances(data.samples[idx].transpose(1, 2, 0), comp.base.m[None],
+                               L_s[None], L_p[None])[0]
             w = res.resp.v[idx, j] + (1 - res.resp.v[idx, j]) / comp.eta
             order = np.argsort(delta)
             assert np.all(np.diff(w[order]) <= 1e-10)
@@ -564,6 +585,47 @@ class TestFit:
         cfg = FitConfig(g=2, n_starts=3, seed=0, min_cluster_weight=10.0)
         with pytest.raises(AllStartsFailed):
             fit(data, cfg, Kind.CMVN)
+
+    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+    def test_one_run_chain_call_per_start(self, monkeypatch, kind):
+        # bench/tracing.py's start ledger wraps ecm._run_chain and reads its
+        # (data, kind, config, ...) arguments and its 5-tuple, so fit must
+        # call it once per start with the start's initial responsibilities
+        data = generate(reference_model(), 40, seed=3)
+        cfg = FitConfig(g=2, n_starts=4, seed=5)
+        real, calls = ecm._run_chain, []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(ecm, "_run_chain", spy)
+        fit(data, cfg, kind)
+        assert len(calls) == cfg.n_starts
+        for s, (args, kwargs, out) in enumerate(calls):
+            assert kwargs == {} and len(args) == 5
+            assert args[0] is data and args[1] is kind and args[2] is cfg
+            rng = np.random.default_rng(cfg.seed ^ s)
+            want_z, want_v = ecm._initial_responsibilities(rng, data.n, cfg.g, kind)
+            np.testing.assert_array_equal(args[3], want_z)
+            if kind is Kind.CMVN:
+                np.testing.assert_array_equal(args[4], want_v)
+            else:
+                assert args[4] is None
+            assert isinstance(out, tuple) and len(out) == 5
+            theta, resp, trace, converged, iters = out
+            assert len(theta) == 6 and isinstance(resp, Responsibilities)
+            assert trace.shape == (iters,) and isinstance(converged, bool)
+
+    def test_overflowing_spread_refused(self):
+        samples = np.random.default_rng(2).standard_normal((30, 2, 2))
+        samples[0] += 1e160
+        with pytest.raises(ValueError, match="data overflow"):
+            fit(Dataset(samples), FitConfig(g=2, n_starts=1), Kind.CMVN)
+        samples[0] = 1e153  # squares to about 1e306: the check passes, the chain runs
+        with pytest.raises(AllStartsFailed):
+            fit(Dataset(samples), FitConfig(g=2, n_starts=1), Kind.CMVN)
 
     def test_needs_enough_observations(self):
         from cmvmix.errors import DimensionMismatch

@@ -59,19 +59,24 @@ class TestCholesky:
             assert err < 1e-12
 
 
+def log_det_spd(a):
+    """log determinant of an SPD matrix via its Cholesky factor."""
+    return linalg.log_det_from_factor(linalg.cholesky(a))
+
+
 class TestLogDet:
     def test_identity(self):
-        assert linalg.log_det_spd(np.eye(4)) == 0.0
+        assert log_det_spd(np.eye(4)) == 0.0
 
     def test_diagonal(self):
-        assert linalg.log_det_spd(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0), rel=1e-14)
+        assert log_det_spd(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0), rel=1e-14)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_against_cofactor_expansion(self, n):
         rng = np.random.default_rng(10 + n)
         for _ in range(20):
             a = random_spd(rng, n)
-            assert linalg.log_det_spd(a) == pytest.approx(np.log(cofactor_det(a)), rel=1e-10)
+            assert log_det_spd(a) == pytest.approx(np.log(cofactor_det(a)), rel=1e-10)
 
 
 class TestTraceQuadForm:
@@ -188,13 +193,13 @@ class TestStackedKernels:
         L_psi_prev = np.stack([linalg.cholesky(random_spd(rng, p)) for _ in range(g)])
 
         d = linalg._residuals(xs.transpose(1, 2, 0), means)
+        b = d * np.sqrt(u.T)[:, None, None]
         inv = np.linalg.inv
-        sigmas = linalg._scatter(linalg._whiten(None, inv(L_psi_prev), d).swapaxes(1, 2), u.T, ng)
+        sigmas = linalg._row_scatter(b, inv(L_psi_prev), ng)
         L_sigma = linalg.factor(sigmas)
-        s = linalg._whiten(inv(L_sigma), None, d)
-        psis = linalg._scatter(s, u.T, ng)
+        psis = linalg._col_scatter(b, inv(L_sigma), ng)
         L_psi = linalg.factor(psis)
-        delta = linalg._whitened_distances(s, inv(L_psi)).T
+        delta = linalg._whitened_distances(linalg._whiten(inv(L_sigma), None, d), inv(L_psi)).T
         log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
@@ -216,10 +221,11 @@ class TestStackedKernels:
     def test_ill_conditioned_scales_against_oracle(self, cond, g, shape):
         # Units drawn with row and column scales of condition number cond.
         # Two correct double-precision evaluations of a quantity whitened by
-        # an estimated scale differ by up to about eps * cond(scale) (whitening
-        # by the factors' triangular inverses differs from the oracle by up to
-        # 5.1e-13 on these cases at 1e4 and 1.7e-9 at 1e8), so the bound is
-        # 10 * eps * cond: 2.2e-11 at 1e4 and 2.2e-7 at 1e8.
+        # an estimated scale differ by up to about eps * cond(scale) (weighting
+        # the residuals, then whitening by the factors' triangular inverses,
+        # differs from the oracle by up to 6.4e-13 on these cases at 1e4 and
+        # 6.2e-9 at 1e8), so the bound is 10 * eps * cond: 2.2e-11 at 1e4 and
+        # 2.2e-7 at 1e8.
         r, p = shape
         rng = np.random.default_rng(int(np.log10(cond)) * 100 + 10 * r + p + g)
 
@@ -238,11 +244,12 @@ class TestStackedKernels:
         ng = z.sum(axis=0)
 
         d = linalg._residuals(xs.transpose(1, 2, 0), means)
+        b = d * np.sqrt(u.T)[:, None, None]
         inv = np.linalg.inv
-        sigmas = linalg._scatter(linalg._whiten(None, inv(L_psi_prev), d).swapaxes(1, 2), u.T, ng)
-        s = linalg._whiten(inv(linalg.factor(sigmas)), None, d)
-        psis = linalg._scatter(s, u.T, ng)
-        delta = linalg._whitened_distances(s, inv(linalg.factor(psis))).T
+        sigmas = linalg._row_scatter(b, inv(L_psi_prev), ng)
+        sigma_inv = inv(linalg.factor(sigmas))
+        psis = linalg._col_scatter(b, sigma_inv, ng)
+        delta = linalg._whitened_distances(linalg._whiten(sigma_inv, None, d), inv(linalg.factor(psis))).T
 
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
@@ -291,19 +298,22 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("swap", [False, True])
     def test_scatter(self, g, shape, swap):
-        # swap=True is the row-scale update: a swapped view and a swapped buffer
-        xt, means, u, ng, _, Pi = self.inputs(g, *shape)
-        w = linalg._whiten(None, Pi, linalg._residuals(xt, means))
-        buf = np.empty_like(w)
+        # swap=True is the row-scale update (whitened by the column factors),
+        # swap=False the column-scale update (whitened by the row factors);
+        # out receives the whitened sqrt(u)-weighted residuals
+        xt, means, u, ng, Si, Pi = self.inputs(g, *shape)
+        b = linalg._residuals(xt, means) * np.sqrt(u)[:, None, None]
+        buf = np.empty_like(b)
         if swap:
-            w, buf_view = w.swapaxes(1, 2), buf.swapaxes(1, 2)
+            want = linalg._row_scatter(b, Pi, ng)
+            got = linalg._row_scatter(b, Pi, ng, buf)
+            np.testing.assert_array_equal(buf, linalg._whiten(None, Pi, b))
         else:
-            buf_view = buf
-        want = linalg._scatter(w, u, ng)
-        got = linalg._scatter(w, u, ng, buf_view)
+            want = linalg._col_scatter(b, Si, ng)
+            got = linalg._col_scatter(b, Si, ng, buf)
+            np.testing.assert_array_equal(buf, linalg._whiten(Si, None, b))
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(buf_view, w * np.sqrt(u)[:, None, None, :])
-        np.testing.assert_array_equal(linalg._scatter(w, u, ng, buf_view, np.sqrt(u)), want)
+        np.testing.assert_array_equal(got, got.swapaxes(1, 2))
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
