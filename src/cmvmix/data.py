@@ -56,6 +56,8 @@ class Dataset:
         for name, dtype in (("true_labels", int), ("good_flags", bool)):
             object.__setattr__(self, name, as_vector(getattr(self, name), name, dtype, n))
         if self.unit_names is not None:
+            if isinstance(self.unit_names, str):  # whose items would each be one name
+                raise TypeError("unit_names must be a sequence of names, not a str")
             names = tuple(str(s) for s in self.unit_names)
             if len(names) != n:
                 raise DimensionMismatch(f"unit_names must have length {n}, got {len(names)}")

@@ -17,9 +17,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import Dataset, as_vector
+from .data import Dataset
 from .distributions import CmvnParams, MvnParams
-from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities, classify_from
+from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
 from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
 from .selection import count_free_params
 
@@ -87,28 +87,34 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
-def _load_doc(path, known):
-    """A versioned JSON document: a top-level object at SCHEMA_VERSION,
-    with a warning naming any field outside known."""
+def _load_doc(path):
+    """A versioned JSON document: a top-level object at SCHEMA_VERSION."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema_version {version!r}")
-    _warn_unknown(doc, known, path)
     return doc
 
 
 def _warn_unknown(doc, known, path):
-    extra = set(doc) - known
+    extra = set(doc).difference(known)
     if extra:
         warnings.warn(f"{path}: ignoring unknown fields {sorted(extra)}")
 
 
+def _strings(doc, key):
+    """doc[key] if it is a JSON list of strings."""
+    val = doc[key]
+    if type(val) is not list or not all(isinstance(s, str) for s in val):
+        raise TypeError(f"{key} must be a list of strings")
+    return val
+
+
 def _typed(doc, key, kind):
-    """doc[key] if its JSON type is exactly kind (int, bool or list): a float
-    or a boolean is refused as an integer, not truncated or cast."""
+    """doc[key] if its JSON type is exactly kind: a float or a boolean is
+    refused as an integer, not truncated or cast."""
     val = doc[key]
     if type(val) is not kind:
         raise TypeError(f"{key} must be of JSON type {kind.__name__}, got {val!r}")
@@ -148,7 +154,8 @@ def read_dataset(path) -> Dataset:
     same schemas); the format follows the file name as there."""
     if str(path).endswith(".csv"):
         return _read_dataset_csv(path)
-    doc = _load_doc(path, _DATASET_KEYS)
+    doc = _load_doc(path)
+    _warn_unknown(doc, _DATASET_KEYS, path)
     try:
         n, r, p = (_typed(doc, key, int) for key in ("n", "r", "p"))
         flat = doc["samples"]
@@ -163,7 +170,7 @@ def read_dataset(path) -> Dataset:
             samples=samples,
             true_labels=doc.get("labels"),
             good_flags=doc.get("good_flags"),
-            unit_names=doc.get("names"),
+            unit_names=None if doc.get("names") is None else _strings(doc, "names"),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
@@ -281,16 +288,13 @@ def _dataset_from_records(path, cells, values, labels):
     return Dataset(samples=values[order].reshape(n, r, p), true_labels=true_labels)
 
 
-_FIT_KEYS = {
-    "schema_version", "kind", "g", "weights", "components", "loglik",
-    "loglik_trace", "n_obs", "n_params", "seed", "config", "z", "v",
-    "labels", "bad_flags", "converged", "iterations", "start_index",
-    "warnings",
-}
+# read_fit requires each to be what _fit_doc writes for the record built from the others
+_DERIVED_KEYS = ("g", "n_obs", "n_params", "loglik", "iterations", "seed", "labels",
+                 "bad_flags", "converged", "start_index")
 
 
-def write_fit(result: FitResult, path) -> None:
-    """Persist a fit: parameters, posteriors, trace, config echo and seed."""
+def _fit_doc(result: FitResult) -> dict:
+    """The document write_fit writes for a fit."""
     model = result.model
     comps = []
     for comp in model.components:
@@ -299,7 +303,6 @@ def write_fit(result: FitResult, path) -> None:
         if model.kind is Kind.CMVN:
             rec.update(alpha=float(comp.alpha), eta=float(comp.eta))
         comps.append(rec)
-    n_obs = int(result.resp.z.shape[0])
     r, p = model.components[0].shape
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -309,14 +312,14 @@ def write_fit(result: FitResult, path) -> None:
         "components": comps,
         "loglik": result.loglik,
         "loglik_trace": result.loglik_trace.tolist(),
-        "n_obs": n_obs,
+        "n_obs": len(result.resp.z),
         "n_params": count_free_params(model.kind, model.g, r, p),
-        "seed": int(result.seed),
+        "seed": result.seed,
         "config": asdict(result.config),
         "z": result.resp.z.tolist(),
         "labels": result.hard_labels.tolist(),
         "converged": bool(result.converged),
-        "iterations": int(result.iterations),
+        "iterations": result.iterations,
         "start_index": int(result.start_index),
         "warnings": list(result.warnings),
     }
@@ -324,7 +327,12 @@ def write_fit(result: FitResult, path) -> None:
         doc["v"] = result.resp.v.tolist()
     if result.bad_flags is not None:
         doc["bad_flags"] = result.bad_flags.tolist()
-    _dump_canonical(doc, path)
+    return doc
+
+
+def write_fit(result: FitResult, path) -> None:
+    """Persist a fit: parameters, posteriors, trace, config echo and seed."""
+    _dump_canonical(_fit_doc(result), path)
 
 
 def _model_from_doc(doc, kind: Kind) -> MixtureModel:
@@ -345,11 +353,10 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
 
 
 def read_fit(path) -> FitResult:
-    """Load a fit written by write_fit; the round trip is exact.  Its labels
-    and bad flags must be the classification of its z and v, and its g,
-    n_obs, iterations, loglik, seed and start_index must agree with its
-    components, z, trace and config."""
-    doc = _load_doc(path, _FIT_KEYS)
+    """Load a fit written by write_fit; the round trip is exact.  The record is built from
+    the independent fields, converged and start_index included; then every field in
+    _DERIVED_KEYS must be exactly (JSON type and value) what write_fit writes for it."""
+    doc = _load_doc(path)
     try:
         model = _model_from_doc(doc, Kind(doc["kind"]))
         resp = Responsibilities(z=doc["z"], v=doc.get("v"))
@@ -357,48 +364,29 @@ def read_fit(path) -> FitResult:
             raise ValueError(f"z must be N x {model.g}, with v exactly when kind is cmvn")
         if not all(np.isfinite(a).all() for a in (resp.z, resp.v) if a is not None):
             raise ValueError("z and v must be finite")
-        labels, bad = classify_from(resp, model.kind)
-        hard = as_vector(doc.get("labels"), "labels", int, len(resp.z))
-        flags = as_vector(doc.get("bad_flags"), "bad_flags", bool, len(resp.z))
-        # array_equal(None, x) holds only for x None, so mvn fits carry no flags
-        if not (np.array_equal(hard, labels) and np.array_equal(flags, bad)):
-            raise ValueError("labels and bad_flags must be the classification of z and v")
         cfg = dict(doc["config"])
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
-        for key in ("g", "n_starts", "max_iter", "seed"):
-            if key in cfg:
-                _typed(cfg, key, int)
         config = FitConfig(**{k: v for k, v in cfg.items() if k in known})
         if config.g != model.g:
             raise ValueError(f"config.g must be {model.g}, got {config.g!r}")
         trace = np.asarray(doc["loglik_trace"], dtype=float)
-        derived = {"g": model.g, "n_obs": len(resp.z), "iterations": len(trace),
-                   "seed": config.seed}
-        for key, want in derived.items():
-            if _typed(doc, key, int) != want:
-                raise ValueError(f"{key} must be {want!r}, got {doc[key]!r}")
-        if trace[-1:].tolist() != [doc["loglik"]]:  # also refuses an empty trace
-            raise ValueError("loglik must be the last loglik_trace value")
-        if not 0 <= _typed(doc, "start_index", int) < config.n_starts:
+        if not trace.size:
+            raise ValueError("loglik_trace must not be empty")
+        if not 0 <= doc["start_index"] < config.n_starts:
             raise ValueError(f"start_index must be in [0, n_starts={config.n_starts})")
-        if not all(isinstance(w, str) for w in _typed(doc, "warnings", list)):
-            raise TypeError("warnings must be a list of strings")
-        return FitResult(
-            model=model,
-            resp=resp,
-            loglik_trace=trace,
-            converged=_typed(doc, "converged", bool),
-            iterations=doc["iterations"],
-            hard_labels=hard,
-            bad_flags=flags,
-            seed=doc["seed"],
-            config=config,
-            start_index=doc["start_index"],
-            warnings=tuple(doc["warnings"]),
-        )
+        result = FitResult(model=model, resp=resp, loglik_trace=trace, converged=doc["converged"],
+                           config=config, start_index=doc["start_index"],
+                           warnings=tuple(_strings(doc, "warnings")))
+        want = _fit_doc(result)
+        for key in _DERIVED_KEYS:  # a NaN or infinity in doc raises, so it equals nothing
+            want_text = json.dumps(want.get(key))
+            if json.dumps(doc.get(key), allow_nan=False) != want_text:
+                raise ValueError(f"{key} must be {want_text[:40]}, as write_fit writes it")
     except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit document: {exc}") from None
+    _warn_unknown(doc, want, path)
+    return result
 
 
 def write_sweep(sweep_result, path) -> None:

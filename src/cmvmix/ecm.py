@@ -10,7 +10,8 @@ one, falling back with warnings to a chain that is neither.
 """
 
 import enum
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -95,6 +96,15 @@ class Responsibilities:
             object.__setattr__(self, "v", v)
 
 
+def _number(name, val, kind):
+    """val as a Python int or float (kind), so numpy scalars serialize; a
+    boolean, or a float for an int (2.0 included), is refused, not cast."""
+    if isinstance(val, bool) or not isinstance(
+            val, numbers.Integral if kind is int else numbers.Real):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
 def check_seed(seed):
     """Refuse a negative seed by name: numpy's generators refuse it with a
     message that names neither the option nor the value."""
@@ -118,42 +128,52 @@ class FitConfig:
     min_cluster_weight: Optional[float] = None
 
     def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("g must be >= 1")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in ("g", "n_starts", "max_iter", "seed"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), int))
+            if name != "seed" and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         check_seed(self.seed)
+        object.__setattr__(self, "tol", _number("tol", self.tol, float))
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be > 0 and finite")
-        if self.min_cluster_weight is not None and not self.min_cluster_weight > 0:
-            raise ValueError("min_cluster_weight must be > 0")
+        if self.min_cluster_weight is not None:
+            mcw = _number("min_cluster_weight", self.min_cluster_weight, float)
+            if not mcw > 0:
+                raise ValueError("min_cluster_weight must be > 0")
+            object.__setattr__(self, "min_cluster_weight", mcw)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged model plus everything needed for reporting and replay."""
+    """Converged model plus everything needed for reporting and replay.  hard_labels and
+    bad_flags are classify_from(resp, model.kind); iterations is the trace's length."""
 
     model: MixtureModel
     resp: Responsibilities
     loglik_trace: np.ndarray
     converged: bool
-    iterations: int
-    hard_labels: np.ndarray
-    bad_flags: Optional[np.ndarray]
-    seed: int
     config: FitConfig
     start_index: int = 0
     warnings: Tuple[str, ...] = ()
+    hard_labels: np.ndarray = field(init=False)
+    bad_flags: Optional[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        for name in ("loglik_trace", "hard_labels", "bad_flags"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "loglik_trace", _frozen(self.loglik_trace))
+        for name, a in zip(("hard_labels", "bad_flags"), classify_from(self.resp, self.model.kind)):
+            object.__setattr__(self, name, _frozen(a))
 
     @property
     def loglik(self) -> float:
         return float(self.loglik_trace[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loglik_trace)
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
@@ -211,7 +231,8 @@ def _cm_step_1(xt, z, v, etas_prev, ng):
     masses ng = z.sum(axis=1), giving u (G, N); v None is plain MVN."""
     r, p, n = xt.shape
     weights = ng / n
-    alphas = None if v is None else np.clip((z * v).sum(axis=1) / ng, _ALPHA_EPS, 1.0 - _ALPHA_EPS)
+    alphas = None if v is None else np.minimum(
+        np.maximum((z * v).sum(axis=1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
     u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[:, None])
     means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p) / u.sum(axis=1)[:, None, None]
@@ -379,7 +400,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         rng = np.random.default_rng(config.seed ^ s)
         init_z, init_v = _initial_responsibilities(rng, data.n, config.g, kind)
         try:
-            theta, resp, trace, converged, iters = _run_chain(data, kind, config, init_z, init_v)
+            theta, resp, trace, converged, _ = _run_chain(data, kind, config, init_z, init_v)
         except (DegenerateCluster, NotPositiveDefinite) as exc:
             failures.append(f"start {s}: {exc}")
             continue
@@ -390,29 +411,17 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
                  for j, a in enumerate(theta[1] if cmvn else ()) if a <= 0.5]
         key = (not warns, converged, trace[-1])
         if best is None or key > best_key:
-            best, best_key = (theta, resp, trace, converged, iters, s, warns), key
+            best, best_key = (theta, resp, trace, converged, s, warns), key
     if best is None:
         raise AllStartsFailed("; ".join(failures))
-    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, iters, s, warns = best
+    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, s, warns = best
     if not converged:
         warns.append(f"start {s} did not converge in max_iter={config.max_iter} iterations")
     bases = [MvnParams(*msp) for msp in zip(means, sigmas, psis)]
     comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
     model = MixtureModel(kind=kind, weights=weights, components=comps)
-    labels, bad = classify_from(resp, kind)
-    return FitResult(
-        model=model,
-        resp=resp,
-        loglik_trace=trace,
-        converged=converged,
-        iterations=iters,
-        hard_labels=labels,
-        bad_flags=bad,
-        seed=config.seed,
-        config=config,
-        start_index=s,
-        warnings=tuple(warns),
-    )
+    return FitResult(model=model, resp=resp, loglik_trace=trace, converged=converged,
+                     config=config, start_index=s, warnings=tuple(warns))
 
 
 def classify_from(resp: Responsibilities, kind: Kind):

@@ -75,17 +75,17 @@ def sweep(data: Dataset, kinds: Sequence[Kind], g_range: Sequence[int],
     and G inner.
     """
     kinds = [Kind(k) for k in kinds]
-    gs = list(g_range)
-    if not gs or not kinds:
+    configs = [replace(config, g=g) for g in g_range]  # each g checked, and kept as an int
+    if not configs or not kinds:
         raise ValueError("kinds and g_range must be non-empty")
     entries = []
     for kind in kinds:
-        for g in gs:
+        for cfg in configs:
             try:
-                res = fit(data, replace(config, g=g), kind)
-                entries.append(SweepEntry(kind=kind, g=g, bic=bic_of(res, data), result=res))
+                res = fit(data, cfg, kind)
+                entries.append(SweepEntry(kind=kind, g=cfg.g, bic=bic_of(res, data), result=res))
             except CmvmixError as exc:
-                entries.append(SweepEntry(kind=kind, g=g, bic=None, result=None, error=str(exc)))
+                entries.append(SweepEntry(kind=kind, g=cfg.g, bic=None, result=None, error=str(exc)))
 
     ok = [(i, e) for i, e in enumerate(entries) if e.bic is not None]
     if not ok:

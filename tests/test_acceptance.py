@@ -425,17 +425,13 @@ def _random_fit_result(rng):
     model = MixtureModel(kind=kind, weights=w / w.sum(), components=tuple(comps))
     z = rng.dirichlet(np.ones(g), size=n)
     v = rng.uniform(0.0, 1.0, size=(n, g)) if kind is Kind.CMVN else None
-    labels = np.argmax(z, axis=1)
-    bad = (v[np.arange(n), labels] <= 0.5) if v is not None else None
     trace = np.sort(rng.standard_normal(int(rng.integers(2, 30))) * 100.0)
     cfg = FitConfig(g=g, n_starts=int(rng.integers(1, 30)),
                     max_iter=int(rng.integers(10, 500)),
                     tol=float(10.0 ** rng.uniform(-10, -6)),
                     seed=int(rng.integers(1 << 31)))
     return FitResult(model=model, resp=Responsibilities(z=z, v=v),
-                     loglik_trace=trace, converged=bool(rng.random() < 0.8),
-                     iterations=len(trace), hard_labels=labels, bad_flags=bad,
-                     seed=cfg.seed, config=cfg,
+                     loglik_trace=trace, converged=bool(rng.random() < 0.8), config=cfg,
                      start_index=int(rng.integers(cfg.n_starts)),
                      warnings=("majority-bad",) if rng.random() < 0.2 else ())
 

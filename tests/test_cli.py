@@ -285,9 +285,12 @@ class TestFit:
     @pytest.mark.parametrize("fields", ['"samples": 5', '"samples": [["x"]]',
                                         '"samples": [[1.0]], "labels": [1.5]',
                                         '"samples": [[1.0]], "good_flags": [2]',
-                                        '"samples": [[1.0]], "labels": [9223372036854775808]'],
+                                        '"samples": [[1.0]], "labels": [9223372036854775808]',
+                                        '"samples": [[1.0]], "names": "a"',
+                                        '"samples": [[1.0]], "names": [1]'],
                              ids=["samples-number", "value-text", "labels-fractional",
-                                  "flags-not-bool", "label-beyond-int64"])
+                                  "flags-not-bool", "label-beyond-int64", "names-text",
+                                  "names-not-strings"])
     def test_malformed_dataset_is_io_error(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 1, ' + fields + '}')

@@ -128,8 +128,11 @@ class TestDatasetJson:
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "good_flags": [2, "no"]',
         '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "labels": [9223372036854775808]',
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [true, 2]',
+        '"n": 3, "r": 1, "p": 1, "samples": [[1.0], [2.0], [3.0]], "names": "abc"',
+        '"n": 3, "r": 1, "p": 1, "samples": [[1.0], [2.0], [3.0]], "names": [1, null, 2.5]',
     ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short",
-            "labels-fractional", "flags-not-bool", "label-beyond-int64", "label-bool"])
+            "labels-fractional", "flags-not-bool", "label-beyond-int64", "label-bool",
+            "names-text", "names-not-strings"])
     def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, ' + fields + '}')
@@ -569,13 +572,16 @@ class TestFitRoundTrip:
         ("seed", lambda v: v + 1),
         ("start_index", float),
         ("start_index", lambda v: 99),
+        ("start_index", lambda v: v == 1),  # a boolean in range
         ("converged", lambda v: "false"),
         ("converged", int),
         ("warnings", lambda v: "oops"),
         ("warnings", lambda v: [1]),
         ("g", lambda v: 7),
         ("loglik", lambda v: 123.0),
+        ("loglik", lambda v: float("nan")),
         ("n_obs", lambda v: 5),
+        ("n_params", lambda v: v + 1),
         ("config", lambda v: {**v, "g": 2.5}),
         ("config", lambda v: {**v, "g": 3}),
         ("config", lambda v: {**v, "n_starts": float(v["n_starts"])}),
@@ -588,9 +594,10 @@ class TestFitRoundTrip:
         ("z", lambda v: [[float("nan")] * len(row) if row == max(v) else row for row in v]),
         ("v", lambda v: [[float("nan")] * len(v[0]), *v[1:]]),
     ], ids=["iterations-float", "iterations-not-trace-length", "seed-float",
-            "seed-not-config-seed", "start-float", "start-beyond-n-starts", "converged-text",
-            "converged-int", "warnings-text", "warnings-not-strings", "g-not-components",
-            "loglik-not-trace-end", "n-obs-not-z-rows", "config-g-float",
+            "seed-not-config-seed", "start-float", "start-beyond-n-starts", "start-bool",
+            "converged-text", "converged-int", "warnings-text", "warnings-not-strings",
+            "g-not-components", "loglik-not-trace-end", "loglik-nan", "n-obs-not-z-rows",
+            "n-params-not-model", "config-g-float",
             "config-g-not-model-g", "config-n-starts-float", "config-max-iter-bool",
             "config-seed-float", "eta-nan", "eta-infinite", "weight-nan", "z-row-nan",
             "v-row-nan"])
@@ -662,6 +669,24 @@ class TestFitRoundTrip:
 
 
 class TestSweepDocument:
+    def test_numpy_scalar_config_and_g_range_round_trip(self, tmp_path):
+        # numpy scalars used to reach json and fail there as "not JSON serializable"
+        data = generate(reference_model(), 40, seed=8)
+        cfg = FitConfig(g=np.int64(2), n_starts=np.int64(2), seed=np.int64(1),
+                        tol=np.float32(1e-6))
+        result = fit(data, cfg, Kind.CMVN)
+        p1, p2 = tmp_path / "f1.json", tmp_path / "f2.json"
+        write_fit(result, p1)
+        back = read_fit(p1)
+        assert back.config == result.config and back.seed == 1
+        write_fit(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        res = sweep(data, [Kind.MVN, Kind.CMVN], np.arange(1, 3), cfg)
+        assert [type(e.g) for e in res.entries] == [int] * 4
+        write_sweep(res, tmp_path / "sweep.json")
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert [e["g"] for e in doc["entries"]] == [1, 2, 1, 2]
+
     def test_write(self, tmp_path):
         data = generate(reference_model(), 60, seed=7)
         res = sweep(data, [Kind.MVN], [1, 2], FitConfig(n_starts=2, seed=0))

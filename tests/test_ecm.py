@@ -931,6 +931,23 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             FitConfig(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("g", 2.5), ("g", 2.0), ("max_iter", 2.5), ("seed", 1.5), ("n_starts", True),
+        ("g", np.bool_(True)), ("seed", "1"), ("tol", True), ("tol", "1e-8"),
+    ])
+    def test_wrong_types_rejected(self, field, value):
+        # g=2.5 used to fail inside numpy, n_starts=True to run one start
+        with pytest.raises(TypeError, match=f"{field} must be of type"):
+            FitConfig(**{field: value})
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        cfg = FitConfig(g=np.int64(2), n_starts=np.int32(3), max_iter=np.uint16(50),
+                        seed=np.int64(4), tol=np.float32(1e-6), min_cluster_weight=np.float32(2))
+        assert cfg == FitConfig(g=2, n_starts=3, max_iter=50, seed=4,
+                                tol=float(np.float32(1e-6)), min_cluster_weight=2.0)
+        assert [type(getattr(cfg, k)) for k in ("g", "n_starts", "max_iter", "seed", "tol",
+                                                  "min_cluster_weight")] == [int] * 4 + [float] * 2
+
 
 class TestClassify:
     def test_basic(self):

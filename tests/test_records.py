@@ -1,12 +1,15 @@
 """The record constructors keep their own copy of the arrays they validate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cmvmix.data import Dataset
 from cmvmix.dataio import read_fit, write_fit
 from cmvmix.distributions import CmvnParams, MvnParams
-from cmvmix.ecm import FitConfig, Kind, MixtureModel, Responsibilities, fit
+from cmvmix.ecm import (FitConfig, FitResult, Kind, MixtureModel, Responsibilities,
+                        classify_from, fit)
 from cmvmix.errors import DimensionMismatch
 from cmvmix.simulate import generate, reference_model
 
@@ -75,6 +78,48 @@ def test_fit_results_are_read_only(tmp_path, read_back):
     arrays = (result.resp.z, result.resp.v, result.hard_labels, result.bad_flags,
               result.loglik_trace)
     assert not any(a.flags.writeable for a in arrays)
+
+
+def _small_result(kind, **extra):
+    comp = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
+    if kind is Kind.CMVN:
+        comp = CmvnParams(comp, 0.9, 2.0)
+    model = MixtureModel(kind=kind, weights=[0.5, 0.5], components=(comp, comp))
+    resp = Responsibilities(z=[[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]],
+                            v=[[0.9, 0.3], [0.7, 0.7], [0.5, 0.1]] if kind is Kind.CMVN else None)
+    return FitResult(model=model, resp=resp, loglik_trace=[-3.0, -2.5], converged=True,
+                     config=FitConfig(g=2, seed=11), **extra)
+
+
+@pytest.mark.parametrize("name, value", [("hard_labels", [1, 0, 0]), ("bad_flags", None),
+                                         ("iterations", 2), ("seed", 11)])
+def test_fit_result_refuses_derived_values(name, value):
+    with pytest.raises(TypeError, match=name):
+        _small_result(Kind.CMVN, **{name: value})
+
+
+@pytest.mark.parametrize("kind", [Kind.CMVN, Kind.MVN])
+def test_fit_result_derives_labels_flags_iterations_and_seed(kind):
+    result = _small_result(kind)
+    labels, bad = classify_from(result.resp, kind)
+    np.testing.assert_array_equal(result.hard_labels, labels)
+    assert result.hard_labels.tolist() == [1, 0, 0]
+    if kind is Kind.CMVN:
+        np.testing.assert_array_equal(result.bad_flags, bad)
+        assert result.bad_flags.tolist() == [True, False, True]  # v <= 0.5 is bad
+        assert not result.bad_flags.flags.writeable
+    else:
+        assert result.bad_flags is None
+    assert not result.hard_labels.flags.writeable
+    assert (result.iterations, result.seed) == (2, 11)
+    for name in ("hard_labels", "bad_flags", "iterations", "seed"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+
+
+def test_dataset_refuses_a_str_of_names():
+    with pytest.raises(TypeError, match="unit_names"):
+        Dataset(np.zeros((3, 1, 1)), unit_names="abc")
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf], ids=["nan", "infinite"])
