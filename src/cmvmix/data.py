@@ -1,5 +1,9 @@
-"""Three-way dataset container: N units, each an r x p matrix."""
+"""Three-way dataset container: N units, each an r x p matrix, and the gates
+that every record and reader passes values from outside through: each
+refuses a value of the wrong type instead of casting it."""
 
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -7,19 +11,35 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+_KINDS = {float: "iuf", int: "iu", bool: "b"}  # the np.array element kinds each dtype takes
 
-def as_vector(val, name, dtype, n):
-    """A read-only copy of val as a length-n int64 or bool vector (None passes through);
-    other element types, and integers int64 cannot hold, are refused, not cast
-    (1.5 would read as 1, 2 as True, True as 1 and 2**63 as -2**63)."""
+
+def as_number(name, val, kind):
+    """val as a Python int or float (kind), so numpy scalars serialize; a
+    boolean, or a float for an int (2.0 included), is refused, not cast."""
+    if isinstance(val, bool) or not isinstance(
+            val, numbers.Integral if kind is int else numbers.Real):
+        raise TypeError(f"{name} must be of type {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
+def as_array(val, name, dtype, shape=None):
+    """A read-only copy of val as a float, int64 or bool array (dtype), of the
+    given shape if one is given (None passes through).  Element types dtype
+    does not take are refused, not cast: strings ("1.5" would read as 1.5),
+    objects (None, ragged lists), complex numbers (the imaginary part would
+    be dropped), booleans for numbers (True would read as 1; numpy types
+    [1.5, True] as float, so only an all-boolean float array is refused),
+    floats for integers (1.5 as 1) and integers int64 cannot hold (2**63 as
+    -2**63)."""
     if val is None:
         return None
     arr = np.array(val)
-    if arr.dtype.kind not in {int: "iu", bool: "b"}[dtype]:
+    if arr.dtype.kind not in _KINDS[dtype]:
         raise ValueError(f"{name} must be of type {dtype.__name__}, got {arr.dtype}")
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"{name} must have length {n}, got {arr.shape}")
-    if arr.dtype.kind == "u" and (arr > np.iinfo(np.int64).max).any():
+    if shape is not None and arr.shape != shape:
+        raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
+    if dtype is int and arr.dtype.kind == "u" and (arr > np.iinfo(np.int64).max).any():
         raise ValueError(f"{name} must fit int64, got {arr.max()}")
     if dtype is int and not isinstance(val, np.ndarray) and not {bool, np.bool_}.isdisjoint(
             map(type, val)):  # np.array reads [True, 2] as [1, 2]
@@ -27,6 +47,17 @@ def as_vector(val, name, dtype, n):
     arr = arr.astype(dtype, copy=False)
     arr.setflags(write=False)
     return arr
+
+
+def as_strings(val, name):
+    """val as a tuple of plain str; a bare str or a mapping (whose items would
+    each be one string) and any item that is not a str are refused, not cast."""
+    if isinstance(val, (str, Mapping)):
+        raise TypeError(f"{name} must be a sequence of strings, not a {type(val).__name__}")
+    items = tuple(val)
+    if not all(isinstance(s, str) for s in items):
+        raise TypeError(f"{name} must be a sequence of strings")
+    return tuple(map(str, items))
 
 
 @dataclass(frozen=True)
@@ -44,21 +75,18 @@ class Dataset:
     unit_names: Optional[Sequence[str]] = None
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=float)
+        samples = as_array(self.samples, "samples", float)
         if samples.ndim != 3 or 0 in samples.shape:
             raise DimensionMismatch(
                 f"samples must have shape (N, r, p) with N, r, p >= 1, got {samples.shape}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples contain non-finite entries")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         n = samples.shape[0]
         for name, dtype in (("true_labels", int), ("good_flags", bool)):
-            object.__setattr__(self, name, as_vector(getattr(self, name), name, dtype, n))
+            object.__setattr__(self, name, as_array(getattr(self, name), name, dtype, (n,)))
         if self.unit_names is not None:
-            if isinstance(self.unit_names, str):  # whose items would each be one name
-                raise TypeError("unit_names must be a sequence of names, not a str")
-            names = tuple(str(s) for s in self.unit_names)
+            names = as_strings(self.unit_names, "unit_names")
             if len(names) != n:
                 raise DimensionMismatch(f"unit_names must have length {n}, got {len(names)}")
             object.__setattr__(self, "unit_names", names)

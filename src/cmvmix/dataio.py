@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_array, as_number
 from .distributions import CmvnParams, MvnParams
 from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
 from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
@@ -104,23 +104,6 @@ def _warn_unknown(doc, known, path):
         warnings.warn(f"{path}: ignoring unknown fields {sorted(extra)}")
 
 
-def _strings(doc, key):
-    """doc[key] if it is a JSON list of strings."""
-    val = doc[key]
-    if type(val) is not list or not all(isinstance(s, str) for s in val):
-        raise TypeError(f"{key} must be a list of strings")
-    return val
-
-
-def _typed(doc, key, kind):
-    """doc[key] if its JSON type is exactly kind: a float or a boolean is
-    refused as an integer, not truncated or cast."""
-    val = doc[key]
-    if type(val) is not kind:
-        raise TypeError(f"{key} must be of JSON type {kind.__name__}, got {val!r}")
-    return val
-
-
 def write_dataset(data: Dataset, path) -> None:
     """Write a dataset as long CSV if path ends in .csv, else as canonical JSON."""
     rows = data.samples.reshape(data.n, -1)
@@ -157,7 +140,7 @@ def read_dataset(path) -> Dataset:
     doc = _load_doc(path)
     _warn_unknown(doc, _DATASET_KEYS, path)
     try:
-        n, r, p = (_typed(doc, key, int) for key in ("n", "r", "p"))
+        n, r, p = (as_number(key, doc[key], int) for key in ("n", "r", "p"))
         flat = doc["samples"]
         if len(flat) != n:
             raise ShapeError(f"{path}: expected {n} samples, found {len(flat)}")
@@ -165,13 +148,9 @@ def read_dataset(path) -> Dataset:
             if len(values) != r * p:
                 raise ShapeError(
                     f"{path}: sample {i + 1} has {len(values)} values, expected {r * p}")
-        samples = np.array(flat, dtype=float).reshape(n, r, p)
-        return Dataset(
-            samples=samples,
-            true_labels=doc.get("labels"),
-            good_flags=doc.get("good_flags"),
-            unit_names=None if doc.get("names") is None else _strings(doc, "names"),
-        )
+        return Dataset(samples=as_array(flat, "samples", float).reshape(n, r, p),
+                       true_labels=doc.get("labels"), good_flags=doc.get("good_flags"),
+                       unit_names=doc.get("names"))
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
     except (DimensionMismatch, TypeError, ValueError) as exc:
@@ -301,7 +280,7 @@ def _fit_doc(result: FitResult) -> dict:
         base = comp.base if model.kind is Kind.CMVN else comp
         rec = {"m": base.m.tolist(), "sigma": base.sigma.tolist(), "psi": base.psi.tolist()}
         if model.kind is Kind.CMVN:
-            rec.update(alpha=float(comp.alpha), eta=float(comp.eta))
+            rec.update(alpha=comp.alpha, eta=comp.eta)
         comps.append(rec)
     r, p = model.components[0].shape
     doc = {
@@ -346,7 +325,7 @@ def _model_from_doc(doc, kind: Kind) -> MixtureModel:
     for rec in doc["components"]:
         base = MvnParams(rec["m"], rec["sigma"], rec["psi"])
         if kind is Kind.CMVN:
-            comps.append(CmvnParams(base, float(rec["alpha"]), float(rec["eta"])))
+            comps.append(CmvnParams(base, rec["alpha"], rec["eta"]))
         else:
             comps.append(base)
     return MixtureModel(kind=kind, weights=doc["weights"], components=tuple(comps))
@@ -370,14 +349,14 @@ def read_fit(path) -> FitResult:
         config = FitConfig(**{k: v for k, v in cfg.items() if k in known})
         if config.g != model.g:
             raise ValueError(f"config.g must be {model.g}, got {config.g!r}")
-        trace = np.asarray(doc["loglik_trace"], dtype=float)
-        if not trace.size:
-            raise ValueError("loglik_trace must not be empty")
+        trace = as_array(doc["loglik_trace"], "loglik_trace", float)
+        if not (trace.ndim == 1 and trace.size and np.isfinite(trace).all()):
+            raise ValueError("loglik_trace must be a non-empty list of finite numbers")
         if not 0 <= doc["start_index"] < config.n_starts:
             raise ValueError(f"start_index must be in [0, n_starts={config.n_starts})")
         result = FitResult(model=model, resp=resp, loglik_trace=trace, converged=doc["converged"],
                            config=config, start_index=doc["start_index"],
-                           warnings=tuple(_strings(doc, "warnings")))
+                           warnings=doc["warnings"])
         want = _fit_doc(result)
         for key in _DERIVED_KEYS:  # a NaN or infinity in doc raises, so it equals nothing
             want_text = json.dumps(want.get(key))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .data import as_array, as_number
 from .errors import DimensionMismatch
 
 ETA_MIN = 1.0001
@@ -73,6 +74,8 @@ class CmvnParams:
     eta: float
 
     def __post_init__(self):
+        for name in ("alpha", "eta"):
+            object.__setattr__(self, name, as_number(name, getattr(self, name), float))
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not ETA_MIN <= self.eta < np.inf:
@@ -96,7 +99,7 @@ def cmvn_log_density(x, params: CmvnParams) -> float:
 def _one_law_logs(x, base: MvnParams, alpha=None, eta=None):
     """_logs_from_distances for one r x p matrix under one law: the N = 1,
     G = 1 case of _distances."""
-    delta, log_det = _distances(np.asarray(x, dtype=float)[None, :, :], [base])
+    delta, log_det = _distances(as_array(x, "x", float)[None, :, :], [base])
     return _logs_from_distances(delta[0, 0], log_det[0], base.m.size, alpha, eta)
 
 

@@ -10,14 +10,13 @@ one, falling back with warnings to a chain that is neither.
 """
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from . import linalg
-from .data import Dataset
+from .data import Dataset, as_array, as_number, as_strings
 from .distributions import ETA_MIN, CmvnParams, MvnParams, _distances, _logs_from_distances
 from .errors import (
     AllStartsFailed,
@@ -37,15 +36,6 @@ class Kind(str, enum.Enum):
     CMVN = "cmvn"
 
 
-def _frozen(a, dtype=None):
-    """A read-only copy of a as an array (None passes through)."""
-    if a is None:
-        return None
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class MixtureModel:
     """Mixing weights plus per-component parameter records."""
@@ -55,7 +45,7 @@ class MixtureModel:
     components: Tuple[Union[MvnParams, CmvnParams], ...]
 
     def __post_init__(self):
-        w = _frozen(self.weights, float)
+        w = as_array(self.weights, "weights", float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty vector")
         if not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails both
@@ -85,24 +75,12 @@ class Responsibilities:
     v: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        z = _frozen(self.z, float)
+        z = as_array(self.z, "z", float)
         if z.ndim != 2:
             raise DimensionMismatch("z must be N x G")
         object.__setattr__(self, "z", z)
         if self.v is not None:
-            v = _frozen(self.v, float)
-            if v.shape != z.shape:
-                raise DimensionMismatch("v must match z in shape")
-            object.__setattr__(self, "v", v)
-
-
-def _number(name, val, kind):
-    """val as a Python int or float (kind), so numpy scalars serialize; a
-    boolean, or a float for an int (2.0 included), is refused, not cast."""
-    if isinstance(val, bool) or not isinstance(
-            val, numbers.Integral if kind is int else numbers.Real):
-        raise TypeError(f"{name} must be of type {kind.__name__}, got {val!r}")
-    return kind(val)
+            object.__setattr__(self, "v", as_array(self.v, "v", float, z.shape))
 
 
 def check_seed(seed):
@@ -129,15 +107,15 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("g", "n_starts", "max_iter", "seed"):
-            object.__setattr__(self, name, _number(name, getattr(self, name), int))
+            object.__setattr__(self, name, as_number(name, getattr(self, name), int))
             if name != "seed" and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         check_seed(self.seed)
-        object.__setattr__(self, "tol", _number("tol", self.tol, float))
+        object.__setattr__(self, "tol", as_number("tol", self.tol, float))
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be > 0 and finite")
         if self.min_cluster_weight is not None:
-            mcw = _number("min_cluster_weight", self.min_cluster_weight, float)
+            mcw = as_number("min_cluster_weight", self.min_cluster_weight, float)
             if not mcw > 0:
                 raise ValueError("min_cluster_weight must be > 0")
             object.__setattr__(self, "min_cluster_weight", mcw)
@@ -159,9 +137,11 @@ class FitResult:
     bad_flags: Optional[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "loglik_trace", _frozen(self.loglik_trace))
-        for name, a in zip(("hard_labels", "bad_flags"), classify_from(self.resp, self.model.kind)):
-            object.__setattr__(self, name, _frozen(a))
+        object.__setattr__(self, "loglik_trace", as_array(self.loglik_trace, "loglik_trace", float))
+        object.__setattr__(self, "warnings", as_strings(self.warnings, "warnings"))
+        for name, a, dtype in zip(("hard_labels", "bad_flags"),
+                                  classify_from(self.resp, self.model.kind), (int, bool)):
+            object.__setattr__(self, name, as_array(a, name, dtype))
 
     @property
     def loglik(self) -> float:
@@ -418,7 +398,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     if not converged:
         warns.append(f"start {s} did not converge in max_iter={config.max_iter} iterations")
     bases = [MvnParams(*msp) for msp in zip(means, sigmas, psis)]
-    comps = [CmvnParams(b, float(a), float(e)) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
+    comps = [CmvnParams(b, a, e) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
     model = MixtureModel(kind=kind, weights=weights, components=comps)
     return FitResult(model=model, resp=resp, loglik_trace=trace, converged=converged,
                      config=config, start_index=s, warnings=tuple(warns))

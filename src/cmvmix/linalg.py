@@ -15,14 +15,15 @@ definiteness where user data enters.
 
 import numpy as np
 
+from .data import as_array
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 SYMMETRY_ATOL = 1e-10
 
 
 def as_matrix(a, name="matrix"):
-    """Validate and return a 2-D float copy of a with finite entries."""
-    a = np.array(a, dtype=float)
+    """Validate and return a read-only 2-D float copy of a with finite entries."""
+    a = as_array(a, name, float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.size == 0:

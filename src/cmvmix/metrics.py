@@ -133,8 +133,8 @@ def outlier_report(result: FitResult, names: Optional[Sequence[str]] = None) -> 
         order = np.argsort(vj)
         clusters.append({
             "cluster": j + 1,
-            "alpha": float(comp.alpha),
-            "eta": float(comp.eta),
+            "alpha": comp.alpha,
+            "eta": comp.eta,
             "bad_points": [
                 {"unit": int(idx[k]) + 1, "name": names[idx[k]], "v": float(vj[k])}
                 for k in order

@@ -90,7 +90,7 @@ def run_single_outlier_study(seed: int, starts: int = FitConfig.n_starts,
             **selected,
             "v_perturbed": float(fitres.resp.v[i, label]),
             "perturbed_flagged_bad": bool(fitres.bad_flags[i]),
-            "eta_hat": float(fitres.model.components[label].eta),
+            "eta_hat": fitres.model.components[label].eta,
         })
 
     checks = []

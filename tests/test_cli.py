@@ -164,6 +164,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
 
+    def test_spec_text_weights_is_parse_error(self, tmp_path, capsys):
+        comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"weights": ["0.5", "0.5"], "components": [comp, comp]}))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
+
     def test_spec_kind_mvn(self, tmp_path):
         comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
         spec_path = tmp_path / "spec.json"

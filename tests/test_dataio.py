@@ -130,9 +130,14 @@ class TestDatasetJson:
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "labels": [true, 2]',
         '"n": 3, "r": 1, "p": 1, "samples": [[1.0], [2.0], [3.0]], "names": "abc"',
         '"n": 3, "r": 1, "p": 1, "samples": [[1.0], [2.0], [3.0]], "names": [1, null, 2.5]',
+        '"n": 1, "r": 1, "p": 2, "samples": [["1.5", 2.0]]',
+        '"n": 1, "r": 1, "p": 2, "samples": [[true, false]]',
+        '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "names": [1, null]',
+        '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "names": {"a": 1}',
     ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short",
             "labels-fractional", "flags-not-bool", "label-beyond-int64", "label-bool",
-            "names-text", "names-not-strings"])
+            "names-text", "names-not-strings", "value-numeric-text", "sample-all-bool",
+            "names-int-null", "names-mapping"])
     def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, ' + fields + '}')
@@ -593,6 +598,14 @@ class TestFitRoundTrip:
         # NaN across the row most surely in cluster 0: argmax picks the first NaN, as its label
         ("z", lambda v: [[float("nan")] * len(row) if row == max(v) else row for row in v]),
         ("v", lambda v: [[float("nan")] * len(v[0]), *v[1:]]),
+        ("loglik_trace", lambda v: [float("nan"), *v[1:]]),
+        ("loglik_trace", lambda v: [float("-inf"), *v[1:]]),
+        ("loglik_trace", lambda v: [str(x) for x in v]),
+        ("weights", lambda v: [str(w) for w in v]),
+        ("z", lambda v: [[str(x) for x in v[0]], *v[1:]]),
+        ("components", lambda v: [{**v[0], "alpha": str(v[0]["alpha"])}, *v[1:]]),
+        ("components", lambda v: [{**v[0], "m": [[str(v[0]["m"][0][0]), *v[0]["m"][0][1:]],
+                                                 *v[0]["m"][1:]]}, *v[1:]]),
     ], ids=["iterations-float", "iterations-not-trace-length", "seed-float",
             "seed-not-config-seed", "start-float", "start-beyond-n-starts", "start-bool",
             "converged-text", "converged-int", "warnings-text", "warnings-not-strings",
@@ -600,7 +613,8 @@ class TestFitRoundTrip:
             "n-params-not-model", "config-g-float",
             "config-g-not-model-g", "config-n-starts-float", "config-max-iter-bool",
             "config-seed-float", "eta-nan", "eta-infinite", "weight-nan", "z-row-nan",
-            "v-row-nan"])
+            "v-row-nan", "trace-nan-before-end", "trace-minus-inf-before-end", "trace-text",
+            "weights-text", "z-row-text", "alpha-text", "m-entry-text"])
     def test_malformed_or_inconsistent_fields_are_parse_errors(self, tmp_path, fitted, key,
                                                                value):
         _, result = fitted

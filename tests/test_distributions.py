@@ -49,6 +49,11 @@ class TestMvnDensity:
         params = MvnParams(np.zeros((2, 2)), np.eye(2), np.eye(2))
         assert mvn_log_density(np.zeros((2, 2)), params) == pytest.approx(-2 * LOG_2PI, rel=1e-14)
 
+    def test_text_matrix_is_refused(self):
+        params = MvnParams(np.zeros((1, 2)), np.eye(1), np.eye(2))
+        with pytest.raises(ValueError, match="x must be of type float"):
+            mvn_log_density([["1", "2"]], params)
+
     def test_vec_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(40):

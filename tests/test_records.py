@@ -122,6 +122,36 @@ def test_dataset_refuses_a_str_of_names():
         Dataset(np.zeros((3, 1, 1)), unit_names="abc")
 
 
+def test_dataset_refuses_names_that_are_not_strings():
+    with pytest.raises(TypeError, match="unit_names"):
+        Dataset(np.zeros((2, 1, 1)), unit_names=[1, None])
+
+
+_ONE = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
+_RECORDS = {  # each builds a record from one float array of outside values
+    "Dataset": lambda a: Dataset(np.reshape(a, (-1, 1, 1))),
+    "MvnParams": lambda a: MvnParams(np.reshape(a, (1, 1)), np.eye(1), np.eye(1)),
+    "MixtureModel": lambda a: MixtureModel(kind=Kind.MVN, weights=np.reshape(a, (1,)),
+                                           components=(_ONE,)),
+    "Responsibilities": lambda a: Responsibilities(z=np.reshape(a, (1, 1))),
+}
+
+
+@pytest.mark.parametrize("value", [np.array(["1.0"]), np.array([1.0 + 0j]), np.array([True])],
+                         ids=["text", "complex", "bool"])
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_records_refuse_arrays_they_would_cast(record, value):
+    _RECORDS[record](np.array([1.0]))  # the float array itself is taken
+    with pytest.raises(ValueError, match="must be of type float"):
+        _RECORDS[record](value)
+
+
+def test_cmvn_params_store_python_floats():
+    comp = CmvnParams(_ONE, np.float64(0.9), np.float32(2))
+    assert type(comp.alpha) is float and type(comp.eta) is float
+    assert (comp.alpha, comp.eta) == (0.9, 2.0)
+
+
 @pytest.mark.parametrize("eta", [np.nan, np.inf], ids=["nan", "infinite"])
 def test_cmvn_params_refuse_non_finite_eta(eta):
     base = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
