@@ -224,13 +224,6 @@ def _factors(mats, name):
     return np.stack([linalg.cholesky(a, name) for a in mats])
 
 
-def _weighted_residuals(samples, u, means):
-    """sqrt(u)-weighted residuals (G, r, p, N) of units (N, r, p) under
-    weights u (N, G), as the scale updates take them."""
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
-    return np.multiply(d, np.sqrt(np.asarray(u).T)[:, None, None], out=d)
-
-
 def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     """Row-scale update: weighted scatter through the previous column scale.
 
@@ -238,16 +231,16 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     when the component record is built, after the column scale is also
     updated, so the Kronecker product is preserved exactly.
     """
-    b = _weighted_residuals(samples, u, means)
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
     pi = np.linalg.inv(_factors(prev_psis, "psi"))
-    return list(linalg._row_scatter(b, pi, np.asarray(ng, dtype=float)))
+    return list(linalg._row_scatter(d, as_array(u, "u", float).T, pi, as_array(ng, "ng", float)))
 
 
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
-    b = _weighted_residuals(samples, u, means)
     si = np.linalg.inv(_factors(new_sigmas, "sigma"))
-    return list(linalg._col_scatter(b, si, np.asarray(ng, dtype=float)))
+    z = linalg._whiten(si, None, linalg._residuals(samples.transpose(1, 2, 0), means))
+    return list(linalg._col_scatter(z, as_array(u, "u", float).T, as_array(ng, "ng", float)))
 
 
 def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
@@ -275,29 +268,28 @@ def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
     axis: from units xt (r, p, N), posteriors z, v (G, N), the previous etas
     and inverse column factors psi_inv (G, p, p) to theta' = (weights,
     alphas, means, sigmas, psis, etas), the new psi_inv, distances (G, N)
-    and log determinants.  The (G, r, p, N) work arrays (residuals D, a
-    whitened copy W, another S, and B = sqrt(u) D) are written in place.
-    B is formed once and whitened by the previous column inverse for the
-    row scale and by the new row inverse for the column scale; each scale is
-    factored and inverted once, and D, whitened by both new inverses, gives
-    the distances for eta and the E-pass.  Plain MVN is v None (v = 1, no
+    and log determinants.  The (G, r, p, N) work arrays (residuals D, their
+    whitened copy Y, and Y's u-weighted copy U) are written in place.  D
+    whitened by the previous column inverse gives the row scale; D whitened
+    by the new row inverse, into Y, gives both the column scale and, whitened
+    by the new column inverse into U, the distances for eta and the E-pass.
+    Each scale is factored and inverted once.  Plain MVN is v None (v = 1, no
     alpha or eta).  Raises DegenerateCluster when a component's mass falls
     below mcw."""
     ng = z.sum(axis=1)
     if np.any(ng < mcw):
         raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
     r, p, _ = xt.shape
-    D, W, S, B = work
+    D, Y, U = work
     weights, alphas, means, u = _cm_step_1(xt, z, v, etas, ng)
     linalg._residuals(xt, means, out=D)
-    np.multiply(D, np.sqrt(u)[:, None, None], out=B)
-    sigmas = linalg._row_scatter(B, psi_inv, ng, out=W)
+    sigmas = linalg._row_scatter(D, u, psi_inv, ng, out=(Y, U))
     L_sigma = linalg.factor(sigmas, "sigma")
-    sigma_inv = np.linalg.inv(L_sigma)
-    psis = linalg._col_scatter(B, sigma_inv, ng, out=S)
+    Z = linalg._whiten(np.linalg.inv(L_sigma), None, D, out=Y)
+    psis = linalg._col_scatter(Z, u, ng, out=U)
     L_psi = linalg.factor(psis, "psi")
     psi_inv = np.linalg.inv(L_psi)
-    delta = linalg._whitened_distances(linalg._whiten(sigma_inv, None, D, out=W), psi_inv, out=S)
+    delta = linalg._whitened_distances(Z, psi_inv, out=U)
     log_det = linalg._log_det_kron(L_sigma, L_psi)
     if v is not None:
         etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
@@ -320,7 +312,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     v = np.asarray(init_v, dtype=float).T if cmvn else None
     etas = np.full(g, _INIT_ETA)
     psi_inv = np.tile(np.eye(p), (g, 1, 1))
-    work = tuple(np.empty((g, r, p, n)) for _ in range(4))
+    work = tuple(np.empty((g, r, p, n)) for _ in range(3))
 
     trace = []
     converged = False

@@ -7,8 +7,12 @@ inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
 The stacked kernels (``_distances`` and after) keep the N units on the last
 axis, so no whitening copies its residuals; public functions take units
 first.  The kernels that make a (G, r, p, N) array take an optional
-C-contiguous ``out`` of that shape and write it there, so the ECM chain
-allocates its work arrays once.  Matrices are plain numpy arrays; the
+C-contiguous ``out`` of that shape (a pair for ``_row_scatter``, which
+makes two) and write it there, so the ECM chain allocates its work arrays
+once.  No scatter multiplies an array by its own transpose, which numpy
+hands to the slower BLAS syrk: each is one gemm of the u-weighted copy of an
+array with the array, made exactly symmetric as (S + S')/2 (a float sum
+does not depend on its order).  Matrices are plain numpy arrays; the
 helpers below validate shape, finiteness, symmetry and positive
 definiteness where user data enters.
 """
@@ -129,34 +133,34 @@ def _whiten(Si, Pi, d, out=None):
     return d
 
 
-def _row_scatter(b, Pi, ng, out=None):
-    """Row scales sum_i B_gi Psi_g^-1 B_gi' / (p ng_g), a (G, r, r) stack, from
-    sqrt(u)-weighted residuals b (G, r, p, N) and the inverse column factors
-    Pi (G, p, p).  The whitened residuals (written into out, when given) are
-    one r x p*N matrix per component, so the sum is one product of that
-    matrix with its own transpose, which numpy returns exactly symmetric
-    (BLAS syrk fills one triangle and numpy copies it to the other).
-    """
-    g, r, p, n = b.shape
-    w = _whiten(None, Pi, b, out).reshape(g, r, p * n)
-    return np.matmul(w, w.swapaxes(1, 2)) / (p * ng[:, None, None])
+def _row_scatter(d, u, Pi, ng, out=None):
+    """Row scales sum_i u_gi D_gi Psi_g^-1 D_gi' / (p ng_g), a (G, r, r)
+    stack, from residuals d (G, r, p, N), weights u (G, N) and the inverse
+    column factors Pi (G, p, p): the whitened residuals Y = D Pi' and their
+    u-weighted copy Yu (into the pair out, when given) are each one r x p*N
+    matrix per component, and the sum is Yu Y'."""
+    g, r, p, n = d.shape
+    y, yu = (None, None) if out is None else out
+    y = _whiten(None, Pi, d, y)
+    yu = np.multiply(y, u[:, None, None], out=yu)
+    s = np.matmul(yu.reshape(g, r, p * n), y.reshape(g, r, p * n).swapaxes(1, 2))
+    return (s + s.swapaxes(1, 2)) / (2.0 * p * ng[:, None, None])
 
 
-def _col_scatter(b, Si, ng, out=None):
-    """Column scales sum_i B_gi' Sigma_g^-1 B_gi / (r ng_g), a (G, p, p)
-    stack, from the same weighted residuals b whitened by the inverse row
-    factors Si (G, r, r) (into out, when given): a sum over the r rows of
-    p x N blocks, each times its own transpose, so again exactly symmetric.
-    """
-    r = b.shape[1]
-    s = _whiten(Si, None, b, out)
-    return np.matmul(s, s.swapaxes(-1, -2)).sum(axis=1) / (r * ng[:, None, None])
+def _col_scatter(z, u, ng, out=None):
+    """Column scales sum_i u_gi D_gi' Sigma_g^-1 D_gi / (r ng_g), a (G, p, p)
+    stack, from the row-whitened residuals z = L_sigma^-1 D (G, r, p, N) and
+    weights u (G, N): the sum over rows of the p x N blocks of z's u-weighted
+    copy (into out, when given) times those of z transposed."""
+    r = z.shape[1]
+    s = np.matmul(np.multiply(z, u[:, None, None], out=out), z.swapaxes(-1, -2)).sum(axis=1)
+    return (s + s.swapaxes(1, 2)) / (2.0 * r * ng[:, None, None])
 
 
-def _whitened_distances(s, Pi, out=None):
-    """Distances delta (G, N) from s = L_sigma^-1 D (G, r, p, N) and the
-    inverse column factors Pi (G, p, p): the squared Frobenius norm of
-    S_gi L_psi^-T per component and unit, squared in place (in out, when
-    given)."""
-    w = _whiten(None, Pi, s, out)
+def _whitened_distances(z, Pi, out=None):
+    """Distances delta (G, N) from the row-whitened residuals z = L_sigma^-1 D
+    (G, r, p, N) and the inverse column factors Pi (G, p, p): the squared
+    Frobenius norm of Z_gi L_psi^-T per component and unit, squared in place
+    (in out, when given)."""
+    w = _whiten(None, Pi, z, out)
     return np.square(w, out=w).sum(axis=(1, 2))

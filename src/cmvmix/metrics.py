@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import as_array
 from .ecm import FitResult, Kind
 from .errors import KindMismatch, LengthMismatch
 
@@ -21,7 +22,7 @@ def _apply_mask(a, b, mask):
     if a.shape != b.shape or a.ndim != 1:
         raise LengthMismatch(f"label vectors differ: {a.shape} vs {b.shape}")
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = as_array(mask, "mask", bool)
         if mask.shape != a.shape:
             raise LengthMismatch(f"mask length {mask.shape} vs labels {a.shape}")
         a, b = a[mask], b[mask]

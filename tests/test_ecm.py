@@ -836,7 +836,7 @@ def drive_cycles(data, kind, init_z, init_v, k):
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     r, p, n = xt.shape
     g = init_z.shape[1]
-    work = tuple(np.empty((g, r, p, n)) for _ in range(4))
+    work = tuple(np.empty((g, r, p, n)) for _ in range(3))
     z, v = init_z.T, (init_v.T if kind is Kind.CMVN else None)
     etas, psi_inv = np.full(g, _INIT_ETA), np.tile(np.eye(p), (g, 1, 1))
     cycles = []
@@ -909,6 +909,34 @@ def test_run_chain_only_drives_the_map(kind):
     np.testing.assert_array_equal(resp.z, cycles[-1][1].T)
     if kind is Kind.CMVN:
         np.testing.assert_array_equal(resp.v, cycles[-1][2].T)
+
+
+@pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+def test_public_scale_updates_are_the_chains(kind):
+    """cm_step_2_sigma and cm_step_3_psi at one chain state (the chain's u,
+    masses and means, the previous psis) give _cm_half's sigmas and psis bit
+    for bit: they call the same kernels."""
+    data = perturb(generate(reference_model(), 60, seed=7), 6, 10.0)
+    init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
+    (prev, z, v, _), (theta, _, _, _) = drive_cycles(data, kind, init_z, init_v, 2)
+    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
+    ng = z.sum(axis=1)
+    _, _, means, u = ecm._cm_step_1(xt, z, v, prev[5], ng)
+    np.testing.assert_array_equal(means, theta[2])
+    sigmas = cm_step_2_sigma(data.samples, u.T, ng, means, prev[4])
+    np.testing.assert_array_equal(sigmas, theta[3])
+    np.testing.assert_array_equal(cm_step_3_psi(data.samples, u.T, ng, means, sigmas), theta[4])
+
+
+@pytest.mark.parametrize("step, prev", [(cm_step_2_sigma, np.eye(3)), (cm_step_3_psi, np.eye(2))])
+@pytest.mark.parametrize("arg", ["u", "ng"])
+def test_scale_updates_refuse_text(step, prev, arg):
+    # np.asarray(ng, dtype=float) used to parse "20.0" as 20.0
+    samples = np.random.default_rng(0).standard_normal((20, 2, 3))
+    args = {"u": np.ones((20, 1)), "ng": np.array([20.0])}
+    args[arg] = args[arg].astype(str)
+    with pytest.raises(ValueError, match=f"{arg} must be of type float"):
+        step(samples, args["u"], args["ng"], samples.mean(axis=0)[None], [prev])
 
 
 class TestFitConfig:

@@ -180,7 +180,7 @@ class TestStackedKernels:
         return np.linalg.norm(a - b) / np.linalg.norm(b)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1), (2, 4), (3, 5), (6, 6)])
     def test_against_per_component_oracle(self, g, shape):
         r, p = shape
         rng = np.random.default_rng(10 * g + r)
@@ -193,13 +193,13 @@ class TestStackedKernels:
         L_psi_prev = np.stack([linalg.cholesky(random_spd(rng, p)) for _ in range(g)])
 
         d = linalg._residuals(xs.transpose(1, 2, 0), means)
-        b = d * np.sqrt(u.T)[:, None, None]
         inv = np.linalg.inv
-        sigmas = linalg._row_scatter(b, inv(L_psi_prev), ng)
+        sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
         L_sigma = linalg.factor(sigmas)
-        psis = linalg._col_scatter(b, inv(L_sigma), ng)
+        z = linalg._whiten(inv(L_sigma), None, d)
+        psis = linalg._col_scatter(z, u.T, ng)
         L_psi = linalg.factor(psis)
-        delta = linalg._whitened_distances(linalg._whiten(inv(L_sigma), None, d), inv(L_psi)).T
+        delta = linalg._whitened_distances(z, inv(L_psi)).T
         log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
@@ -221,11 +221,11 @@ class TestStackedKernels:
     def test_ill_conditioned_scales_against_oracle(self, cond, g, shape):
         # Units drawn with row and column scales of condition number cond.
         # Two correct double-precision evaluations of a quantity whitened by
-        # an estimated scale differ by up to about eps * cond(scale) (weighting
-        # the residuals, then whitening by the factors' triangular inverses,
-        # differs from the oracle by up to 6.4e-13 on these cases at 1e4 and
-        # 6.2e-9 at 1e8), so the bound is 10 * eps * cond: 2.2e-11 at 1e4 and
-        # 2.2e-7 at 1e8.
+        # an estimated scale differ by up to about eps * cond(scale) (whitening
+        # the residuals by the factors' triangular inverses and weighting one
+        # copy by u differs from the oracle by up to 2.4e-13 on these cases at
+        # 1e4 and 1.9e-9 at 1e8), so the bound is 10 * eps * cond: 2.2e-11 at
+        # 1e4 and 2.2e-7 at 1e8.
         r, p = shape
         rng = np.random.default_rng(int(np.log10(cond)) * 100 + 10 * r + p + g)
 
@@ -244,12 +244,11 @@ class TestStackedKernels:
         ng = z.sum(axis=0)
 
         d = linalg._residuals(xs.transpose(1, 2, 0), means)
-        b = d * np.sqrt(u.T)[:, None, None]
         inv = np.linalg.inv
-        sigmas = linalg._row_scatter(b, inv(L_psi_prev), ng)
-        sigma_inv = inv(linalg.factor(sigmas))
-        psis = linalg._col_scatter(b, sigma_inv, ng)
-        delta = linalg._whitened_distances(linalg._whiten(sigma_inv, None, d), inv(linalg.factor(psis))).T
+        sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
+        z = linalg._whiten(inv(linalg.factor(sigmas)), None, d)
+        psis = linalg._col_scatter(z, u.T, ng)
+        delta = linalg._whitened_distances(z, inv(linalg.factor(psis))).T
 
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
@@ -298,20 +297,25 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("swap", [False, True])
     def test_scatter(self, g, shape, swap):
-        # swap=True is the row-scale update (whitened by the column factors),
-        # swap=False the column-scale update (whitened by the row factors);
-        # out receives the whitened sqrt(u)-weighted residuals
+        # swap=True is the row-scale update: out is the pair that receives the
+        # residuals whitened by the column factors and their u-weighted copy;
+        # swap=False the column-scale update of the residuals whitened by the
+        # row factors: out receives their u-weighted copy
         xt, means, u, ng, Si, Pi = self.inputs(g, *shape)
-        b = linalg._residuals(xt, means) * np.sqrt(u)[:, None, None]
-        buf = np.empty_like(b)
+        d = linalg._residuals(xt, means)
         if swap:
-            want = linalg._row_scatter(b, Pi, ng)
-            got = linalg._row_scatter(b, Pi, ng, buf)
-            np.testing.assert_array_equal(buf, linalg._whiten(None, Pi, b))
+            bufs = (np.empty_like(d), np.empty_like(d))
+            want = linalg._row_scatter(d, u, Pi, ng)
+            got = linalg._row_scatter(d, u, Pi, ng, bufs)
+            y = linalg._whiten(None, Pi, d)
+            np.testing.assert_array_equal(bufs[0], y)
+            np.testing.assert_array_equal(bufs[1], y * u[:, None, None])
         else:
-            want = linalg._col_scatter(b, Si, ng)
-            got = linalg._col_scatter(b, Si, ng, buf)
-            np.testing.assert_array_equal(buf, linalg._whiten(Si, None, b))
+            z = linalg._whiten(Si, None, d)
+            buf = np.empty_like(d)
+            want = linalg._col_scatter(z, u, ng)
+            got = linalg._col_scatter(z, u, ng, buf)
+            np.testing.assert_array_equal(buf, z * u[:, None, None])
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got, got.swapaxes(1, 2))
 

@@ -96,6 +96,13 @@ class TestAri:
         filtered = adjusted_rand_index(a[mask], b[mask])
         assert masked == filtered
 
+    @pytest.mark.parametrize("score", [adjusted_rand_index, misclassification_rate])
+    @pytest.mark.parametrize("mask", [[1.0, 0.5, 1, 1], ["yes", "", "x", "y"], [1, 0, 1, 1]])
+    def test_non_boolean_mask_refused(self, score, mask):
+        # cast to bool, the first kept all four units and the second dropped one
+        with pytest.raises(ValueError, match="mask must be of type bool"):
+            score([1, 1, 2, 2], [1, 2, 2, 2], mask=mask)
+
 
 class TestMcr:
     def test_identical(self):
