@@ -196,10 +196,10 @@ class TestStackedKernels:
         inv = np.linalg.inv
         sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
         L_sigma = linalg.factor(sigmas)
-        z = linalg._whiten(inv(L_sigma), None, d)
-        psis = linalg._col_scatter(z, u.T, ng)
+        wd = linalg._whiten(inv(L_sigma), None, d)
+        psis = linalg._col_scatter(wd, u.T, ng)
         L_psi = linalg.factor(psis)
-        delta = linalg._whitened_distances(z, inv(L_psi)).T
+        delta = linalg._whitened_distances(wd, inv(L_psi)).T
         log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
@@ -246,9 +246,9 @@ class TestStackedKernels:
         d = linalg._residuals(xs.transpose(1, 2, 0), means)
         inv = np.linalg.inv
         sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
-        z = linalg._whiten(inv(linalg.factor(sigmas)), None, d)
-        psis = linalg._col_scatter(z, u.T, ng)
-        delta = linalg._whitened_distances(z, inv(linalg.factor(psis))).T
+        wd = linalg._whiten(inv(linalg.factor(sigmas)), None, d)
+        psis = linalg._col_scatter(wd, u.T, ng)
+        delta = linalg._whitened_distances(wd, inv(linalg.factor(psis))).T
 
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
