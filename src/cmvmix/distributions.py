@@ -157,8 +157,8 @@ def h_weight(delta, alpha, eta, r, p):
         raise ValueError(f"delta must be >= 0 and finite, got {delta}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not eta > 1.0:
-        raise ValueError(f"eta must be > 1, got {eta}")
+    if not 1.0 < eta < np.inf:
+        raise ValueError(f"eta must be > 1 and finite, got {eta}")
     if r < 1 or p < 1:
         raise ValueError("r and p must be positive")
     return float(_logs_from_distances(delta, 0.0, r * p, alpha, eta)[1])

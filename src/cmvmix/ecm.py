@@ -195,20 +195,10 @@ def observed_loglik(data: Dataset, model: MixtureModel) -> float:
     return _e_pass(*_model_terms(data, model))[2]
 
 
-def cm_step_1(data: Dataset, resp: Responsibilities, etas_prev):
-    """Update mixing weights, alpha, and means.
-
-    Returns (weights, alphas, means, u) where u (N, G) are the effective
-    weights reused by the scale updates; alphas is None for plain MVN.
-    """
-    z, v = resp.z.T, None if resp.v is None else resp.v.T
-    w, alphas, means, u = _cm_step_1(data.samples.transpose(1, 2, 0), z, v, etas_prev, z.sum(axis=1))
-    return w, alphas, means, u.T
-
-
 def _cm_step_1(xt, z, v, etas_prev, ng):
-    """cm_step_1 on units xt (r, p, N), posteriors z, v (G, N) and their
-    masses ng = z.sum(axis=1), giving u (G, N); v None is plain MVN."""
+    """CM1 on units xt (r, p, N), posteriors z, v (G, N) and their masses
+    ng = z.sum(axis=1): weights, alphas (None for plain MVN, v None), means
+    and the effective weights u (G, N) that the scale updates reuse."""
     r, p, n = xt.shape
     weights = ng / n
     alphas = None if v is None else np.minimum(
@@ -217,40 +207,6 @@ def _cm_step_1(xt, z, v, etas_prev, ng):
     u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[:, None])
     means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p) / u.sum(axis=1)[:, None, None]
     return weights, alphas, means, u
-
-
-def _factors(mats, name):
-    """Validated Cholesky factors of a sequence of matrices, stacked."""
-    return np.stack([linalg.cholesky(a, name) for a in mats])
-
-
-def cm_step_2_sigma(samples, u, ng, means, prev_psis):
-    """Row-scale update: weighted scatter through the previous column scale.
-
-    Returned matrices are not yet normalized to sigma[0,0] = 1; that happens
-    when the component record is built, after the column scale is also
-    updated, so the Kronecker product is preserved exactly.
-    """
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
-    pi = np.linalg.inv(_factors(prev_psis, "psi"))
-    return list(linalg._row_scatter(d, as_array(u, "u", float).T, pi, as_array(ng, "ng", float)))
-
-
-def cm_step_3_psi(samples, u, ng, means, new_sigmas):
-    """Column-scale update: weighted scatter through the new row scale."""
-    si = np.linalg.inv(_factors(new_sigmas, "sigma"))
-    z = linalg._whiten(si, None, linalg._residuals(samples.transpose(1, 2, 0), means))
-    return list(linalg._col_scatter(z, as_array(u, "u", float).T, as_array(ng, "ng", float)))
-
-
-def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
-    """Inflation update: bad-mass-weighted mean distance over r*p (the
-    stationary point of the complete-data objective in eta), floored at
-    eta_min."""
-    _, r, p = samples.shape
-    delta = linalg._distances(samples.transpose(1, 2, 0), means,
-                              _factors(sigmas, "sigma"), _factors(psis, "psi"))
-    return _eta((z * (1.0 - v)).T, delta, eta_min, r * p)
 
 
 def _eta(bad_mass, delta, eta_min, rp):
@@ -404,25 +360,3 @@ def classify_from(resp: Responsibilities, kind: Kind):
     if kind is Kind.CMVN:
         bad = resp.v[np.arange(len(labels)), labels] <= 0.5
     return labels, bad
-
-
-def expected_complete_loglik(data: Dataset, resp: Responsibilities, model: MixtureModel) -> float:
-    """Expected complete-data log-likelihood at the given posteriors.
-
-    Used to check that each conditional maximization weakly increases the
-    objective it optimizes.
-    """
-    delta, log_det, log_weights, rp, alphas, etas = _model_terms(data, model)
-    if alphas is None:  # plain matrix normal: every point good, alpha = eta = 1
-        v, alpha_terms, etas = 1.0, 0.0, 1.0
-    else:  # CmvnParams keeps 0 < alpha < 1, so both logs are finite
-        v = resp.v
-        alpha_terms = v * np.log(alphas) + (1 - v) * np.log1p(-alphas)
-    terms = (
-        log_weights
-        + alpha_terms
-        - 0.5 * (rp * np.log(2 * np.pi) + log_det)
-        - 0.5 * rp * (1 - v) * np.log(etas)
-        - 0.5 * (v + (1 - v) / etas) * delta.T
-    )
-    return float((resp.z * terms).sum())

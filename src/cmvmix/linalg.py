@@ -5,8 +5,8 @@ whitened by the inverses of stacked lower-triangular factors.  A factor is
 small and comes from a Cholesky factorization that succeeded, so its
 inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
 The stacked kernels (``_distances`` and after) keep the N units on the last
-axis, so no whitening copies its residuals; public functions take units
-first.  The kernels that make a (G, r, p, N) array take an optional
+axis, so no whitening copies its residuals.  The kernels that make a
+(G, r, p, N) array take an optional
 C-contiguous ``out`` of that shape (a pair for ``_row_scatter``, which
 makes two) and write it there, so the ECM chain allocates its work arrays
 once.  No scatter multiplies an array by its own transpose, which numpy
@@ -67,36 +67,10 @@ def factor(a, name="matrix"):
         raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
 
 
-def cholesky(a, name="matrix"):
-    """Lower Cholesky factor L with L @ L.T == a, after validating a."""
-    return factor(as_spd(a, name), name)
-
-
 def log_det_from_factor(L):
     """log determinant given a precomputed lower Cholesky factor, or one per
     factor of a stack (..., k, k)."""
     return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
-
-
-def trace_quad_form(x, m, sigma, psi):
-    """Squared Mahalanobis-type distance for an r x p observation.
-
-    Computes ``tr[sigma^-1 (x - m) psi^-1 (x - m)']`` by whitening with the
-    inverses of the two Cholesky factors: it equals the squared Frobenius
-    norm of ``L_sigma^-1 (x - m) L_psi^-T``.  Always >= 0; zero iff x == m.
-    """
-    x = as_matrix(x, "x")
-    m = as_matrix(m, "m")
-    if x.shape != m.shape:
-        raise DimensionMismatch(f"x {x.shape} and m {m.shape} differ")
-    L_sigma = cholesky(sigma, "sigma")
-    L_psi = cholesky(psi, "psi")
-    r, p = x.shape
-    if L_sigma.shape[0] != r:
-        raise DimensionMismatch(f"sigma is {L_sigma.shape[0]}x{L_sigma.shape[0]}, rows are {r}")
-    if L_psi.shape[0] != p:
-        raise DimensionMismatch(f"psi is {L_psi.shape[0]}x{L_psi.shape[0]}, cols are {p}")
-    return float(_distances(x[:, :, None], m[None], L_sigma[None], L_psi[None])[0, 0])
 
 
 def _log_det_kron(L_sigma, L_psi):

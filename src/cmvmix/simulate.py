@@ -54,6 +54,8 @@ def generate(model: MixtureModel, n: int, seed: int) -> Dataset:
     """
     if model.kind is not Kind.MVN:
         raise ValueError("generate draws from plain MVN mixtures")
+    if n < 1:  # numpy refuses a negative size without naming n
+        raise ValueError(f"n must be >= 1 (a dataset needs N, r, p >= 1), got {n}")
     rng = np.random.default_rng(seed)
     labels = rng.choice(model.g, size=n, p=model.weights)
     r, p = model.components[0].shape

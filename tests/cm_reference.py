@@ -1,0 +1,97 @@
+"""The ECM cycle's conditional maximizations one step at a time, for tests.
+
+The package runs CM1-CM4 only together, inside ``ecm._cm_half``.  These
+entry points take units first (samples (N, r, p), posteriors and weights
+(N, G)) and call the kernels the chain runs (``ecm._cm_step_1``,
+``linalg._residuals``, ``_whiten``, ``_row_scatter``, ``_col_scatter``,
+``ecm._eta`` and ``linalg._distances``), so a test of one step checks the
+chain's own arithmetic.  They take arrays the tests built and check none.
+"""
+
+import numpy as np
+
+from cmvmix import ecm, linalg
+
+
+def cholesky(a, name="matrix"):
+    """Lower Cholesky factor L with L @ L.T == a, after validating a."""
+    return linalg.factor(linalg.as_spd(a, name), name)
+
+
+def _factors(mats, name):
+    """Validated Cholesky factors of a sequence of matrices, stacked."""
+    return np.stack([cholesky(a, name) for a in mats])
+
+
+def cm_step_1(data, resp, etas_prev):
+    """Update mixing weights, alpha, and means.
+
+    Returns (weights, alphas, means, u) where u (N, G) are the effective
+    weights reused by the scale updates; alphas is None for plain MVN.
+    """
+    z, v = resp.z.T, None if resp.v is None else resp.v.T
+    w, alphas, means, u = ecm._cm_step_1(data.samples.transpose(1, 2, 0), z, v, etas_prev,
+                                         z.sum(axis=1))
+    return w, alphas, means, u.T
+
+
+def cm_step_2_sigma(samples, u, ng, means, prev_psis):
+    """Row-scale update: weighted scatter through the previous column scale.
+
+    Returned matrices are not yet normalized to sigma[0,0] = 1; that happens
+    when the component record is built, after the column scale is also
+    updated, so the Kronecker product is preserved exactly.
+    """
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    pi = np.linalg.inv(_factors(prev_psis, "psi"))
+    return list(linalg._row_scatter(d, u.T, pi, ng))
+
+
+def cm_step_3_psi(samples, u, ng, means, new_sigmas):
+    """Column-scale update: weighted scatter through the new row scale."""
+    si = np.linalg.inv(_factors(new_sigmas, "sigma"))
+    z = linalg._whiten(si, None, linalg._residuals(samples.transpose(1, 2, 0), means))
+    return list(linalg._col_scatter(z, u.T, ng))
+
+
+def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
+    """Inflation update: bad-mass-weighted mean distance over r*p (the
+    stationary point of the complete-data objective in eta), floored at
+    eta_min."""
+    _, r, p = samples.shape
+    delta = linalg._distances(samples.transpose(1, 2, 0), means,
+                              _factors(sigmas, "sigma"), _factors(psis, "psi"))
+    return ecm._eta((z * (1.0 - v)).T, delta, eta_min, r * p)
+
+
+def expected_complete_loglik(data, resp, model):
+    """Expected complete-data log-likelihood at the given posteriors.
+
+    Used to check that each conditional maximization weakly increases the
+    objective it optimizes.
+    """
+    delta, log_det, log_weights, rp, alphas, etas = ecm._model_terms(data, model)
+    if alphas is None:  # plain matrix normal: every point good, alpha = eta = 1
+        v, alpha_terms, etas = 1.0, 0.0, 1.0
+    else:  # CmvnParams keeps 0 < alpha < 1, so both logs are finite
+        v = resp.v
+        alpha_terms = v * np.log(alphas) + (1 - v) * np.log1p(-alphas)
+    terms = (
+        log_weights
+        + alpha_terms
+        - 0.5 * (rp * np.log(2 * np.pi) + log_det)
+        - 0.5 * rp * (1 - v) * np.log(etas)
+        - 0.5 * (v + (1 - v) / etas) * delta.T
+    )
+    return float((resp.z * terms).sum())
+
+
+def trace_quad_form(x, m, sigma, psi):
+    """Squared Mahalanobis-type distance for an r x p observation.
+
+    Computes ``tr[sigma^-1 (x - m) psi^-1 (x - m)']`` by whitening with the
+    inverses of the two Cholesky factors: it equals the squared Frobenius
+    norm of ``L_sigma^-1 (x - m) L_psi^-T``.  Always >= 0; zero iff x == m.
+    """
+    L_sigma, L_psi = cholesky(sigma, "sigma"), cholesky(psi, "psi")
+    return float(linalg._distances(x[:, :, None], m[None], L_sigma[None], L_psi[None])[0, 0])

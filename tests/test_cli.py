@@ -199,6 +199,14 @@ class TestSimulate:
         assert "N, r, p >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_units_refused_by_name(self, tmp_path, capsys):
+        # numpy's own message was "negative dimensions are not allowed"
+        out = tmp_path / "neg.json"
+        assert main(["simulate", "--paper-table1", "--n", "-3", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "n must be >= 1" in err and "-3" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "neg.json"
         assert main(["simulate", "--paper-table1", "--seed", "-1", "--out", str(out)]) == 4

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+module-level function and class is reached from the package's entry points."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,76 @@ def test_unused_imports_detects_the_unread_name():
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def unreachable(sources, entry_points=()):
+    """Module-level functions and classes of a package, given as
+    {module: source}, that no entry point reaches: the names __init__
+    imports, entry_points (module, name) and every module's top-level
+    statements.  Inside a module a bare name is its own definition or a
+    `from .m import n` binding, and x.attr counts only when `from . import x`
+    binds x, so np.linalg.f never reaches a package function f."""
+    defs, edges, roots = set(), {}, set(entry_points)
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        names, modules = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.module is None:
+                        modules[bound] = alias.name
+                    else:
+                        names[bound] = (node.module, alias.name)
+                        if mod == "__init__":
+                            roots.add(names[bound])
+            elif isinstance(node, DEFINITIONS):
+                names[node.name] = (mod, node.name)
+                defs.add((mod, node.name))
+
+        def refs(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    yield names[sub.id]
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                      and sub.value.id in modules):
+                    yield modules[sub.value.id], sub.attr
+
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                edges[(mod, node.name)] = set(refs(node))
+            else:
+                roots.update(refs(node))
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo.extend(edges.get(key, ()))
+    return sorted(defs - seen)
+
+
+def test_unreachable_flags_a_function_only_tests_call():
+    sources = {
+        "__init__": "from .ecm import fit\n",
+        "ecm": "import numpy as np\nfrom . import linalg\nfrom .linalg import Record as R\n"
+               "def fit(a):\n    return linalg.factor(R(np.linalg.cholesky(a)))\n"
+               "def cm_step(a):\n    return linalg.factor(a)\n",
+        "linalg": "class Record:\n    def __init__(self, a):\n        self.a = _check(a)\n"
+                  "def _check(a):\n    return a\n"
+                  "def factor(a):\n    return a\n"
+                  "def cholesky(a):\n    return factor(a)\n"
+                  "def log_det(a):\n    return a\n"
+                  "KERNELS = {'log_det': log_det}\n",
+    }
+    # cm_step is called only from tests; cholesky only by numpy's name
+    assert unreachable(sources) == [("ecm", "cm_step"), ("linalg", "cholesky")]
+    assert unreachable(sources, [("ecm", "cm_step")]) == [("linalg", "cholesky")]
+
+
+def test_package_holds_only_code_it_runs():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreachable(sources, [("cli", "main")]) == []

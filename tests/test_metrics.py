@@ -36,17 +36,18 @@ def pair_counting_ari(a, b):
 
 
 def exhaustive_mcr(truth, pred):
-    """Oracle: try every permutation of predicted label values."""
+    """Oracle: try every permutation of predicted label values into the
+    slots (every label, then one unmatched slot per predicted value).  A
+    permutation's hits are read from the (predicted value x slot) agreement
+    table; its misclassified count is N minus its hits."""
     truth = np.asarray(truth)
     pred = np.asarray(pred)
     pred_vals = sorted(set(pred))
     slots = sorted(set(truth) | set(pred)) + list(range(-1, -len(pred_vals) - 1, -1))
-    best = len(truth)
-    for perm in permutations(slots, len(pred_vals)):
-        mapping = dict(zip(pred_vals, perm))
-        mapped = np.array([mapping[x] for x in pred])
-        best = min(best, int(np.sum(mapped != truth)))
-    return best / len(truth)
+    agree = np.array([[np.sum((pred == x) & (truth == s)) for s in slots] for x in pred_vals])
+    perms = np.array(list(permutations(range(len(slots)), len(pred_vals))))
+    hits = agree[np.arange(len(pred_vals)), perms].sum(axis=1)
+    return int(len(truth) - hits.max()) / len(truth)
 
 
 class TestAri:
