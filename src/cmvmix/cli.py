@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .ecm import FitConfig, Kind, MixtureModel, check_seed, fit
+from .ecm import FitConfig, Kind, MixtureModel, fit
 from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, sweep
@@ -112,7 +112,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    check_seed(args.seed)  # simulate and replicate build no FitConfig to refuse it
     model = _read_model_spec(args.spec) if args.spec else reference_model()
     data = generate(model, args.n, args.seed)
     if args.perturb:
@@ -184,7 +183,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replicate(args) -> int:
-    check_seed(args.seed)  # simulate and replicate build no FitConfig to refuse it
     if args.study == "single-outlier":
         report = run_single_outlier_study(args.seed, starts=args.starts)
     else:

@@ -153,6 +153,9 @@ def h_weight(delta, alpha, eta, r, p):
     h(delta) = 1 / (1 + ((1-alpha)/alpha) eta^(-rp/2) exp[(delta/2)(1 - 1/eta)]),
     strictly decreasing in delta; value in (0, 1), clipped like posterior_good_prob.
     """
+    delta, alpha, eta = (as_number(k, x, float) for k, x in
+                         (("delta", delta), ("alpha", alpha), ("eta", eta)))
+    r, p = as_number("r", r, int), as_number("p", p, int)
     if not 0 <= delta < np.inf:
         raise ValueError(f"delta must be >= 0 and finite, got {delta}")
     if not (0.0 < alpha < 1.0):

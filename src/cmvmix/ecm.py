@@ -84,41 +84,34 @@ class Responsibilities:
 
 
 def check_seed(seed):
-    """Refuse a negative seed by name: numpy's generators refuse it with a
-    message that names neither the option nor the value."""
+    """seed as a Python int, refused by name when it is not an integer or is
+    negative: numpy's generators refuse both with a message that names
+    neither the option nor the value."""
+    seed = as_number("seed", seed, int)
     if seed < 0:
         raise ValueError("seed must be >= 0")
+    return seed
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the ECM driver.
-
-    min_cluster_weight defaults to r*p/2 effective observations at fit time;
-    chains dropping below it abort and the next start runs.
-    """
+    """Knobs for the ECM driver."""
 
     g: int = 1
     n_starts: int = 20
     max_iter: int = 1000
     tol: float = 1e-8
     seed: int = 0
-    min_cluster_weight: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("g", "n_starts", "max_iter", "seed"):
+        for name in ("g", "n_starts", "max_iter"):
             object.__setattr__(self, name, as_number(name, getattr(self, name), int))
-            if name != "seed" and getattr(self, name) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "tol", as_number("tol", self.tol, float))
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be > 0 and finite")
-        if self.min_cluster_weight is not None:
-            mcw = as_number("min_cluster_weight", self.min_cluster_weight, float)
-            if not mcw > 0:
-                raise ValueError("min_cluster_weight must be > 0")
-            object.__setattr__(self, "min_cluster_weight", mcw)
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ def _eta(bad_mass, delta, eta_min, rp):
     return np.where(empty, eta_min, np.maximum(eta_min, mean / rp))
 
 
-def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
+def _cm_half(xt, z, v, etas, psi_inv, work):
     """CM1-CM4 of one ECM cycle over all G components, units on the last
     axis: from units xt (r, p, N), posteriors z, v (G, N), the previous etas
     and inverse column factors psi_inv (G, p, p) to theta' = (weights,
@@ -231,17 +224,17 @@ def _cm_half(xt, z, v, etas, psi_inv, mcw, work):
     by the new column inverse into U, the distances for eta and the E-pass.
     Each scale is factored and inverted once.  Plain MVN is v None (v = 1, no
     alpha or eta).  Raises DegenerateCluster when a component's mass falls
-    below mcw."""
-    ng = z.sum(axis=1)
-    if np.any(ng < mcw):
-        raise DegenerateCluster(f"component mass fell below {mcw:.3g}: {ng}")
+    below r*p/2 effective units."""
     r, p, _ = xt.shape
+    ng, floor = z.sum(axis=1), r * p / 2.0
+    if np.any(ng < floor):
+        raise DegenerateCluster(f"component mass fell below {floor:.3g}: {ng}")
     D, Y, U = work
     weights, alphas, means, u = _cm_step_1(xt, z, v, etas, ng)
     linalg._residuals(xt, means, out=D)
     sigmas = linalg._row_scatter(D, u, psi_inv, ng, out=(Y, U))
     L_sigma = linalg.factor(sigmas, "sigma")
-    Z = linalg._whiten(np.linalg.inv(L_sigma), None, D, out=Y)
+    Z = linalg._whiten(np.linalg.inv(L_sigma), D, out=Y)
     psis = linalg._col_scatter(Z, u, ng, out=U)
     L_psi = linalg.factor(psis, "psi")
     psi_inv = np.linalg.inv(L_psi)
@@ -262,7 +255,6 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     r, p, n = xt.shape
     g = config.g
     cmvn = kind is Kind.CMVN
-    mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
 
     z = np.asarray(init_z, dtype=float).T
     v = np.asarray(init_v, dtype=float).T if cmvn else None
@@ -273,7 +265,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        theta, psi_inv, delta, log_det = _cm_half(xt, z, v, etas, psi_inv, mcw, work)
+        theta, psi_inv, delta, log_det = _cm_half(xt, z, v, etas, psi_inv, work)
         weights, alphas, _, _, _, etas = theta
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)

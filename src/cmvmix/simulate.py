@@ -4,9 +4,9 @@ perturbation / background-noise transforms used by the sensitivity studies.
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_number
 from .distributions import MvnParams, sample_mvn_stack
-from .ecm import Kind, MixtureModel
+from .ecm import Kind, MixtureModel, check_seed
 
 # Reference two-group matrix normal mixture on 2x4 matrices: equal weights,
 # well-separated means, distinct row scales, a shared banded column scale.
@@ -54,9 +54,10 @@ def generate(model: MixtureModel, n: int, seed: int) -> Dataset:
     """
     if model.kind is not Kind.MVN:
         raise ValueError("generate draws from plain MVN mixtures")
+    n = as_number("n", n, int)
     if n < 1:  # numpy refuses a negative size without naming n
         raise ValueError(f"n must be >= 1 (a dataset needs N, r, p >= 1), got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     labels = rng.choice(model.g, size=n, p=model.weights)
     r, p = model.components[0].shape
     samples = np.empty((n, r, p))
@@ -74,6 +75,7 @@ def perturb(data: Dataset, obs: int, c: float) -> Dataset:
     A nonzero shift flags that unit bad in good_flags (all others good if the
     dataset had no flags); c = 0 returns an identical dataset.
     """
+    obs, c = as_number("obs", obs, int), as_number("c", c, float)
     if not (1 <= obs <= data.n):
         raise ValueError(f"obs must be in 1..{data.n}, got {obs}")
     if not np.isfinite(c):
@@ -99,7 +101,7 @@ def add_uniform_noise(data: Dataset, frac: float, lo: float, hi: float,
         raise ValueError(f"frac must be in [0, 1], got {frac}")
     if not (lo < hi and np.isfinite(hi - lo)):  # what rng.uniform can draw from
         raise ValueError(f"need lo < hi with hi - lo finite, got lo={lo}, hi={hi}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n_noise = int(round(frac * data.n))
     idx = rng.choice(data.n, size=n_noise, replace=False)
     samples = np.array(data.samples)

@@ -7,9 +7,9 @@ cells at the benchmark input seeds ``SEEDS``, with the inputs
 and records for each start its outcome, iteration count and final
 log-likelihood.  Building the inputs with the benchmark's own code ties
 the ledger to the cells the benchmark times.  It then runs the reference
-sweep ({mvn, cmvn} x G = 1..3 on the README's data: n = 150, data seed 7,
-unit 6 shifted by 10, 20 starts, seed 0) and records its six BICs, the
-selected cell and the units that cell flags.
+sweep ({mvn, cmvn} x G = 1..3, 20 starts, seed 0) on fit-ref's data before
+its change of coordinates (n = 150, data seed 7, unit 6 shifted by 10) and
+records its six BICs, the selected cell and the units that cell flags.
 
 ``tests/test_answers_ledger.py`` compares ``build()`` with the checked-in
 ``answers_ledger.json``.  Rewrite that file only when a change is meant to
@@ -29,8 +29,7 @@ from cmvmix import ecm
 from cmvmix.ecm import FitConfig, Kind
 from cmvmix.errors import DegenerateCluster, NotPositiveDefinite
 from cmvmix.selection import sweep
-from cmvmix.simulate import generate, perturb, reference_model
-from cmvmix.studies import DEFAULT_N, G_VALUES, PERTURBED_UNIT
+from cmvmix.studies import DEFAULT_N, G_VALUES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -38,8 +37,6 @@ import workloads  # noqa: E402
 PATH = Path(__file__).with_name("answers_ledger.json")
 SEEDS = (1, 5)
 WORKLOADS = ("fit-ref", "sweep-noise", "fit-large")
-REF_DATA_SEED = 7
-REF_SHIFT = 10.0
 REF_CONFIG = FitConfig(n_starts=20, seed=0)
 _FAILURES = {DegenerateCluster: "degenerate", NotPositiveDefinite: "not_pd"}
 
@@ -91,9 +88,8 @@ def recording_starts():
 def reference_sweep():
     """The six BICs of the reference sweep, its selected cell and the
     1-based units that cell flags bad."""
-    data = generate(reference_model(), DEFAULT_N, REF_DATA_SEED)
-    data = perturb(data, PERTURBED_UNIT, REF_SHIFT)
-    res = sweep(data, [Kind.MVN, Kind.CMVN], list(G_VALUES), REF_CONFIG)
+    res = sweep(workloads._reference(DEFAULT_N), [Kind.MVN, Kind.CMVN], list(G_VALUES),
+                REF_CONFIG)
     best = res.best_entry
     return {
         "bic": {f"{e.kind.value}:G={e.g}": e.bic for e in res.entries},

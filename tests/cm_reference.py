@@ -50,7 +50,7 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
     si = np.linalg.inv(_factors(new_sigmas, "sigma"))
-    z = linalg._whiten(si, None, linalg._residuals(samples.transpose(1, 2, 0), means))
+    z = linalg._whiten(si, linalg._residuals(samples.transpose(1, 2, 0), means))
     return list(linalg._col_scatter(z, u.T, ng))
 
 

@@ -38,8 +38,9 @@ def moved(want, got):
                     out.append(f"{key} {cell} start {s}: {gs}, ledger {ws}")
     w, g = want["reference_sweep"], got["reference_sweep"]
     for cell in sorted(set(w["bic"]) | set(g["bic"])):
-        if not _close(g["bic"].get(cell), w["bic"].get(cell)):
-            out.append(f"reference sweep {cell}: BIC {g['bic'].get(cell)}, ledger {w['bic'].get(cell)}")
+        got_bic, want_bic = g["bic"].get(cell), w["bic"].get(cell)
+        if not _close(got_bic, want_bic):
+            out.append(f"reference sweep {cell}: BIC {got_bic}, ledger {want_bic}")
     for name in ("selected", "bad_units"):
         if g[name] != w[name]:
             out.append(f"reference sweep {name}: {g[name]}, ledger {w[name]}")
@@ -71,13 +72,13 @@ def test_ledger_counts_the_bench_cells(ledger):
 
 def test_moved_names_each_changed_entry(ledger):
     got = copy.deepcopy(ledger)
-    cell = got["starts"]["fit-ref@1"]["cmvn:G=2"]
+    cell, want = got["starts"]["fit-ref@1"]["cmvn:G=2"], ledger["starts"]["fit-ref@1"]["cmvn:G=2"]
     cell[0][1] += 1
     cell[1][2] *= 1 + 1e-10
     cell[2][2] *= 1 + 1e-14
     got["reference_sweep"]["bad_units"] = [6]
     assert moved(ledger, got) == [
-        f"fit-ref@1 cmvn:G=2 start 0: {cell[0]}, ledger {ledger['starts']['fit-ref@1']['cmvn:G=2'][0]}",
-        f"fit-ref@1 cmvn:G=2 start 1: {cell[1]}, ledger {ledger['starts']['fit-ref@1']['cmvn:G=2'][1]}",
+        f"fit-ref@1 cmvn:G=2 start 0: {cell[0]}, ledger {want[0]}",
+        f"fit-ref@1 cmvn:G=2 start 1: {cell[1]}, ledger {want[1]}",
         "reference sweep bad_units: [6], ledger [6, 27]",
     ]

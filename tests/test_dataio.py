@@ -5,6 +5,8 @@ import io
 import json
 import os
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -540,6 +542,21 @@ class TestFitRoundTrip:
         with pytest.warns(UserWarning, match="config: ignoring unknown fields.*unscaled_eta_update"):
             back = read_fit(path)
         assert back.config == result.config
+
+    def test_file_with_min_cluster_weight_reads_back_equal(self, tmp_path):
+        # written by the version whose FitConfig still had min_cluster_weight
+        # (the floor r*p/2 is now fixed); the file reads back with that field
+        # ignored and writes back without it
+        path = Path(__file__).with_name("fit_with_min_cluster_weight.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = read_fit(path)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: config: ignoring unknown fields ['min_cluster_weight']"]
+        doc = json.loads(path.read_text())
+        del doc["config"]["min_cluster_weight"]
+        write_fit(back, tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == doc
 
     def test_component_shape_mismatch_is_parse_error(self, tmp_path, fitted):
         _, result = fitted

@@ -253,6 +253,18 @@ class TestWeights:
             with pytest.raises(ValueError):
                 h_weight(kwargs["delta"], kwargs["alpha"], kwargs["eta"], 2, 2)
 
+    @pytest.mark.parametrize("weight", [h_weight, w_weight])
+    @pytest.mark.parametrize("name, args", [
+        ("r", (1.0, 0.8, 2.0, 2.5, 2)),   # a 2.5-row matrix gave h = 0.946
+        ("p", (1.0, 0.8, 2.0, 2, True)),
+        ("delta", ("1", 0.8, 2.0, 2, 2)),  # a bare comparison TypeError before
+        ("alpha", (1.0, None, 2.0, 2, 2)),
+        ("eta", (1.0, 0.8, 2 + 0j, 2, 2)),
+    ])
+    def test_wrong_types_refused_by_name(self, weight, name, args):
+        with pytest.raises(TypeError, match=f"{name} must be of type"):
+            weight(*args)
+
     @pytest.mark.parametrize("delta, eta", [(np.nan, 2.0), (np.inf, 2.0), (1.0, np.nan),
                                             (1.0, np.inf)])
     def test_w_weight_refuses_non_finite(self, delta, eta):

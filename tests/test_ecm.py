@@ -585,7 +585,8 @@ class TestFit:
     def test_all_starts_failed(self):
         rng = np.random.default_rng(17)
         data = Dataset(rng.standard_normal((4, 2, 2)))
-        cfg = FitConfig(g=2, n_starts=3, seed=0, min_cluster_weight=10.0)
+        # both components fall below the floor r*p/2 = 2: masses [2.02, 1.98]
+        cfg = FitConfig(g=2, n_starts=3, seed=0)
         with pytest.raises(AllStartsFailed):
             fit(data, cfg, Kind.CMVN)
 
@@ -714,15 +715,14 @@ def reference_chain(data, kind, config, init_z, init_v):
     n, r, p = samples.shape
     g = config.g
     cmvn = kind is Kind.CMVN
-    mcw = r * p / 2.0 if config.min_cluster_weight is None else config.min_cluster_weight
     z, v = init_z, (init_v if cmvn else None)
     etas = np.full(g, _INIT_ETA)
     psis = [np.eye(p)] * g
     trace = []
-    for _ in range(config.max_iter):
+    for it in range(1, config.max_iter + 1):
         ng = z.sum(axis=0)
-        if np.any(ng < mcw):
-            raise DegenerateCluster(f"mass {ng}")
+        if np.any(ng < r * p / 2.0):
+            raise DegenerateCluster(f"iteration {it}: mass {ng}")
         weights, alphas, means, u = cm_step_1(data, Responsibilities(z=z, v=v), etas)
         sigmas = cm_step_2_sigma(samples, u, ng, means, psis)
         psis = cm_step_3_psi(samples, u, ng, means, sigmas)
@@ -775,24 +775,29 @@ class TestChainAgainstReference:
     LOGLIK_RTOL = 1e-10
     POSTERIOR_ATOL = 1e-8
 
-    # with the default floor some G=3 starts end NotPositiveDefinite, with
-    # a floor of 5 the same starts end DegenerateCluster
-    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
-    @pytest.mark.parametrize("min_cluster_weight", [None, 5.0])
-    def test_same_chain(self, kind, g, shape, min_cluster_weight):
-        r, p = shape
+    @staticmethod
+    def two_groups(r, p, g, n_outliers=3):
+        """Two groups of 25 r x p units and n_outliers wide draws."""
         rng = np.random.default_rng(100 * r + 10 * p + g)
         groups = [sample_mvn_stack(MvnParams(4.0 * k * np.ones((r, p)), random_spd(rng, r),
                                              random_spd(rng, p)), 25, rng) for k in range(2)]
-        outliers = 6.0 * rng.standard_normal((3, r, p))
-        data = Dataset(np.concatenate(groups + [outliers]))
-        config = FitConfig(g=g, max_iter=60, min_cluster_weight=min_cluster_weight)
+        outliers = 6.0 * rng.standard_normal((n_outliers, r, p))
+        return Dataset(np.concatenate(groups + [outliers]))
+
+    @staticmethod
+    def initial(data, g, start):
+        srng = np.random.default_rng(start)
+        return srng.dirichlet(np.ones(g), size=data.n), srng.uniform(0.5, 1.0, size=(data.n, g))
+
+    # some G=3 starts end NotPositiveDefinite in both chains
+    @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3), (3, 1)])
+    def test_same_chain(self, kind, g, shape):
+        data = self.two_groups(*shape, g)
+        config = FitConfig(g=g, max_iter=60)
         for start in range(3):
-            srng = np.random.default_rng(start)
-            init_z = srng.dirichlet(np.ones(g), size=data.n)
-            init_v = srng.uniform(0.5, 1.0, size=(data.n, g))
+            init_z, init_v = self.initial(data, g, start)
             got, got_exc = _outcome(_run_chain, data, kind, config, init_z, init_v)
             want, want_exc = _outcome(reference_chain, data, kind, config, init_z, init_v)
             assert got_exc is want_exc
@@ -808,6 +813,20 @@ class TestChainAgainstReference:
                 np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
             else:
                 assert resp.v is None
+
+    def test_same_collapse_mid_chain(self, monkeypatch):
+        # 1x2 units, four outliers: both chains lose a component at iteration
+        # 28, masses [49.82, 3.18, 1.00] against the floor r*p/2 = 1
+        data = self.two_groups(1, 2, 3, n_outliers=4)
+        init_z, init_v = self.initial(data, 3, 0)
+        config = FitConfig(g=3, max_iter=60)
+        cycles, cm_half = [], ecm._cm_half
+        monkeypatch.setattr(ecm, "_cm_half", lambda *args: cycles.append(1) or cm_half(*args))
+        with pytest.raises(DegenerateCluster, match="fell below 1: "):
+            _run_chain(data, Kind.MVN, config, init_z, init_v)
+        with pytest.raises(DegenerateCluster, match="iteration 28: "):
+            reference_chain(data, Kind.MVN, config, init_z, init_v)
+        assert len(cycles) == 28
 
     def test_same_chain_at_large_n(self):
         # N = 3,000 2x4 units: each (G, r, p, N) work array of the chain is
@@ -844,7 +863,7 @@ def drive_cycles(data, kind, init_z, init_v, k):
     etas, psi_inv = np.full(g, _INIT_ETA), np.tile(np.eye(p), (g, 1, 1))
     cycles = []
     for _ in range(k):
-        theta, psi_inv, delta, log_det = ecm._cm_half(xt, z, v, etas, psi_inv, r * p / 2.0, work)
+        theta, psi_inv, delta, log_det = ecm._cm_half(xt, z, v, etas, psi_inv, work)
         weights, alphas, _, _, _, etas = theta
         z, v, ll = ecm._e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         cycles.append((theta, z, v, ll))
@@ -936,11 +955,6 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="max_iter"):
             FitConfig(max_iter=0)
 
-    def test_zero_min_cluster_weight_rejected(self):
-        # an empty component would otherwise turn its means into NaN
-        with pytest.raises(ValueError, match="min_cluster_weight"):
-            FitConfig(min_cluster_weight=0.0)
-
     @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
     def test_tol_not_positive_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be > 0"):
@@ -962,11 +976,10 @@ class TestFitConfig:
 
     def test_numpy_scalars_stored_as_python_numbers(self):
         cfg = FitConfig(g=np.int64(2), n_starts=np.int32(3), max_iter=np.uint16(50),
-                        seed=np.int64(4), tol=np.float32(1e-6), min_cluster_weight=np.float32(2))
-        assert cfg == FitConfig(g=2, n_starts=3, max_iter=50, seed=4,
-                                tol=float(np.float32(1e-6)), min_cluster_weight=2.0)
-        assert [type(getattr(cfg, k)) for k in ("g", "n_starts", "max_iter", "seed", "tol",
-                                                  "min_cluster_weight")] == [int] * 4 + [float] * 2
+                        seed=np.int64(4), tol=np.float32(1e-6))
+        assert cfg == FitConfig(g=2, n_starts=3, max_iter=50, seed=4, tol=float(np.float32(1e-6)))
+        assert [type(getattr(cfg, k)) for k in ("g", "n_starts", "max_iter", "seed", "tol")] \
+            == [int] * 4 + [float]
 
 
 class TestClassify:

@@ -75,9 +75,10 @@ class TestSweep:
         assert res.best_entry.g == 2
 
     def test_failed_cell_recorded_not_fatal(self, clean_data):
-        # an absurd min mass makes G=3 infeasible while G=1 survives
+        # twelve 2x4 units cannot keep three components at the floor r*p/2 = 4
+        # each, so G=3 fails every start while G=1 survives
         small = Dataset(clean_data.samples[:12])
-        cfg = FitConfig(n_starts=2, seed=1, min_cluster_weight=8.0)
+        cfg = FitConfig(n_starts=2, seed=1)
         res = sweep(small, [Kind.MVN], [1, 3], cfg)
         by_g = {e.g: e for e in res.entries}
         assert by_g[1].bic is not None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmvmix.data import Dataset
-from cmvmix.simulate import add_uniform_noise, perturb
+from cmvmix.simulate import add_uniform_noise, generate, perturb, reference_model
 from cmvmix.studies import (
     Check,
     ReplicationReport,
@@ -128,3 +128,32 @@ def test_noise_bounds_must_span_a_finite_range(lo, hi):
 def test_perturb_refuses_non_finite_shift(c):
     with pytest.raises(ValueError, match="c must be finite"):
         perturb(Dataset(np.zeros((2, 1, 1))), 1, c)
+
+
+@pytest.mark.parametrize("obs, c, error, match", [
+    (True, 1.0, TypeError, "obs must be of type int"),    # shifted unit 1 before
+    (2.5, 1.0, TypeError, "obs must be of type int"),     # numpy's IndexError before
+    (1, "1", TypeError, "c must be of type float"),
+])
+def test_perturb_refuses_wrong_types_by_name(obs, c, error, match):
+    with pytest.raises(error, match=match):
+        perturb(Dataset(np.zeros((3, 1, 1))), obs, c)
+
+
+@pytest.mark.parametrize("n, seed, error, match", [
+    (2.5, 1, TypeError, "n must be of type int"),
+    (5, 1.5, TypeError, "seed must be of type int"),
+    (5, -1, ValueError, "seed must be >= 0"),
+])
+def test_generate_refuses_n_and_seed_by_name(n, seed, error, match):
+    with pytest.raises(error, match=match):
+        generate(reference_model(), n, seed)
+
+
+@pytest.mark.parametrize("seed, error, match", [
+    (-1, ValueError, "seed must be >= 0"),
+    (1.5, TypeError, "seed must be of type int"),
+])
+def test_noise_refuses_seed_by_name(seed, error, match):
+    with pytest.raises(error, match=match):
+        add_uniform_noise(Dataset(np.zeros((4, 1, 1))), 0.5, -1.0, 1.0, seed)
