@@ -13,7 +13,8 @@ import numpy as np
 
 from . import dataio
 from .ecm import FitConfig, Kind, MixtureModel, fit
-from .errors import CmvmixError, DimensionMismatch, ParseError, SchemaError, ShapeError
+from .errors import (CmvmixError, DimensionMismatch, NotPositiveDefinite, ParseError,
+                     SchemaError, ShapeError)
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
@@ -79,7 +80,7 @@ def _read_model_spec(path) -> MixtureModel:
                 "alpha" in c or "eta" in c for c in doc["components"]):
             raise ValueError("simulate draws the plain matrix normal only (kind mvn, no alpha or eta)")
         return dataio._model_from_doc(doc, Kind.MVN)
-    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, NotPositiveDefinite, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model spec: {exc}") from None
 
 

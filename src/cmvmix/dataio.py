@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, as_array, as_number
 from .distributions import CmvnParams, MvnParams
 from .ecm import FitConfig, FitResult, Kind, MixtureModel, Responsibilities
-from .errors import DimensionMismatch, ParseError, SchemaError, ShapeError
+from .errors import DimensionMismatch, NotPositiveDefinite, ParseError, SchemaError, ShapeError
 from .selection import count_free_params
 
 SCHEMA_VERSION = 1
@@ -362,7 +362,7 @@ def read_fit(path) -> FitResult:
             want_text = json.dumps(want.get(key))
             if json.dumps(doc.get(key), allow_nan=False) != want_text:
                 raise ValueError(f"{key} must be {want_text[:40]}, as write_fit writes it")
-    except (DimensionMismatch, KeyError, TypeError, ValueError) as exc:
+    except (DimensionMismatch, KeyError, NotPositiveDefinite, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed fit document: {exc}") from None
     _warn_unknown(doc, want, path)
     return result

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 from .data import as_array, as_number
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 ETA_MIN = 1.0001
 
@@ -28,7 +28,10 @@ class MvnParams:
     The pair (sigma, psi) is identified only up to reciprocal scaling, so
     the constructor normalizes sigma to have first diagonal element 1 and
     pushes the factor into psi; the Kronecker product psi (x) sigma is
-    unchanged.
+    unchanged.  The constructor is the one gate for a law's parameters from
+    users, model specs and fit files: the mean must be a finite, non-empty
+    2-D array and each scale a finite symmetric matrix matching it (positive
+    definiteness is checked by the first factorization of the scale).
     """
 
     m: np.ndarray
@@ -36,14 +39,21 @@ class MvnParams:
     psi: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.m, "m")
-        sigma = linalg.as_spd(self.sigma, "sigma")
-        psi = linalg.as_spd(self.psi, "psi")
-        r, p = m.shape
-        if sigma.shape[0] != r:
-            raise DimensionMismatch(f"sigma {sigma.shape} does not match mean rows {r}")
-        if psi.shape[0] != p:
-            raise DimensionMismatch(f"psi {psi.shape} does not match mean cols {p}")
+        m = as_array(self.m, "m", float)
+        if m.ndim != 2 or m.size == 0:
+            raise DimensionMismatch(f"m must be a non-empty 2-D array, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("m contains non-finite entries")
+        scales = []
+        for name, k in (("sigma", m.shape[0]), ("psi", m.shape[1])):
+            a = as_array(getattr(self, name), name, float, (k, k))
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains non-finite entries")
+            asym = np.max(np.abs(a - a.T))
+            if asym > 1e-10:  # roundoff asymmetry is averaged out, anything larger refused
+                raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})")
+            scales.append((a + a.T) / 2.0)
+        sigma, psi = scales
         s11 = sigma[0, 0]
         if s11 <= 0:
             raise ValueError("sigma[0,0] must be positive")
@@ -112,7 +122,9 @@ def _distances(xs, bases):
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
     L_sigma = linalg.factor(np.stack([b.sigma for b in bases]), "sigma")
     L_psi = linalg.factor(np.stack([b.psi for b in bases]), "psi")
-    delta = linalg._distances(xs.transpose(1, 2, 0), np.stack([b.m for b in bases]), L_sigma, L_psi)
+    d = linalg._residuals(xs.transpose(1, 2, 0), np.stack([b.m for b in bases]))
+    delta = linalg._whitened_distances(linalg._whiten(np.linalg.inv(L_sigma), d),
+                                       np.linalg.inv(L_psi))
     return delta, linalg._log_det_kron(L_sigma, L_psi)
 
 

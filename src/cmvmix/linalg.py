@@ -1,10 +1,10 @@
-"""Dense-matrix kernels shared by the density and estimation code.
+"""Dense-matrix kernels of the ECM chain, shared by the density code.
 
 All inverse-weighted quantities go through Cholesky factors: residuals are
 whitened by the inverses of stacked lower-triangular factors.  A factor is
 small and comes from a Cholesky factorization that succeeded, so its
 inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
-The stacked kernels (``_distances`` and after) keep the N units on the last
+The stacked kernels (``_residuals`` and after) keep the N units on the last
 axis, so no whitening copies its residuals.  The kernels that make a
 (G, r, p, N) array take an optional
 C-contiguous ``out`` of that shape (a pair for ``_row_scatter``, which
@@ -12,51 +12,20 @@ makes two) and write it there, so the ECM chain allocates its work arrays
 once.  No scatter multiplies an array by its own transpose, which numpy
 hands to the slower BLAS syrk: each is one gemm of the u-weighted copy of an
 array with the array, made exactly symmetric as (S + S')/2 (a float sum
-does not depend on its order).  Matrices are plain numpy arrays; the
-helpers below validate shape, finiteness, symmetry and positive
-definiteness where user data enters.
+does not depend on its order).  Matrices are plain numpy arrays that the
+callers built or validated (``distributions.MvnParams`` judges a law's
+parameters), so nothing here checks its input; a factorization only
+reports a matrix that is not positive definite.
 """
 
 import numpy as np
 
-from .data import as_array
-from .errors import DimensionMismatch, NotPositiveDefinite
-
-SYMMETRY_ATOL = 1e-10
-
-
-def as_matrix(a, name="matrix"):
-    """Validate and return a read-only 2-D float copy of a with finite entries."""
-    a = as_array(a, name, float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.size == 0:
-        raise DimensionMismatch(f"{name} must be non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def as_spd(a, name="matrix"):
-    """Validate a symmetric matrix, symmetrizing away roundoff asymmetry.
-
-    Asymmetry up to ``SYMMETRY_ATOL`` (absolute) is averaged out; anything
-    larger is rejected.  Positive definiteness is checked lazily, by the
-    first factorization that touches the result.
-    """
-    a = as_matrix(a, name)
-    n, m = a.shape
-    if n != m:
-        raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    asym = np.max(np.abs(a - a.T))
-    if asym > SYMMETRY_ATOL:
-        raise NotPositiveDefinite(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    return (a + a.T) / 2.0
+from .errors import NotPositiveDefinite
 
 
 def factor(a, name="matrix"):
-    """Lower Cholesky factor of a symmetric matrix built by the program
-    itself (or of a stack of them, shape (..., k, k)), without validation.
+    """Lower Cholesky factor of a symmetric matrix that the program built or
+    a record validated (or of a stack of them, shape (..., k, k)).
 
     Raises NotPositiveDefinite when any pivot is non-positive; the caller
     decides whether to jitter, restart or abort.
@@ -77,13 +46,6 @@ def _log_det_kron(L_sigma, L_psi):
     """log det(psi (x) sigma) from stacks of factors (..., r, r), (..., p, p)."""
     r, p = L_sigma.shape[-1], L_psi.shape[-1]
     return p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
-
-
-def _distances(xt, means, L_sigma, L_psi):
-    """Distances delta (G, N) of units xt (r, p, N) to G laws with means
-    (G, r, p) and scale factors L_sigma (G, r, r), L_psi (G, p, p)."""
-    d = _residuals(xt, means)
-    return _whitened_distances(_whiten(np.linalg.inv(L_sigma), d), np.linalg.inv(L_psi))
 
 
 def _residuals(xt, means, out=None):

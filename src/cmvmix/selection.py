@@ -5,7 +5,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_number
 from .ecm import FitConfig, FitResult, Kind, fit
 from .errors import AllStartsFailed, CmvmixError
 
@@ -17,6 +17,7 @@ def count_free_params(kind: Kind, g: int, r: int, p: int) -> int:
     identifiability constraint; the contaminated family adds alpha and eta
     per component.
     """
+    g, r, p = (as_number(k, x, int) for k, x in (("g", g), ("r", r), ("p", p)))
     if g < 1 or r < 1 or p < 1:
         raise ValueError("g, r, p must be positive")
     per_comp = r * p + (r * (r + 1) // 2 - 1) + p * (p + 1) // 2
@@ -28,6 +29,8 @@ def count_free_params(kind: Kind, g: int, r: int, p: int) -> int:
 
 def bic(loglik: float, m: int, n: int) -> float:
     """2*loglik - m*log(n); larger is better."""
+    loglik, m, n = (as_number(k, x, t) for k, x, t in
+                    (("loglik", loglik, float), ("m", m, int), ("n", n, int)))
     if n < 1:
         raise ValueError("n must be >= 1")
     return 2.0 * loglik - m * float(np.log(n))

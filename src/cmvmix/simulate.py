@@ -97,6 +97,7 @@ def add_uniform_noise(data: Dataset, frac: float, lo: float, hi: float,
     Replaced units keep their true label but are flagged not-good, so
     metrics restricted to true good points exclude them.
     """
+    frac, lo, hi = (as_number(k, x, float) for k, x in (("frac", frac), ("lo", lo), ("hi", hi)))
     if not (0.0 <= frac <= 1.0):
         raise ValueError(f"frac must be in [0, 1], got {frac}")
     if not (lo < hi and np.isfinite(hi - lo)):  # what rng.uniform can draw from

@@ -3,9 +3,10 @@
 The package runs CM1-CM4 only together, inside ``ecm._cm_half``.  These
 entry points take units first (samples (N, r, p), posteriors and weights
 (N, G)) and call the kernels the chain runs (``ecm._cm_step_1``,
-``linalg._residuals``, ``_whiten``, ``_row_scatter``, ``_col_scatter``,
-``ecm._eta`` and ``linalg._distances``), so a test of one step checks the
-chain's own arithmetic.  They take arrays the tests built and check none.
+``linalg.factor``, ``_residuals``, ``_whiten``, ``_row_scatter``,
+``_col_scatter``, ``_whitened_distances`` and ``ecm._eta``), so a test of
+one step checks the chain's own arithmetic.  They take symmetric positive
+definite arrays the tests built and check none.
 """
 
 import numpy as np
@@ -13,14 +14,9 @@ import numpy as np
 from cmvmix import ecm, linalg
 
 
-def cholesky(a, name="matrix"):
-    """Lower Cholesky factor L with L @ L.T == a, after validating a."""
-    return linalg.factor(linalg.as_spd(a, name), name)
-
-
 def _factors(mats, name):
-    """Validated Cholesky factors of a sequence of matrices, stacked."""
-    return np.stack([cholesky(a, name) for a in mats])
+    """Cholesky factors of a sequence of matrices, stacked."""
+    return np.stack([linalg.factor(a, name) for a in mats])
 
 
 def cm_step_1(data, resp, etas_prev):
@@ -59,8 +55,9 @@ def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
     stationary point of the complete-data objective in eta), floored at
     eta_min."""
     _, r, p = samples.shape
-    delta = linalg._distances(samples.transpose(1, 2, 0), means,
-                              _factors(sigmas, "sigma"), _factors(psis, "psi"))
+    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    w = linalg._whiten(np.linalg.inv(_factors(sigmas, "sigma")), d)
+    delta = linalg._whitened_distances(w, np.linalg.inv(_factors(psis, "psi")))
     return ecm._eta((z * (1.0 - v)).T, delta, eta_min, r * p)
 
 
@@ -93,5 +90,6 @@ def trace_quad_form(x, m, sigma, psi):
     inverses of the two Cholesky factors: it equals the squared Frobenius
     norm of ``L_sigma^-1 (x - m) L_psi^-T``.  Always >= 0; zero iff x == m.
     """
-    L_sigma, L_psi = cholesky(sigma, "sigma"), cholesky(psi, "psi")
-    return float(linalg._distances(x[:, :, None], m[None], L_sigma[None], L_psi[None])[0, 0])
+    d = linalg._residuals(x[:, :, None], m[None])
+    w = linalg._whiten(np.linalg.inv(_factors([sigma], "sigma")), d)
+    return float(linalg._whitened_distances(w, np.linalg.inv(_factors([psi], "psi")))[0, 0])

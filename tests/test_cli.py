@@ -172,6 +172,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.json")]) == 3
         assert f"{spec_path}: malformed model spec" in capsys.readouterr().err
 
+    def test_spec_asymmetric_scale_is_parse_error(self, tmp_path, capsys):
+        comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": [[1.0, 0.5], [0.0, 1.0]]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"weights": [1.0], "components": [comp]}))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{spec_path}: malformed model spec: psi is not symmetric" in err
+
     def test_spec_kind_mvn(self, tmp_path):
         comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
         spec_path = tmp_path / "spec.json"
@@ -432,6 +441,16 @@ class TestEvaluate:
         write_dataset(labeled, path)
         assert main(["evaluate", "--fit", str(fit_file), "--data", str(path),
                      "--exclude-bad-truth"]) == 2
+
+    def test_asymmetric_scale_in_fit_is_io_error(self, tmp_path, fit_file, dataset_file,
+                                                 capsys):
+        doc = json.loads(fit_file.read_text())
+        doc["components"][1]["sigma"][0][1] += 1e-3
+        path = tmp_path / "asymmetric_fit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--fit", str(path), "--data", str(dataset_file)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: malformed fit document: sigma is not symmetric" in err
 
 
 class TestSweep:

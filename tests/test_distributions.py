@@ -22,6 +22,7 @@ from cmvmix.distributions import (
 )
 from cmvmix.distributions import _logs_from_distances
 from cmvmix.ecm import _ALPHA_EPS
+from cmvmix.errors import DimensionMismatch, NotPositiveDefinite
 
 from cm_reference import trace_quad_form
 from test_linalg import random_spd
@@ -350,3 +351,72 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             CmvnParams(base, 0.9, 1.0)
         CmvnParams(base, 0.9, ETA_MIN)  # boundary allowed
+
+    @pytest.mark.parametrize("name", ["sigma", "psi"])
+    def test_asymmetric_scale_rejected(self, name):
+        law = {"m": np.zeros((2, 2)), "sigma": np.eye(2), "psi": np.eye(2)}
+        with pytest.raises(NotPositiveDefinite, match=f"{name} is not symmetric"):
+            MvnParams(**{**law, name: np.array([[1.0, 0.5], [0.0, 1.0]])})
+
+    @pytest.mark.parametrize("name", ["sigma", "psi"])
+    def test_tiny_asymmetry_averaged(self, name):
+        a = np.array([[2.0, 0.5 + 5e-11], [0.5, 1.0]])
+        law = MvnParams(**{"m": np.zeros((2, 2)), "sigma": np.eye(2), "psi": np.eye(2), name: a})
+        got = law.sigma * 2.0 if name == "sigma" else law.psi  # sigma[0,0] = 2 moved to psi
+        np.testing.assert_array_equal(got, (a + a.T) / 2)
+
+
+_LAW = {"m": np.zeros((2, 3)), "sigma": np.array([[2.0, 0.5], [0.5, 1.0]]), "psi": np.eye(3)}
+_TEXT = np.array([["a", "b", "c"], ["d", "e", "f"]])
+_NAN_M = np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])
+_LAW_FAULTS = [  # (field, fault, value, exception the record raises)
+    ("m", "text", _TEXT, ValueError),
+    ("m", "complex", np.zeros((2, 3), complex), ValueError),
+    ("m", "boolean", np.zeros((2, 3), bool), ValueError),
+    ("m", "3-D", np.zeros((2, 3, 1)), DimensionMismatch),
+    ("m", "1-D", np.zeros(3), DimensionMismatch),
+    ("m", "empty", np.zeros((0, 3)), DimensionMismatch),
+    ("m", "nan", _NAN_M, ValueError),
+    ("m", "inf", np.where(np.isnan(_NAN_M), np.inf, _NAN_M), ValueError),
+    ("sigma", "text", _TEXT[:, :2], ValueError),
+    ("sigma", "boolean", np.eye(2, dtype=bool), ValueError),
+    ("sigma", "not square", np.ones((2, 3)), DimensionMismatch),
+    ("sigma", "1-D", np.ones(2), DimensionMismatch),
+    ("sigma", "3-D", np.eye(2)[:, :, None], DimensionMismatch),
+    ("sigma", "empty", np.zeros((0, 0)), DimensionMismatch),
+    ("sigma", "mean rows", np.eye(3), DimensionMismatch),
+    ("sigma", "inf", np.array([[2.0, 0.5], [0.5, np.inf]]), ValueError),
+    ("sigma", "nan", np.array([[2.0, np.nan], [np.nan, 1.0]]), ValueError),
+    ("sigma", "asymmetric", np.array([[2.0, 0.5], [0.0, 1.0]]), NotPositiveDefinite),
+    ("sigma", "s11 zero", np.array([[0.0, 0.0], [0.0, 1.0]]), ValueError),
+    ("sigma", "s11 negative", np.array([[-1.0, 0.0], [0.0, 1.0]]), ValueError),
+    ("psi", "text", np.full((3, 3), "1"), ValueError),
+    ("psi", "complex", np.eye(3, dtype=complex), ValueError),
+    ("psi", "not square", np.ones((3, 2)), DimensionMismatch),
+    ("psi", "1-D", np.ones(3), DimensionMismatch),
+    ("psi", "mean cols", np.eye(2), DimensionMismatch),
+    ("psi", "nan", np.diag([1.0, np.nan, 1.0]), ValueError),
+    ("psi", "asymmetric", np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 0.0, 1.0]]),
+     NotPositiveDefinite),
+]
+
+
+@pytest.mark.parametrize("field, value, exc", [(f, v, e) for f, _, v, e in _LAW_FAULTS],
+                         ids=[f"{f}-{fault}" for f, fault, _, _ in _LAW_FAULTS])
+def test_law_record_refuses_each_fault_by_name(field, value, exc):
+    with pytest.raises(exc, match=rf"^{field}\b"):
+        MvnParams(**{**_LAW, field: value})
+
+
+_CMVN_FAULTS = [  # (field, value, exception)
+    ("alpha", "0.9", TypeError), ("alpha", True, TypeError), ("alpha", 1.0, ValueError),
+    ("alpha", float("nan"), ValueError), ("eta", "2", TypeError), ("eta", 1.0, ValueError),
+    ("eta", float("inf"), ValueError), ("eta", float("nan"), ValueError),
+]
+
+
+@pytest.mark.parametrize("field, value, exc", _CMVN_FAULTS)
+def test_contaminated_record_refuses_each_fault_by_name(field, value, exc):
+    args = {"base": MvnParams(**_LAW), "alpha": 0.9, "eta": 2.0, field: value}
+    with pytest.raises(exc, match=rf"^{field}\b"):
+        CmvnParams(**args)

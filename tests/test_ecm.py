@@ -566,18 +566,14 @@ class TestFit:
 
     def test_effective_weight_rank_check(self):
         # within a fitted component, v + (1-v)/eta is non-increasing in distance
-        from cm_reference import cholesky
-        from cmvmix.linalg import _distances
+        from cmvmix.distributions import _distances
         data = generate(reference_model(), 100, seed=9)
         from cmvmix.simulate import perturb
         data = perturb(data, 6, 8.0)
         res = fit(data, FitConfig(g=2, n_starts=5, seed=3), Kind.CMVN)
         for j, comp in enumerate(res.model.components):
             idx = np.flatnonzero(res.hard_labels == j)
-            L_s = cholesky(comp.base.sigma)
-            L_p = cholesky(comp.base.psi)
-            delta = _distances(data.samples[idx].transpose(1, 2, 0), comp.base.m[None],
-                               L_s[None], L_p[None])[0]
+            delta = _distances(data.samples[idx], [comp.base])[0][0]
             w = res.resp.v[idx, j] + (1 - res.resp.v[idx, j]) / comp.eta
             order = np.argsort(delta)
             assert np.all(np.diff(w[order]) <= 1e-10)

@@ -103,3 +103,12 @@ def test_unreachable_flags_a_function_only_tests_call():
 def test_package_holds_only_code_it_runs():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert unreachable(sources, [("cli", "main")]) == []
+
+
+def test_linalg_holds_only_the_chain_kernels():
+    # __init__ and cli reach every module, so they are left out; the rest
+    # may use linalg, but each linalg definition must serve one ECM cycle
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")
+               if p.stem not in ("__init__", "cli")}
+    missed = unreachable(sources, [("ecm", "_cm_half")])
+    assert [name for mod, name in missed if mod == "linalg"] == []

@@ -48,6 +48,16 @@ class TestCountFreeParams:
         with pytest.raises(ValueError):
             count_free_params(Kind.MVN, 0, 2, 2)
 
+    @pytest.mark.parametrize("g, r, p, match", [
+        (True, 2, 4, "g must be of type int"),   # 22 before
+        (2.5, 2, 4, "g must be of type int"),    # 56.5 before
+        (2, "2", 4, "r must be of type int"),    # bare comparison TypeError before
+        (2, 2, 4.0, "p must be of type int"),
+    ])
+    def test_refuses_wrong_types_by_name(self, g, r, p, match):
+        with pytest.raises(TypeError, match=match):
+            count_free_params(Kind.CMVN, g, r, p)
+
 
 class TestBic:
     def test_zero(self):
@@ -62,6 +72,16 @@ class TestBic:
     def test_requires_observations(self):
         with pytest.raises(ValueError):
             bic(0.0, 1, 0)
+
+    @pytest.mark.parametrize("loglik, m, n, match", [
+        (-100.0, 5, True, "n must be of type int"),    # -200.0 before, log n = 0
+        (-100.0, 5, 7.0, "n must be of type int"),
+        (-100.0, 5.5, 7, "m must be of type int"),
+        ("-100", 5, 7, "loglik must be of type float"),
+    ])
+    def test_refuses_wrong_types_by_name(self, loglik, m, n, match):
+        with pytest.raises(TypeError, match=match):
+            bic(loglik, m, n)
 
 
 class TestSweep:

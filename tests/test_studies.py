@@ -150,6 +150,17 @@ def test_generate_refuses_n_and_seed_by_name(n, seed, error, match):
         generate(reference_model(), n, seed)
 
 
+@pytest.mark.parametrize("frac, lo, hi, match", [
+    (True, -1.0, 1.0, "frac must be of type float"),   # replaced every unit before
+    (0.5, -1.0, True, "hi must be of type float"),     # drew from [-1, 1) before
+    ("0.5", -1.0, 1.0, "frac must be of type float"),  # bare comparison TypeError before
+    (0.5, "-1", 1.0, "lo must be of type float"),
+])
+def test_noise_refuses_wrong_types_by_name(frac, lo, hi, match):
+    with pytest.raises(TypeError, match=match):
+        add_uniform_noise(Dataset(np.zeros((4, 1, 1))), frac, lo, hi, 0)
+
+
 @pytest.mark.parametrize("seed, error, match", [
     (-1, ValueError, "seed must be >= 0"),
     (1.5, TypeError, "seed must be of type int"),
