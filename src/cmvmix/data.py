@@ -25,16 +25,19 @@ def as_number(name, val, kind):
 
 def as_array(val, name, dtype, shape=None):
     """A read-only copy of val as a float, int64 or bool array (dtype), of the
-    given shape if one is given (None passes through).  Element types dtype
-    does not take are refused, not cast: strings ("1.5" would read as 1.5),
-    objects (None, ragged lists), complex numbers (the imaginary part would
-    be dropped), booleans for numbers (True would read as 1; numpy types
-    [1.5, True] as float, so only an all-boolean float array is refused),
-    floats for integers (1.5 as 1) and integers int64 cannot hold (2**63 as
-    -2**63)."""
+    given shape if one is given (None passes through).  A ragged list is
+    refused by name, and element types dtype does not take are refused, not
+    cast: strings ("1.5" would read as 1.5), objects (None), complex numbers
+    (the imaginary part would be dropped), booleans for numbers (True would
+    read as 1; numpy types [1.5, True] as float, so only an all-boolean float
+    array is refused), floats for integers (1.5 as 1) and integers int64
+    cannot hold (2**63 as -2**63)."""
     if val is None:
         return None
-    arr = np.array(val)
+    try:
+        arr = np.array(val)
+    except ValueError as exc:  # numpy's "inhomogeneous shape" names no field
+        raise ValueError(f"{name} must be rectangular, not a ragged list") from exc
     if arr.dtype.kind not in _KINDS[dtype]:
         raise ValueError(f"{name} must be of type {dtype.__name__}, got {arr.dtype}")
     if shape is not None and arr.shape != shape:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import linalg
-from .data import Dataset, as_array, as_number, as_strings
+from .data import Dataset, as_array, as_number
 from .distributions import ETA_MIN, CmvnParams, MvnParams, _distances, _logs_from_distances
 from .errors import (
     AllStartsFailed,
@@ -116,8 +116,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged model plus everything needed for reporting and replay.  hard_labels and
-    bad_flags are classify_from(resp, model.kind); iterations is the trace's length."""
+    """Converged model plus everything needed for reporting and replay, checked to hold
+    together.  hard_labels and bad_flags are classify_from(resp, kind); warnings name each
+    alpha <= 0.5, then a start that did not converge; iterations is the trace's length."""
 
     model: MixtureModel
     resp: Responsibilities
@@ -125,16 +126,37 @@ class FitResult:
     converged: bool
     config: FitConfig
     start_index: int = 0
-    warnings: Tuple[str, ...] = ()
+    warnings: Tuple[str, ...] = field(init=False)
     hard_labels: np.ndarray = field(init=False)
     bad_flags: Optional[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "loglik_trace", as_array(self.loglik_trace, "loglik_trace", float))
-        object.__setattr__(self, "warnings", as_strings(self.warnings, "warnings"))
-        for name, a, dtype in zip(("hard_labels", "bad_flags"),
-                                  classify_from(self.resp, self.model.kind), (int, bool)):
-            object.__setattr__(self, name, as_array(a, name, dtype))
+        model, resp, config = self.model, self.resp, self.config
+        cmvn = model.kind is Kind.CMVN
+        if resp.z.shape[1] != model.g or (resp.v is None) == cmvn:
+            raise ValueError(f"z must be N x {model.g}, with v exactly when kind is cmvn")
+        if not all(np.isfinite(a).all() for a in (resp.z, resp.v) if a is not None):
+            raise ValueError("z and v must be finite")
+        if config.g != model.g:
+            raise ValueError(f"config.g must be {model.g}, got {config.g!r}")
+        trace = as_array(self.loglik_trace, "loglik_trace", float)
+        if not (trace.ndim == 1 and trace.size and np.isfinite(trace).all()):
+            raise ValueError("loglik_trace must be a non-empty list of finite numbers")
+        start = as_number("start_index", self.start_index, int)
+        if not 0 <= start < config.n_starts:
+            raise ValueError(f"start_index must be in [0, n_starts={config.n_starts})")
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise TypeError(f"converged must be of type bool, got {self.converged!r}")
+        warns = [f"component {j}: majority-bad (alpha={c.alpha:.4f})"
+                 for j, c in enumerate(model.components) if cmvn and c.alpha <= 0.5]
+        if not self.converged:
+            warns.append(f"start {start} did not converge in max_iter={config.max_iter} iterations")
+        labels, bad = classify_from(resp, model.kind)
+        for name, val in (("loglik_trace", trace), ("start_index", start),
+                          ("converged", bool(self.converged)), ("warnings", tuple(warns)),
+                          ("hard_labels", as_array(labels, "hard_labels", int)),
+                          ("bad_flags", as_array(bad, "bad_flags", bool))):
+            object.__setattr__(self, name, val)
 
     @property
     def loglik(self) -> float:
@@ -312,7 +334,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     # the parameter space ("good" points must be the majority of every
     # cluster), and a chain still climbing at max_iter is usually riding an
     # unbounded likelihood spike; both are kept only as fallbacks, and the
-    # returned chain carries a warning for each.
+    # returned record carries a warning for each.
     best = None
     best_key = None
     failures = []
@@ -327,21 +349,17 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         if not np.isfinite(trace[-1]):
             failures.append(f"start {s}: non-finite log-likelihood")
             continue
-        warns = [f"component {j}: majority-bad (alpha={a:.4f})"
-                 for j, a in enumerate(theta[1] if cmvn else ()) if a <= 0.5]
-        key = (not warns, converged, trace[-1])
+        key = (not cmvn or not (theta[1] <= 0.5).any(), converged, trace[-1])
         if best is None or key > best_key:
-            best, best_key = (theta, resp, trace, converged, s, warns), key
+            best, best_key = (theta, resp, trace, converged, s), key
     if best is None:
         raise AllStartsFailed("; ".join(failures))
-    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, s, warns = best
-    if not converged:
-        warns.append(f"start {s} did not converge in max_iter={config.max_iter} iterations")
+    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, s = best
     bases = [MvnParams(*msp) for msp in zip(means, sigmas, psis)]
     comps = [CmvnParams(b, a, e) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
     model = MixtureModel(kind=kind, weights=weights, components=comps)
     return FitResult(model=model, resp=resp, loglik_trace=trace, converged=converged,
-                     config=config, start_index=s, warnings=tuple(warns))
+                     config=config, start_index=s)
 
 
 def classify_from(resp: Responsibilities, kind: Kind):

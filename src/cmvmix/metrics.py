@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import as_array
+from .data import as_array, as_strings
 from .ecm import FitResult, Kind
 from .errors import KindMismatch, LengthMismatch
 
@@ -125,7 +125,7 @@ def outlier_report(result: FitResult, names: Optional[Sequence[str]] = None) -> 
     n = result.hard_labels.shape[0]
     if names is None:
         names = [str(i + 1) for i in range(n)]
-    elif len(names) != n:
+    elif len(names := as_strings(names, "names")) != n:
         raise LengthMismatch(f"names length {len(names)} vs N={n}")
     clusters = []
     for j, comp in enumerate(result.model.components):

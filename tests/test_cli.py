@@ -181,6 +181,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{spec_path}: malformed model spec: psi is not symmetric" in err
 
+    def test_spec_ragged_scale_is_parse_error(self, tmp_path, capsys):
+        comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": [[1.0, 0.0], [0.0]]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"weights": [1.0], "components": [comp]}))
+        assert main(["simulate", "--spec", str(spec_path), "--n", "10",
+                     "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{spec_path}: malformed model spec: psi must be rectangular" in err
+
     def test_spec_kind_mvn(self, tmp_path):
         comp = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": np.eye(2).tolist()}
         spec_path = tmp_path / "spec.json"

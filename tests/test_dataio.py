@@ -146,6 +146,14 @@ class TestDatasetJson:
         with pytest.raises(ParseError, match="malformed dataset"):
             read_dataset(path)
 
+    def test_ragged_sample_is_named_parse_error(self, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text('{"schema_version": 1, "n": 1, "r": 1, "p": 2, "samples": [[1.0, [2.0]]]}')
+        with pytest.raises(ParseError) as caught:
+            read_dataset(path)
+        assert str(caught.value) == (
+            f"{path}: malformed dataset: samples must be rectangular, not a ragged list")
+
     @pytest.mark.parametrize("fields", [
         '"n": 2.0, "r": 1, "p": 1, "samples": [[1.0], [2.0]]',
         '"n": 1, "r": true, "p": 1, "samples": [[1.0]]',
@@ -677,6 +685,48 @@ class TestFitRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="malformed fit document"):
             read_fit(path)
+
+    @staticmethod
+    def _nan_inside_trace(doc):
+        doc["loglik_trace"][1] = float("nan")
+
+    # one fault each, and the whole message read_fit reports for it
+    @pytest.mark.parametrize("kind, edit, message", [
+        (Kind.MVN, lambda doc: doc.update(v=doc["z"]),
+         "z must be N x 2, with v exactly when kind is cmvn"),
+        (Kind.MVN, lambda doc: doc.update(z=[row[:1] for row in doc["z"]]),
+         "z must be N x 2, with v exactly when kind is cmvn"),
+        (Kind.CMVN, lambda doc: doc["config"].update(g=3), "config.g must be 2, got 3"),
+        (Kind.CMVN, lambda doc: doc.update(start_index=3), "start_index must be in [0, n_starts=3)"),
+        (Kind.CMVN, lambda doc: doc.update(loglik_trace=[]),
+         "loglik_trace must be a non-empty list of finite numbers"),
+        (Kind.CMVN, _nan_inside_trace, "loglik_trace must be a non-empty list of finite numbers"),
+    ], ids=["v-on-mvn", "z-one-column", "config-g-not-g", "start-is-n-starts", "trace-empty",
+            "trace-nan-inside"])
+    def test_inconsistent_fit_message(self, tmp_path, kind, edit, message):
+        data = generate(reference_model(), 60, seed=3)
+        result = fit(data, FitConfig(g=2, n_starts=3, seed=4), kind)
+        path = tmp_path / "inconsistent.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        assert len(doc["loglik_trace"]) > 2
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as caught:
+            read_fit(path)
+        assert str(caught.value) == f"{path}: malformed fit document: {message}"
+
+    def test_ragged_sigma_is_named_parse_error(self, tmp_path, fitted):
+        _, result = fitted
+        path = tmp_path / "ragged.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc["components"][0]["sigma"][1].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as caught:
+            read_fit(path)
+        assert str(caught.value) == (
+            f"{path}: malformed fit document: sigma must be rectangular, not a ragged list")
 
     def test_schema_mismatch_typed_error(self, tmp_path, fitted):
         _, result = fitted

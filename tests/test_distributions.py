@@ -388,6 +388,7 @@ _LAW_FAULTS = [  # (field, fault, value, exception the record raises)
     ("sigma", "inf", np.array([[2.0, 0.5], [0.5, np.inf]]), ValueError),
     ("sigma", "nan", np.array([[2.0, np.nan], [np.nan, 1.0]]), ValueError),
     ("sigma", "asymmetric", np.array([[2.0, 0.5], [0.0, 1.0]]), NotPositiveDefinite),
+    ("sigma", "ragged row", [[2.0, 0.5], [0.5]], ValueError),
     ("sigma", "s11 zero", np.array([[0.0, 0.0], [0.0, 1.0]]), ValueError),
     ("sigma", "s11 negative", np.array([[-1.0, 0.0], [0.0, 1.0]]), ValueError),
     ("psi", "text", np.full((3, 3), "1"), ValueError),

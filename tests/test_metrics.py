@@ -228,3 +228,12 @@ class TestOutlierReport:
                 assert bp["name"] == f"unit-{bp['unit'] - 1}"
         with pytest.raises(LengthMismatch):
             outlier_report(cmvn_fit, names=["short"])
+
+    def test_refuses_a_bare_string_of_names(self, cmvn_fit):
+        # a 120-character string would otherwise name each unit by one character
+        with pytest.raises(TypeError, match="names must be a sequence of strings, not a str"):
+            outlier_report(cmvn_fit, names="abcdefghij" * 12)
+
+    def test_refuses_names_that_are_not_strings(self, cmvn_fit):
+        with pytest.raises(TypeError, match="names must be a sequence of strings"):
+            outlier_report(cmvn_fit, names=list(range(120)))

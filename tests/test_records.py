@@ -51,6 +51,11 @@ def test_dataset_refuses_empty_shapes(shape):
         Dataset(np.zeros(shape))
 
 
+def test_dataset_refuses_a_ragged_sample_by_name():
+    with pytest.raises(ValueError, match="^samples must be rectangular"):
+        Dataset([[[1.0, 2.0]], [[1.0]]])
+
+
 @pytest.mark.parametrize("labels", [np.array([2**63, 1], np.uint64), [True, 2]],
                          ids=["uint64-beyond-int64", "bool-among-ints"])
 def test_dataset_refuses_labels_int64_cannot_hold(labels):
@@ -80,19 +85,70 @@ def test_fit_results_are_read_only(tmp_path, read_back):
     assert not any(a.flags.writeable for a in arrays)
 
 
-def _small_result(kind, **extra):
+_Z = [[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]]
+_V = [[0.9, 0.3], [0.7, 0.7], [0.5, 0.1]]
+
+
+def _small_result(kind, alpha=0.9, **extra):
     comp = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
     if kind is Kind.CMVN:
-        comp = CmvnParams(comp, 0.9, 2.0)
+        comp = CmvnParams(comp, alpha, 2.0)
     model = MixtureModel(kind=kind, weights=[0.5, 0.5], components=(comp, comp))
-    resp = Responsibilities(z=[[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]],
-                            v=[[0.9, 0.3], [0.7, 0.7], [0.5, 0.1]] if kind is Kind.CMVN else None)
-    return FitResult(model=model, resp=resp, loglik_trace=[-3.0, -2.5], converged=True,
-                     config=FitConfig(g=2, seed=11), **extra)
+    resp = Responsibilities(z=_Z, v=_V if kind is Kind.CMVN else None)
+    return FitResult(**{"model": model, "resp": resp, "loglik_trace": [-3.0, -2.5],
+                        "converged": True, "config": FitConfig(g=2, seed=11), **extra})
+
+
+_FIT_FAULTS = [  # (kind, field the message names, one wrong input, exception)
+    (Kind.MVN, "v", {"resp": Responsibilities(z=_Z, v=_V)}, ValueError),
+    (Kind.CMVN, "v", {"resp": Responsibilities(z=_Z)}, ValueError),
+    (Kind.CMVN, "z", {"resp": Responsibilities(z=[r[:1] for r in _Z], v=[r[:1] for r in _V])},
+     ValueError),
+    (Kind.CMVN, "z", {"resp": Responsibilities(z=[[np.nan, 1.0], *_Z[1:]], v=_V)}, ValueError),
+    (Kind.CMVN, "v", {"resp": Responsibilities(z=_Z, v=[[np.inf, 0.3], *_V[1:]])}, ValueError),
+    (Kind.CMVN, r"config\.g", {"config": FitConfig(g=3)}, ValueError),
+    (Kind.CMVN, "start_index", {"config": FitConfig(g=2, n_starts=20), "start_index": 25},
+     ValueError),
+    (Kind.CMVN, "start_index", {"start_index": -1}, ValueError),
+    (Kind.CMVN, "start_index", {"start_index": True}, TypeError),
+    (Kind.CMVN, "start_index", {"start_index": 1.5}, TypeError),
+    (Kind.CMVN, "loglik_trace", {"loglik_trace": [-3.0, np.nan, -2.5]}, ValueError),
+    (Kind.CMVN, "loglik_trace", {"loglik_trace": []}, ValueError),
+    (Kind.CMVN, "converged", {"converged": "no"}, TypeError),
+]
+
+
+@pytest.mark.parametrize("kind, name, extra, exc", _FIT_FAULTS, ids=[
+    "v-on-mvn", "no-v-on-cmvn", "z-one-column", "z-nan", "v-inf", "config-g-not-g",
+    "start-beyond-n-starts", "start-negative", "start-bool", "start-float", "trace-nan-inside",
+    "trace-empty", "converged-text"])
+def test_fit_result_refuses_each_fault_by_name(kind, name, extra, exc):
+    with pytest.raises(exc, match=rf"\b{name}\b"):
+        _small_result(kind, **extra)
+
+
+def test_fit_result_stores_plain_converged_and_start_index():
+    result = _small_result(Kind.CMVN, converged=np.bool_(True), start_index=np.int64(3))
+    assert type(result.converged) is bool and result.converged
+    assert type(result.start_index) is int and result.start_index == 3
+
+
+@pytest.mark.parametrize("kind, alpha, converged, want", [
+    (Kind.CMVN, 0.9, True, ()),
+    (Kind.CMVN, 0.5, True, ("component 0: majority-bad (alpha=0.5000)",
+                            "component 1: majority-bad (alpha=0.5000)")),
+    (Kind.CMVN, 0.25, False, ("component 0: majority-bad (alpha=0.2500)",
+                              "component 1: majority-bad (alpha=0.2500)",
+                              "start 4 did not converge in max_iter=1000 iterations")),
+    (Kind.MVN, 0.9, False, ("start 4 did not converge in max_iter=1000 iterations",)),
+], ids=["cmvn-clean", "cmvn-alpha-half", "cmvn-bad-and-max-iter", "mvn-max-iter"])
+def test_fit_result_derives_its_warnings(kind, alpha, converged, want):
+    result = _small_result(kind, alpha=alpha, converged=converged, start_index=4)
+    assert result.warnings == want
 
 
 @pytest.mark.parametrize("name, value", [("hard_labels", [1, 0, 0]), ("bad_flags", None),
-                                         ("iterations", 2), ("seed", 11)])
+                                         ("iterations", 2), ("seed", 11), ("warnings", ())])
 def test_fit_result_refuses_derived_values(name, value):
     with pytest.raises(TypeError, match=name):
         _small_result(Kind.CMVN, **{name: value})
