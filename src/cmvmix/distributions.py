@@ -120,38 +120,41 @@ def _distances(xs, bases):
     shapes = {b.shape for b in bases}
     if shapes != {xs.shape[1:]}:
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
-    L_sigma = linalg.factor(np.stack([b.sigma for b in bases]), "sigma")
-    L_psi = linalg.factor(np.stack([b.psi for b in bases]), "psi")
+    L_sigma, sigma_inv = linalg.factor(np.stack([b.sigma for b in bases]), "sigma", inverse=True)
+    L_psi, psi_inv = linalg.factor(np.stack([b.psi for b in bases]), "psi", inverse=True)
     d = linalg._residuals(xs.transpose(1, 2, 0), np.stack([b.m for b in bases]))
-    delta = linalg._whitened_distances(linalg._whiten(np.linalg.inv(L_sigma), d),
-                                       np.linalg.inv(L_psi))
+    delta = linalg._whitened_distances(linalg._whiten(sigma_inv, d), psi_inv)
     return delta, linalg._log_det_kron(L_sigma, L_psi)
 
 
 def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
     """Log densities and good-point posteriors from distances.
 
-    delta, log_det, alpha and eta broadcast together (one law, or one column
-    per mixture component).  With alpha None the law is the plain matrix
-    normal and v is None.  Otherwise the log density mixes the good part
-    (weight alpha) with the eta-inflated part, whose scale only rescales
-    delta and the determinant, in the closed form of h_weight: with d the
-    log-odds of bad against good (+inf when both parts are 0, at delta =
-    +inf), e = exp(-|d|) gives log f = max(good, bad) + log1p(e) and v, the
+    log_det, alpha and eta broadcast to delta's shape (one law, or one
+    column per mixture component), and the intermediates reuse three arrays
+    of that shape (0-d for one unit).  With alpha None the law is the plain
+    matrix normal and v is None.  Otherwise the log density mixes the good
+    part (weight alpha) with the eta-inflated part, whose scale only
+    rescales delta and the determinant, in the closed form of h_weight: with
+    d the log-odds of bad against good (+inf when both parts are 0, at delta
+    = +inf), e = exp(-|d|) gives log f = max(good, bad) + log1p(e) and v, the
     posterior probability of the good part, = 1/(1 + e) for d <= 0 and
     e/(1 + e) for d > 0, clipped into the open unit interval.
     """
     const = -0.5 * (rp * _LOG_2PI + log_det)
-    half = 0.5 * delta
-    log_good = const - half
+    half = np.multiply(0.5, delta, out=np.empty(np.shape(delta)))
     if alpha is None:
-        return log_good, None
-    num = np.log(alpha) + log_good
-    bad = np.log1p(-alpha) + (const - 0.5 * rp * np.log(eta) - half / eta)
-    d = np.fmin(bad - num, np.inf)  # a NaN from -inf - -inf becomes +inf
-    e = np.exp(-np.abs(d))
-    v = np.where(d > 0, e, 1.0) / (1.0 + e)
-    return np.maximum(num, bad) + np.log1p(e), np.minimum(np.maximum(v, _V_MIN), _V_MAX)
+        return np.subtract(const, half, out=half), None
+    num, d = np.subtract(const, half, out=np.empty_like(half)), np.empty_like(half)
+    num = np.add(np.log(alpha), num, out=num)
+    bad = np.subtract(const - 0.5 * rp * np.log(eta), np.divide(half, eta, out=half), out=half)
+    bad = np.add(np.log1p(-alpha), bad, out=bad)
+    d = np.fmin(np.subtract(bad, num, out=d), np.inf, out=d)  # a NaN from -inf - -inf becomes +inf
+    pos = d > 0
+    e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
+    logf = np.add(np.maximum(num, bad, out=num), np.log1p(e, out=bad), out=num)
+    v = np.divide(np.where(pos, e, 1.0), np.add(1.0, e, out=e), out=e)
+    return logf, np.minimum(np.maximum(v, _V_MIN, out=v), _V_MAX, out=v)
 
 
 def posterior_good_prob(x, params: CmvnParams) -> float:

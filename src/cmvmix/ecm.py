@@ -177,14 +177,13 @@ def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
     etas; alphas None is the plain matrix normal (v None).  Each unit's
     log-sum-exp is shifted by its largest entry, so a unit with no finite
     entry gives a NaN log-likelihood."""
-    if alphas is not None:
-        alphas, etas = alphas[:, None], etas[:, None]
-    logf, v = _logs_from_distances(delta, log_det[:, None], rp, alphas, etas)
-    logw = logf + log_weights[:, None]
+    alphas, etas = (None, None) if alphas is None else (alphas[:, None], etas[:, None])
+    logw, v = _logs_from_distances(delta, log_det[:, None], rp, alphas, etas)
+    logw += log_weights[:, None]
     top = logw.max(axis=0)
-    w = np.exp(logw - top)
+    w = np.exp(np.subtract(logw, top, out=logw), out=logw)
     tot = w.sum(axis=0)
-    return w / tot, v, float((np.log(tot) + top).sum())
+    return np.divide(w, tot, out=w), v, float((np.log(tot) + top).sum())
 
 
 def _model_terms(data: Dataset, model: MixtureModel):
@@ -210,16 +209,16 @@ def observed_loglik(data: Dataset, model: MixtureModel) -> float:
     return _e_pass(*_model_terms(data, model))[2]
 
 
-def _cm_step_1(xt, z, v, etas_prev, ng):
-    """CM1 on units xt (r, p, N), posteriors z, v (G, N) and their masses
-    ng = z.sum(axis=1): weights, alphas (None for plain MVN, v None), means
-    and the effective weights u (G, N) that the scale updates reuse."""
+def _cm_step_1(xt, z, v, bad, etas_prev, ng):
+    """CM1 on units xt (r, p, N), posteriors z, v (G, N), bad = 1 - v and the
+    masses ng = z.sum(axis=1): weights, alphas (None for plain MVN, v None),
+    means and the effective weights u (G, N) that the scale updates reuse."""
     r, p, n = xt.shape
     weights = ng / n
     alphas = None if v is None else np.minimum(
         np.maximum((z * v).sum(axis=1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
-    u = z.copy() if v is None else z * (v + (1.0 - v) / etas_prev[:, None])
+    u = z.copy() if v is None else z * (v + bad / etas_prev[:, None])
     means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p) / u.sum(axis=1)[:, None, None]
     return weights, alphas, means, u
 
@@ -249,21 +248,21 @@ def _cm_half(xt, z, v, etas, psi_inv, work):
     below r*p/2 effective units."""
     r, p, _ = xt.shape
     ng, floor = z.sum(axis=1), r * p / 2.0
-    if np.any(ng < floor):
+    if (ng < floor).any():
         raise DegenerateCluster(f"component mass fell below {floor:.3g}: {ng}")
     D, Y, U = work
-    weights, alphas, means, u = _cm_step_1(xt, z, v, etas, ng)
+    bad = None if v is None else 1.0 - v
+    weights, alphas, means, u = _cm_step_1(xt, z, v, bad, etas, ng)
     linalg._residuals(xt, means, out=D)
     sigmas = linalg._row_scatter(D, u, psi_inv, ng, out=(Y, U))
-    L_sigma = linalg.factor(sigmas, "sigma")
-    Z = linalg._whiten(np.linalg.inv(L_sigma), D, out=Y)
+    L_sigma, sigma_inv = linalg.factor(sigmas, "sigma", inverse=True)
+    Z = linalg._whiten(sigma_inv, D, out=Y)
     psis = linalg._col_scatter(Z, u, ng, out=U)
-    L_psi = linalg.factor(psis, "psi")
-    psi_inv = np.linalg.inv(L_psi)
+    L_psi, psi_inv = linalg.factor(psis, "psi", inverse=True)
     delta = linalg._whitened_distances(Z, psi_inv, out=U)
     log_det = linalg._log_det_kron(L_sigma, L_psi)
     if v is not None:
-        etas = _eta(z * (1.0 - v), delta, ETA_MIN, r * p)
+        etas = _eta(z * bad, delta, ETA_MIN, r * p)
     return (weights / weights.sum(), alphas, means, sigmas, psis, etas), psi_inv, delta, log_det
 
 

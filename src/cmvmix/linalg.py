@@ -2,44 +2,52 @@
 
 All inverse-weighted quantities go through Cholesky factors: residuals are
 whitened by the inverses of stacked lower-triangular factors.  A factor is
-small and comes from a Cholesky factorization that succeeded, so its
-inverse exists and ``inv(L) @ B`` matches a triangular solve to roundoff.
-The stacked kernels (``_residuals`` and after) keep the N units on the last
-axis, so no whitening copies its residuals.  The kernels that make a
-(G, r, p, N) array take an optional
-C-contiguous ``out`` of that shape (a pair for ``_row_scatter``, which
-makes two) and write it there, so the ECM chain allocates its work arrays
-once.  No scatter multiplies an array by its own transpose, which numpy
-hands to the slower BLAS syrk: each is one gemm of the u-weighted copy of an
-array with the array, made exactly symmetric as (S + S')/2 (a float sum
-does not depend on its order).  Matrices are plain numpy arrays that the
-callers built or validated (``distributions.MvnParams`` judges a law's
-parameters), so nothing here checks its input; a factorization only
-reports a matrix that is not positive definite.
+small and comes from a Cholesky factorization that succeeded, so its inverse
+exists and ``inv(L) @ B`` matches a triangular solve to roundoff.  This
+module alone calls LAPACK: numpy's gufuncs ``cholesky_lo`` and ``inv``,
+bound at import, are what ``np.linalg.cholesky`` and ``np.linalg.inv`` run
+after per-call checks and casts that cost more than the chain's small
+factorizations.  One ``np.errstate(invalid="raise", over="ignore",
+divide="ignore", under="ignore")`` covers each scale's factor and inverse,
+so a failed pivot raises, as NotPositiveDefinite.  The stacked kernels
+(``_residuals`` and after) keep the N units on the last axis, so no
+whitening copies its residuals.  The kernels that make a (G, r, p, N) array
+take an optional C-contiguous ``out`` of that shape (a pair for
+``_row_scatter``, which makes two) and write it there, so the ECM chain
+allocates its work arrays once.  No scatter multiplies an array by its own
+transpose, which numpy hands to the slower BLAS syrk: each is one gemm of
+the u-weighted copy of an array with the array, made exactly symmetric as
+(S + S')/2 (a float sum does not depend on its order).  Matrices are plain
+numpy arrays that the callers built or validated (``distributions.MvnParams``
+judges a law's parameters), so nothing here checks them.
 """
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo, inv
 
 from .errors import NotPositiveDefinite
 
 
-def factor(a, name="matrix"):
-    """Lower Cholesky factor of a symmetric matrix that the program built or
-    a record validated (or of a stack of them, shape (..., k, k)).
-
-    Raises NotPositiveDefinite when any pivot is non-positive; the caller
-    decides whether to jitter, restart or abort.
-    """
+def factor(a, name="matrix", *, inverse=False):
+    """Lower Cholesky factor L of a symmetric float matrix the program built or
+    a record validated (or of a stack (..., k, k)), with inverse the pair
+    (L, L^-1), bitwise as np.linalg gives them.  Raises NotPositiveDefinite
+    when a pivot is non-positive or NaN (OpenBLAS passes a NaN pivot; a NaN
+    reaches the last); the caller decides whether to jitter, restart or abort."""
     try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from None
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            L = cholesky_lo(a)
+            if not np.isnan(L[..., -1, -1]).any():
+                return (L, inv(L)) if inverse else L
+    except FloatingPointError:
+        pass
+    raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
 def log_det_from_factor(L):
     """log determinant given a precomputed lower Cholesky factor, or one per
     factor of a stack (..., k, k)."""
-    return 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    return 2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def _log_det_kron(L_sigma, L_psi):

@@ -6,12 +6,15 @@ entry points take units first (samples (N, r, p), posteriors and weights
 ``linalg.factor``, ``_residuals``, ``_whiten``, ``_row_scatter``,
 ``_col_scatter``, ``_whitened_distances`` and ``ecm._eta``), so a test of
 one step checks the chain's own arithmetic.  They take symmetric positive
-definite arrays the tests built and check none.
+definite arrays the tests built and check none.  ``logs_from_distances`` is
+the E-pass's closed form written one fresh array per operation, the oracle
+for the in-place ``distributions._logs_from_distances``.
 """
 
 import numpy as np
 
 from cmvmix import ecm, linalg
+from cmvmix.distributions import _LOG_2PI, _V_MAX, _V_MIN
 
 
 def _factors(mats, name):
@@ -26,8 +29,8 @@ def cm_step_1(data, resp, etas_prev):
     weights reused by the scale updates; alphas is None for plain MVN.
     """
     z, v = resp.z.T, None if resp.v is None else resp.v.T
-    w, alphas, means, u = ecm._cm_step_1(data.samples.transpose(1, 2, 0), z, v, etas_prev,
-                                         z.sum(axis=1))
+    w, alphas, means, u = ecm._cm_step_1(data.samples.transpose(1, 2, 0), z, v,
+                                         None if v is None else 1.0 - v, etas_prev, z.sum(axis=1))
     return w, alphas, means, u.T
 
 
@@ -93,3 +96,20 @@ def trace_quad_form(x, m, sigma, psi):
     d = linalg._residuals(x[:, :, None], m[None])
     w = linalg._whiten(np.linalg.inv(_factors([sigma], "sigma")), d)
     return float(linalg._whitened_distances(w, np.linalg.inv(_factors([psi], "psi")))[0, 0])
+
+
+def logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
+    """distributions._logs_from_distances with a fresh array for every
+    intermediate: the same operations on the same operands in the same
+    order, so the two agree bit for bit."""
+    const = -0.5 * (rp * _LOG_2PI + log_det)
+    half = 0.5 * delta
+    log_good = const - half
+    if alpha is None:
+        return log_good, None
+    num = np.log(alpha) + log_good
+    bad = np.log1p(-alpha) + (const - 0.5 * rp * np.log(eta) - half / eta)
+    d = np.fmin(bad - num, np.inf)  # a NaN from -inf - -inf becomes +inf
+    e = np.exp(-np.abs(d))
+    v = np.where(d > 0, e, 1.0) / (1.0 + e)
+    return np.maximum(num, bad) + np.log1p(e), np.minimum(np.maximum(v, _V_MIN), _V_MAX)

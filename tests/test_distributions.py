@@ -24,7 +24,7 @@ from cmvmix.distributions import _logs_from_distances
 from cmvmix.ecm import _ALPHA_EPS
 from cmvmix.errors import DimensionMismatch, NotPositiveDefinite
 
-from cm_reference import trace_quad_form
+from cm_reference import logs_from_distances, trace_quad_form
 from test_linalg import random_spd
 
 LOG_2PI = np.log(2 * np.pi)
@@ -193,6 +193,44 @@ def test_closed_form_matches_two_term_logsumexp(deltas, log_det, rp, alpha, eta)
     assert np.all(np.abs(logf - want_logf) <= tol)
     assert np.all(np.abs(v - want_v) <= tol * want_v)
     assert np.all((0.0 < v) & (v < 1.0))
+
+
+# distances at 0, +inf (both parts 0) and far out; alphas within 1e-12 of 0
+# and of 1; etas at the floor
+_DELTAS = st.one_of(st.sampled_from([0.0, np.inf, 1e300]), st.floats(0.0, 1e4))
+_ALPHAS = st.one_of(st.floats(0.0, 1e-12, exclude_min=True),
+                    st.floats(1.0 - 1e-12, 1.0, exclude_max=True), st.floats(1e-12, 1.0 - 1e-12))
+_ETAS = st.one_of(st.just(ETA_MIN), st.floats(ETA_MIN, 1e6))
+
+
+@st.composite
+def e_pass_terms(draw):
+    """(G, N) distances with (G, 1) log determinants, alphas and etas, as the
+    E-pass passes them, or one unit's 0-d values (Python floats or 0-d arrays)."""
+    if draw(st.booleans()):
+        g, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+        delta = np.array(draw(st.lists(_DELTAS, min_size=g * n, max_size=g * n))).reshape(g, n)
+        column = [np.array(draw(st.lists(s, min_size=g, max_size=g)))[:, None]
+                  for s in (st.floats(-30.0, 30.0), _ALPHAS, _ETAS)]
+        return (delta, *column)
+    values = [draw(s) for s in (_DELTAS, st.floats(-30.0, 30.0), _ALPHAS, _ETAS)]
+    return tuple(np.array(x) for x in values) if draw(st.booleans()) else tuple(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(terms=e_pass_terms(), rp=st.integers(1, 60), cmvn=st.booleans())
+def test_in_place_logs_match_the_fresh_array_oracle(terms, rp, cmvn):
+    # bit for bit, shapes included (a 0-d result is a 0-d array where the
+    # oracle gives a numpy scalar; both have shape ())
+    delta, log_det, alpha, eta = terms
+    args = (delta, log_det, rp) + ((alpha, eta) if cmvn else ())
+    with np.errstate(invalid="ignore"):  # -inf - -inf in the log-odds at delta = +inf
+        got, want = _logs_from_distances(*args), logs_from_distances(*args)
+    assert (got[1] is None) == (want[1] is None) == (not cmvn)
+    for g, w in zip(got, want):
+        if w is not None:
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestWeights:

@@ -939,7 +939,8 @@ def test_public_scale_updates_are_the_chains(kind):
     (prev, z, v, _), (theta, _, _, _) = drive_cycles(data, kind, init_z, init_v, 2)
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     ng = z.sum(axis=1)
-    _, _, means, u = ecm._cm_step_1(xt, z, v, prev[5], ng)
+    bad = None if v is None else 1.0 - v
+    _, _, means, u = ecm._cm_step_1(xt, z, v, bad, prev[5], ng)
     np.testing.assert_array_equal(means, theta[2])
     sigmas = cm_step_2_sigma(data.samples, u.T, ng, means, prev[4])
     np.testing.assert_array_equal(sigmas, theta[3])

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-module-level function and class is reached from the package's entry points."""
+"""Every module-level import in the package is used by its module, every
+module-level function and class is reached from the package's entry points,
+and only linalg calls numpy's linear algebra."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,53 @@ def test_linalg_holds_only_the_chain_kernels():
                if p.stem not in ("__init__", "cli")}
     missed = unreachable(sources, [("ecm", "_cm_half")])
     assert [name for mod, name in missed if mod == "linalg"] == []
+
+
+def lapack_routes(source):
+    """Line numbers where source reaches numpy's linear algebra itself: an
+    attribute linalg of np or numpy (np.linalg.inv, numpy.linalg.cholesky),
+    an import of numpy.linalg or from it, ``from numpy import linalg``, or
+    the name _umath_linalg in any form."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "_umath_linalg" or (
+                node.attr == "linalg" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.Name):
+            hit = node.id == "_umath_linalg"
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.linalg") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module.startswith("numpy.linalg") or "_umath_linalg" in module
+                   or (module == "numpy" and any(a.name in ("linalg", "_umath_linalg")
+                                                 for a in node.names)))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_lapack_routes_flags_each_route():
+    source = ("import numpy as np\n"
+              "import numpy.linalg as nla\n"
+              "from numpy import linalg\n"
+              "from numpy.linalg import _umath_linalg\n"
+              "from numpy.linalg._umath_linalg import inv\n"
+              "x = np.linalg.inv(np.eye(2))\n"
+              "y = numpy.linalg.cholesky\n"
+              "z = nla._umath_linalg.cholesky_lo\n"
+              "from . import linalg as own\n"
+              "w = own.factor(x) + linalg_sum(x)\n")
+    assert lapack_routes(source) == [2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_only_linalg_calls_numpy_linear_algebra(path):
+    # linalg owns numpy's LAPACK gufuncs and the errstate that maps their
+    # failures to NotPositiveDefinite; a second caller would bring back
+    # np.linalg's wrappers or a failure mapped another way
+    assert lapack_routes(path.read_text()) == []

@@ -1,5 +1,7 @@
 """Tests for the dense-matrix kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -50,6 +52,62 @@ class TestCholesky:
             L = linalg.factor(a)
             err = np.linalg.norm(L @ L.T - a) / np.linalg.norm(a)
             assert err < 1e-12
+
+
+def same_bits(got, want):
+    """Equal shapes, dtypes and bytes: stricter than ==, which takes -0.0
+    for 0.0."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestForeignCalls:
+    """factor calls numpy's LAPACK gufuncs without np.linalg's wrappers; it
+    must give the wrappers' numbers bit for bit, and refuse what their
+    factorization refuses plus a NaN, by name and without a warning.  A
+    numpy that changes those private gufuncs fails here first."""
+
+    @staticmethod
+    def stack(g, k, cond, seed):
+        # SPD matrices with eigenvalues log-spaced from 1 to cond, in random bases
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(g):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            out.append((q * np.logspace(0, np.log10(cond), k)) @ q.T * rng.uniform(0.1, 10.0))
+        return (np.array(out) + np.array(out).transpose(0, 2, 1)) / 2.0
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 10])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_bitwise_equal_to_numpy_linalg(self, g, k, cond):
+        a = self.stack(g, k, cond, seed=1000 * g + 10 * k + int(np.log10(cond)))
+        want_L = np.linalg.cholesky(a)
+        want_inv = np.linalg.inv(want_L)
+        L, L_inv = linalg.factor(a, "sigma", inverse=True)
+        assert same_bits(L, want_L) and same_bits(L_inv, want_inv)
+        assert same_bits(linalg.factor(a), want_L)
+        assert same_bits(linalg.factor(a[0]), want_L[0])  # one matrix, not a stack
+
+    @pytest.mark.parametrize("fault", ["indefinite", "nan on the diagonal", "nan off it"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 6, 10])
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("caller_errstate", ["ignore", "raise"])
+    def test_refuses_by_name_without_warning(self, g, k, fault, caller_errstate):
+        # the last member of the stack is faulty; the caller's own errstate
+        # does not change what factor raises
+        a = self.stack(g, k, 1e4, seed=7 * g + k)
+        j = k - 1
+        if fault == "indefinite":
+            a[-1, j, j] = -1.0 if k == 1 else -abs(a[-1]).max()
+        elif fault == "nan on the diagonal" or k == 1:
+            a[-1, j, j] = np.nan
+        else:
+            a[-1, j, 0] = a[-1, 0, j] = np.nan
+        for inverse in (False, True):
+            with warnings.catch_warnings(), np.errstate(all=caller_errstate):
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite, match="^psi is not positive definite$"):
+                    linalg.factor(a, "psi", inverse=inverse)
 
 
 def log_det_spd(a):
