@@ -5,6 +5,7 @@ refuses a value of the wrong type instead of casting it."""
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,9 +30,9 @@ def as_array(val, name, dtype, shape=None):
     refused by name, and element types dtype does not take are refused, not
     cast: strings ("1.5" would read as 1.5), objects (None), complex numbers
     (the imaginary part would be dropped), booleans for numbers (True would
-    read as 1; numpy types [1.5, True] as float, so only an all-boolean float
-    array is refused), floats for integers (1.5 as 1) and integers int64
-    cannot hold (2**63 as -2**63)."""
+    read as 1, also among numbers: numpy types [1.5, True] as float, so the
+    values of a list are scanned; an ndarray's dtype tells), floats for
+    integers (1.5 as 1) and integers int64 cannot hold (2**63 as -2**63)."""
     if val is None:
         return None
     try:
@@ -44,12 +45,19 @@ def as_array(val, name, dtype, shape=None):
         raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
     if dtype is int and arr.dtype.kind == "u" and (arr > np.iinfo(np.int64).max).any():
         raise ValueError(f"{name} must fit int64, got {arr.max()}")
-    if dtype is int and not isinstance(val, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-            map(type, val)):  # np.array reads [True, 2] as [1, 2]
-        raise ValueError(f"{name} must be integers, not booleans")
+    if dtype is not bool and not isinstance(val, np.ndarray) and {bool, np.bool_} & _leaf_types(
+            val, arr.ndim):  # np.array reads [True, 2] as [1, 2] and [1.5, True] as [1.5, 1.0]
+        raise ValueError(f"{name} must be numbers, not booleans")
     arr = arr.astype(dtype, copy=False)
     arr.setflags(write=False)
     return arr
+
+
+def _leaf_types(val, ndim):
+    """The types of the values of val, a sequence nested ndim deep."""
+    for _ in range(ndim - 1):
+        val = chain.from_iterable(val)
+    return set(map(type, val)) if ndim else {type(val)}
 
 
 def as_strings(val, name):

@@ -180,10 +180,10 @@ def _e_pass(delta, log_det, log_weights, rp, alphas, etas):
     alphas, etas = (None, None) if alphas is None else (alphas[:, None], etas[:, None])
     logw, v = _logs_from_distances(delta, log_det[:, None], rp, alphas, etas)
     logw += log_weights[:, None]
-    top = logw.max(axis=0)
+    top = np.maximum.reduce(logw, 0)
     w = np.exp(np.subtract(logw, top, out=logw), out=logw)
-    tot = w.sum(axis=0)
-    return np.divide(w, tot, out=w), v, float((np.log(tot) + top).sum())
+    tot = np.add.reduce(w, 0)
+    return np.divide(w, tot, out=w), v, float(np.add.reduce(np.log(tot) + top))
 
 
 def _model_terms(data: Dataset, model: MixtureModel):
@@ -216,21 +216,26 @@ def _cm_step_1(xt, z, v, bad, etas_prev, ng):
     r, p, n = xt.shape
     weights = ng / n
     alphas = None if v is None else np.minimum(
-        np.maximum((z * v).sum(axis=1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
+        np.maximum(np.add.reduce(z * v, 1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
     u = z.copy() if v is None else z * (v + bad / etas_prev[:, None])
-    means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p) / u.sum(axis=1)[:, None, None]
+    means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p)
+    means /= np.add.reduce(u, 1)[:, None, None]
     return weights, alphas, means, u
 
 
 def _eta(bad_mass, delta, eta_min, rp):
     """Per-component inflations from (G, N) bad masses and distances: the
     mean distance under each component's bad mass over rp, floored at
-    eta_min (eta_min itself for a component with no bad mass)."""
-    denom = bad_mass.sum(axis=1)
+    eta_min (eta_min itself for a component with no bad mass, below 1e-12)."""
+    denom = np.add.reduce(bad_mass, 1)
     empty = denom < 1e-12
-    mean = (bad_mass * delta).sum(axis=1) / np.where(empty, 1.0, denom)
-    return np.where(empty, eta_min, np.maximum(eta_min, mean / rp))
+    mean = np.add.reduce(bad_mass * delta, 1)
+    mean /= np.where(empty, 1.0, denom)
+    mean /= rp
+    np.maximum(eta_min, mean, out=mean)
+    np.copyto(mean, eta_min, where=empty)
+    return mean
 
 
 def _cm_half(xt, z, v, etas, psi_inv, work):
@@ -245,12 +250,20 @@ def _cm_half(xt, z, v, etas, psi_inv, work):
     by the new column inverse into U, the distances for eta and the E-pass.
     Each scale is factored and inverted once.  Plain MVN is v None (v = 1, no
     alpha or eta).  Raises DegenerateCluster when a component's mass falls
-    below r*p/2 effective units."""
+    below r*p/2 effective units; fmin skips a NaN mass, so a NaN never hides
+    a component below the floor."""
     r, p, _ = xt.shape
-    ng, floor = z.sum(axis=1), r * p / 2.0
-    if (ng < floor).any():
+    ng, floor = np.add.reduce(z, 1), r * p / 2.0
+    if np.fmin.reduce(ng) < floor:
         raise DegenerateCluster(f"component mass fell below {floor:.3g}: {ng}")
     D, Y, U = work
+    # At the first iteration z and v are _run_chain's transposed views of the
+    # initial (N, G) draws, so they are F-ordered, and so is every product of
+    # them; a reduction over axis 1 adds in another order on an F-ordered
+    # array than on a C-ordered one.  So each array derived from z or v (bad,
+    # u, z * bad) stays the fresh array numpy makes, and MVN's u stays a
+    # C-ordered copy of z: reusing z, or writing a product into an array of
+    # another layout, changes the first iteration's sums.
     bad = None if v is None else 1.0 - v
     weights, alphas, means, u = _cm_step_1(xt, z, v, bad, etas, ng)
     linalg._residuals(xt, means, out=D)
@@ -263,7 +276,8 @@ def _cm_half(xt, z, v, etas, psi_inv, work):
     log_det = linalg._log_det_kron(L_sigma, L_psi)
     if v is not None:
         etas = _eta(z * bad, delta, ETA_MIN, r * p)
-    return (weights / weights.sum(), alphas, means, sigmas, psis, etas), psi_inv, delta, log_det
+    weights /= np.add.reduce(weights)
+    return (weights, alphas, means, sigmas, psis, etas), psi_inv, delta, log_det
 
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):

@@ -37,23 +37,23 @@ def factor(a, name="matrix", *, inverse=False):
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             L = cholesky_lo(a)
-            if not np.isnan(L[..., -1, -1]).any():
+            if not np.logical_or.reduce(np.isnan(L[..., -1, -1]), None):
                 return (L, inv(L)) if inverse else L
     except FloatingPointError:
         pass
     raise NotPositiveDefinite(f"{name} is not positive definite")
 
 
-def log_det_from_factor(L):
-    """log determinant given a precomputed lower Cholesky factor, or one per
-    factor of a stack (..., k, k)."""
-    return 2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1)
-
-
 def _log_det_kron(L_sigma, L_psi):
-    """log det(psi (x) sigma) from stacks of factors (..., r, r), (..., p, p)."""
+    """log det(psi (x) sigma) = 2p sum log diag L_sigma + 2r sum log diag L_psi
+    from stacks of factors (G, r, r), (G, p, p).  Doubling is exact, so each
+    scaled sum is bitwise p * (2 sum) and r * (2 sum)."""
     r, p = L_sigma.shape[-1], L_psi.shape[-1]
-    return p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
+    s = np.add.reduce(np.log(L_sigma.diagonal(0, -2, -1)), -1)
+    t = np.add.reduce(np.log(L_psi.diagonal(0, -2, -1)), -1)
+    s *= 2.0 * p
+    t *= 2.0 * r
+    return np.add(s, t, out=s)
 
 
 def _residuals(xt, means, out=None):
@@ -82,7 +82,9 @@ def _row_scatter(d, u, Pi, ng, out=None):
     y = np.matmul(Pi[:, None], d, out=y)
     yu = np.multiply(y, u[:, None, None], out=yu)
     s = np.matmul(yu.reshape(g, r, p * n), y.reshape(g, r, p * n).swapaxes(1, 2))
-    return (s + s.swapaxes(1, 2)) / (2.0 * p * ng[:, None, None])
+    sym = s + s.swapaxes(1, 2)
+    sym /= 2.0 * p * ng[:, None, None]
+    return sym
 
 
 def _col_scatter(z, u, ng, out=None):
@@ -91,8 +93,11 @@ def _col_scatter(z, u, ng, out=None):
     weights u (G, N): the sum over rows of the p x N blocks of z's u-weighted
     copy (into out, when given) times those of z transposed."""
     r = z.shape[1]
-    s = np.matmul(np.multiply(z, u[:, None, None], out=out), z.swapaxes(-1, -2)).sum(axis=1)
-    return (s + s.swapaxes(1, 2)) / (2.0 * r * ng[:, None, None])
+    zu = np.multiply(z, u[:, None, None], out=out)
+    s = np.add.reduce(np.matmul(zu, z.swapaxes(-1, -2)), 1)
+    sym = s + s.swapaxes(1, 2)
+    sym /= 2.0 * r * ng[:, None, None]
+    return sym
 
 
 def _whitened_distances(z, Pi, out=None):
@@ -101,4 +106,4 @@ def _whitened_distances(z, Pi, out=None):
     Frobenius norm of Z_gi L_psi^-T per component and unit, squared in place
     (in out, when given)."""
     w = np.matmul(Pi[:, None], z, out=out)
-    return np.square(w, out=w).sum(axis=(1, 2))
+    return np.add.reduce(np.square(w, out=w), (1, 2))

@@ -16,8 +16,19 @@ records its six BICs, the selected cell and the units that cell flags.
 move an entry, and list every moved entry with the change:
 
     PYTHONPATH=src python3 tests/answers_ledger.py
+
+The ledger holds log-likelihoods to 1e-12 relative, so a change that only
+reorders a sum can pass it.  ``--digest`` checks bitwise identity instead:
+it prints one SHA-256 per bench cell over every start's outcome,
+iteration count and trace, theta', z and v bytes (for a failed start, the
+bytes of the z, v, etas and psi_inv its failing cycle was given), from
+the same inputs and calls (at ``SEEDS``, or at the seeds given after it),
+and writes no file.  Run it on two trees and compare:
+
+    PYTHONPATH=src python3 tests/answers_ledger.py --digest [SEED ...]
 """
 
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -52,17 +63,21 @@ def versions():
 def recording_starts():
     """Record every chain the package runs while the block runs.
 
-    Yields a list that receives one ``[cell, outcome, iterations, loglik]``
-    per ``ecm._run_chain`` call: the cell is ``"kind:G=g"``, the outcome one
-    of converged, max_iter, degenerate and not_pd, the iterations the ECM
-    cycles begun (``ecm._cm_half`` calls, the failing one included), and
-    the loglik the trace's last value (None for a failed start).
+    Yields a list that receives one ``[cell, outcome, iterations, loglik,
+    left]`` per ``ecm._run_chain`` call: the cell is ``"kind:G=g"``, the
+    outcome one of converged, max_iter, degenerate and not_pd, the
+    iterations the ECM cycles begun (``ecm._cm_half`` calls, the failing one
+    included), and the loglik the trace's last value (None for a failed
+    start).  ``left`` holds the arrays the start ended with: theta', z, v
+    and the trace, or for a failed start the z, v, etas and psi_inv its
+    failing ``ecm._cm_half`` call was given.
     """
-    starts, cycles = [], [0]
+    starts, cycles, last = [], [0], [()]
     run_chain, cm_half = ecm._run_chain, ecm._cm_half
 
     def counted_cm_half(*args):
         cycles[0] += 1
+        last[0] = args
         return cm_half(*args)
 
     def recorded_chain(data, kind, config, *rest):
@@ -71,11 +86,11 @@ def recording_starts():
         try:
             out = run_chain(data, kind, config, *rest)
         except tuple(_FAILURES) as exc:
-            starts.append([cell, _FAILURES[type(exc)], cycles[0], None])
+            starts.append([cell, _FAILURES[type(exc)], cycles[0], None, last[0][1:5]])
             raise
-        trace, converged = out[2], out[3]
+        theta, resp, trace, converged = out[:4]
         starts.append([cell, "converged" if converged else "max_iter", cycles[0],
-                       float(trace[-1])])
+                       float(trace[-1]), (*theta, resp.z, resp.v, trace)])
         return out
 
     ecm._run_chain, ecm._cm_half = recorded_chain, counted_cm_half
@@ -120,11 +135,33 @@ def build():
             with recording_starts() as recorded:
                 workloads.run_op(workload, inp)
             cells = starts.setdefault(f"{workload}@{seed}", {})
-            for cell, *record in recorded:
+            for cell, *record, _ in recorded:
                 cells.setdefault(cell, []).append(record)
     return {**versions(), "starts": starts, "reference_sweep": reference_sweep()}
 
 
+def digests(seeds=SEEDS):
+    """{"workload@seed kind:G=g": SHA-256 hex} over every start in run
+    order: its outcome and iteration count, then the bytes of the arrays
+    ``recording_starts`` says it left."""
+    hashes = {}
+    for workload in WORKLOADS:
+        for seed in seeds:
+            with recording_starts() as recorded:
+                workloads.run_op(workload, workloads.make_inputs(workload, seed))
+            for cell, outcome, iterations, _, left in recorded:
+                h = hashes.setdefault(f"{workload}@{seed} {cell}", hashlib.sha256())
+                h.update(f"{outcome} {iterations}".encode())
+                for a in left:
+                    if a is not None:
+                        h.update(np.asarray(a).tobytes())
+    return {cell: h.hexdigest() for cell, h in hashes.items()}
+
+
 if __name__ == "__main__":
-    PATH.write_text(dumps(build()) + "\n")
-    print(f"wrote {PATH}")
+    if sys.argv[1:2] == ["--digest"]:
+        for cell, digest in digests(tuple(map(int, sys.argv[2:])) or SEEDS).items():
+            print(cell, digest)
+    else:
+        PATH.write_text(dumps(build()) + "\n")
+        print(f"wrote {PATH}")

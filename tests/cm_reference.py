@@ -8,7 +8,9 @@ entry points take units first (samples (N, r, p), posteriors and weights
 one step checks the chain's own arithmetic.  They take symmetric positive
 definite arrays the tests built and check none.  ``logs_from_distances`` is
 the E-pass's closed form written one fresh array per operation, the oracle
-for the in-place ``distributions._logs_from_distances``.
+for the in-place ``distributions._logs_from_distances``, and
+``log_det_from_factor`` the per-factor log determinant that
+``linalg._log_det_kron`` folds into one pass.
 """
 
 import numpy as np
@@ -20,6 +22,12 @@ from cmvmix.distributions import _LOG_2PI, _V_MAX, _V_MIN
 def _factors(mats, name):
     """Cholesky factors of a sequence of matrices, stacked."""
     return np.stack([linalg.factor(a, name) for a in mats])
+
+
+def log_det_from_factor(L):
+    """log determinant given a precomputed lower Cholesky factor, or one per
+    factor of a stack (..., k, k)."""
+    return 2.0 * np.log(L.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def cm_step_1(data, resp, etas_prev):

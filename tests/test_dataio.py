@@ -134,12 +134,13 @@ class TestDatasetJson:
         '"n": 3, "r": 1, "p": 1, "samples": [[1.0], [2.0], [3.0]], "names": [1, null, 2.5]',
         '"n": 1, "r": 1, "p": 2, "samples": [["1.5", 2.0]]',
         '"n": 1, "r": 1, "p": 2, "samples": [[true, false]]',
+        '"n": 2, "r": 1, "p": 2, "samples": [[1.5, 2.0], [0.5, true]]',
         '"n": 2, "r": 1, "p": 1, "samples": [[1.0], [2.0]], "names": [1, null]',
         '"n": 1, "r": 1, "p": 1, "samples": [[1.0]], "names": {"a": 1}',
     ], ids=["samples-number", "n-text", "value-text", "label-text", "labels-short",
             "labels-fractional", "flags-not-bool", "label-beyond-int64", "label-bool",
             "names-text", "names-not-strings", "value-numeric-text", "sample-all-bool",
-            "names-int-null", "names-mapping"])
+            "sample-bool-among-floats", "names-int-null", "names-mapping"])
     def test_malformed_fields_are_parse_errors(self, tmp_path, fields):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, ' + fields + '}')

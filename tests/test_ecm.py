@@ -477,6 +477,39 @@ class TestCmSteps:
         assert etas[0] == 1.0001
         assert etas[1] == pytest.approx(5.0, rel=1e-12)
 
+    def test_eta_mixes_an_empty_and_a_filled_component(self):
+        # component 0's bad mass (2e-13) is below the 1e-12 cut, component 1's is not
+        bad_mass = np.array([[1e-13, 1e-13, 0.0], [0.25, 0.5, 1.0]])
+        delta = np.array([[7.0, 9.0, 11.0], [3.0, 40.0, 25.0]])
+        etas = ecm._eta(bad_mass, delta, ETA_MIN, 8)
+        mean = (0.25 * 3.0 + 0.5 * 40.0 + 1.0 * 25.0) / 1.75
+        assert etas.tolist() == [ETA_MIN, mean / 8]
+
+    def test_eta_nan_mass_does_not_hide_an_empty_component(self):
+        bad_mass = np.array([[np.nan, 1.0], [1e-13, 0.0]])
+        etas = ecm._eta(bad_mass, np.full((2, 2), 30.0), ETA_MIN, 8)
+        assert np.isnan(etas[0]) and etas[1] == ETA_MIN
+
+    @staticmethod
+    def _cm_half_at_masses(rest):
+        """_cm_half on 2x2 units, G = 2: component 0 holds a NaN posterior,
+        component 1 the posterior rest on each of six units (floor 2)."""
+        rng = np.random.default_rng(3)
+        xt = rng.standard_normal((2, 2, 6))
+        z = np.stack([[np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], np.full(6, rest)])
+        work = tuple(np.empty((2, 2, 2, 6)) for _ in range(3))
+        return ecm._cm_half(xt, z, None, np.full(2, _INIT_ETA), np.tile(np.eye(2), (2, 1, 1)),
+                            work)
+
+    def test_nan_mass_does_not_hide_a_component_below_the_floor(self):
+        with pytest.raises(DegenerateCluster, match="component mass fell below 2"):
+            self._cm_half_at_masses(0.1)
+
+    def test_nan_mass_alone_passes_the_mass_check(self):
+        # past the check, component 0's NaN scale fails its factorization
+        with pytest.raises(NotPositiveDefinite, match="sigma is not positive definite"):
+            self._cm_half_at_masses(1.0)
+
 
 class TestFit:
     def test_single_component_mvn_recovers_sample_mean(self):

@@ -9,7 +9,7 @@ from scipy.linalg import solve_triangular
 from cmvmix import linalg
 from cmvmix.errors import NotPositiveDefinite
 
-from cm_reference import trace_quad_form
+from cm_reference import log_det_from_factor, trace_quad_form
 
 
 def random_spd(rng, n, scale=1.0):
@@ -112,7 +112,7 @@ class TestForeignCalls:
 
 def log_det_spd(a):
     """log determinant of an SPD matrix via its Cholesky factor."""
-    return linalg.log_det_from_factor(linalg.factor(a))
+    return log_det_from_factor(linalg.factor(a))
 
 
 class TestLogDet:
@@ -128,6 +128,14 @@ class TestLogDet:
         for _ in range(20):
             a = random_spd(rng, n)
             assert log_det_spd(a) == pytest.approx(np.log(cofactor_det(a)), rel=1e-10)
+
+    @pytest.mark.parametrize("g,r,p", [(1, 1, 1), (2, 2, 4), (3, 6, 6), (2, 10, 3), (1, 17, 9)])
+    def test_kron_is_the_per_factor_form_bit_for_bit(self, g, r, p):
+        rng = np.random.default_rng(100 * r + p)
+        L_sigma = linalg.factor(np.stack([random_spd(rng, r, 1e-3) for _ in range(g)]))
+        L_psi = linalg.factor(np.stack([random_spd(rng, p, 1e3) for _ in range(g)]))
+        want = p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
+        assert linalg._log_det_kron(L_sigma, L_psi).tobytes() == want.tobytes()
 
 
 class TestTraceQuadForm:
@@ -240,7 +248,7 @@ class TestStackedKernels:
         psis = linalg._col_scatter(wd, u.T, ng)
         L_psi = linalg.factor(psis)
         delta = linalg._whitened_distances(wd, inv(L_psi)).T
-        log_det = p * linalg.log_det_from_factor(L_sigma) + r * linalg.log_det_from_factor(L_psi)
+        log_det = p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
         for got, ref in zip((sigmas, psis, delta), want[:3]):

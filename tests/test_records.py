@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cmvmix.data import Dataset
+from cmvmix.data import Dataset, as_array
 from cmvmix.dataio import read_fit, write_fit
 from cmvmix.distributions import CmvnParams, MvnParams
 from cmvmix.ecm import (FitConfig, FitResult, Kind, MixtureModel, Responsibilities,
@@ -61,6 +61,34 @@ def test_dataset_refuses_a_ragged_sample_by_name():
 def test_dataset_refuses_labels_int64_cannot_hold(labels):
     with pytest.raises(ValueError, match="true_labels must"):
         Dataset(np.zeros((2, 1, 1)), true_labels=labels)
+
+
+@pytest.mark.parametrize("val,dtype", [
+    ([1.5, True], float),
+    ([[1.0, 2.0], [np.True_, 3.0]], float),
+    ([[[1.5, 2.0]], [[0.5, False]]], float),
+    ([np.array([1.0, 2.0]), [True, 3.0]], float),
+    ([[1, 2], [3, True]], int),
+], ids=["bool-among-floats", "nested-numpy-bool", "nested-3d", "list-of-rows", "nested-ints"])
+def test_as_array_refuses_a_boolean_among_numbers(val, dtype):
+    with pytest.raises(ValueError, match="^x must be numbers, not booleans$"):
+        as_array(val, "x", dtype)
+
+
+def test_dataset_refuses_a_boolean_among_sample_values():
+    with pytest.raises(ValueError, match="^samples must be numbers, not booleans$"):
+        Dataset([[[1.5, 2.0]], [[0.5, True]]])
+
+
+@pytest.mark.parametrize("val,dtype", [
+    ([[1.0, 2.0], [3, 4.5]], float),
+    ([np.array([1.0, 2.0]), np.array([3.0, 4.0])], float),
+    ([[np.int64(1), 2], [3, 4]], int),
+    (np.array([1.0, 2.0]), float),
+    (2.5, float),
+], ids=["mixed-int-float", "list-of-arrays", "numpy-ints", "ndarray", "scalar"])
+def test_as_array_takes_numbers_without_booleans(val, dtype):
+    np.testing.assert_array_equal(as_array(val, "x", dtype), np.array(val, dtype))
 
 
 def test_responsibilities_copy_and_freeze_their_inputs():
