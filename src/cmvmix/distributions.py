@@ -108,9 +108,14 @@ def cmvn_log_density(x, params: CmvnParams) -> float:
 
 def _one_law_logs(x, base: MvnParams, alpha=None, eta=None):
     """_logs_from_distances for one r x p matrix under one law: the N = 1,
-    G = 1 case of _distances."""
-    delta, log_det = _distances(as_array(x, "x", float)[None, :, :], [base])
-    return _logs_from_distances(delta[0, 0], log_det[0], base.m.size, alpha, eta)
+    G = 1 case of _distances.  A matrix so far out that its distance
+    overflows to +inf gets log density -inf and, under a contaminated law,
+    the floor of v, without numpy's overflow and invalid-value warnings on
+    the way (squaring the whitened residuals, then -inf - -inf in the
+    log-odds)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta, log_det = _distances(as_array(x, "x", float)[None, :, :], [base])
+        return _logs_from_distances(delta[0, 0], log_det[0], base.m.size, alpha, eta)
 
 
 def _distances(xs, bases):
@@ -122,19 +127,22 @@ def _distances(xs, bases):
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
     L_sigma, sigma_inv = linalg.factor(np.stack([b.sigma for b in bases]), "sigma", inverse=True)
     L_psi, psi_inv = linalg.factor(np.stack([b.psi for b in bases]), "psi", inverse=True)
-    d = linalg._residuals(xs.transpose(1, 2, 0), np.stack([b.m for b in bases]))
-    delta = linalg._whitened_distances(linalg._whiten(sigma_inv, d), psi_inv)
-    return delta, linalg._log_det_kron(L_sigma, L_psi)
+    work = linalg.Work.of(xs.transpose(1, 2, 0), len(bases))
+    linalg._residuals(work, np.stack([b.m for b in bases]))
+    linalg._whiten(work, sigma_inv)
+    return linalg._whitened_distances(work, psi_inv), linalg._log_det_kron(L_sigma, L_psi)
 
 
 def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
     """Log densities and good-point posteriors from distances.
 
     log_det, alpha and eta broadcast to delta's shape (one law, or one
-    column per mixture component), and the intermediates reuse three arrays
-    of that shape (0-d for one unit).  With alpha None the law is the plain
-    matrix normal and v is None.  Otherwise the log density mixes the good
-    part (weight alpha) with the eta-inflated part, whose scale only
+    column per mixture component), and the intermediates are written in
+    place into the three arrays of that shape that numpy makes for half the
+    distances, the good part's log term and the log-odds (``out=...``, so
+    one unit gives 0-d arrays, not scalars).  With alpha None the law is the
+    plain matrix normal and v is None.  Otherwise the log density mixes the
+    good part (weight alpha) with the eta-inflated part, whose scale only
     rescales delta and the determinant, in the closed form of h_weight: with
     d the log-odds of bad against good (+inf when both parts are 0, at delta
     = +inf), e = exp(-|d|) gives log f = max(good, bad) + log1p(e) and v, the
@@ -142,18 +150,20 @@ def _logs_from_distances(delta, log_det, rp, alpha=None, eta=None):
     e/(1 + e) for d > 0, clipped into the open unit interval.
     """
     const = -0.5 * (rp * _LOG_2PI + log_det)
-    half = np.multiply(0.5, delta, out=np.empty(np.shape(delta)))
+    half = np.multiply(0.5, delta, out=...)
     if alpha is None:
         return np.subtract(const, half, out=half), None
-    num, d = np.subtract(const, half, out=np.empty_like(half)), np.empty_like(half)
+    num = np.subtract(const, half, out=...)
     num = np.add(np.log(alpha), num, out=num)
     bad = np.subtract(const - 0.5 * rp * np.log(eta), np.divide(half, eta, out=half), out=half)
     bad = np.add(np.log1p(-alpha), bad, out=bad)
-    d = np.fmin(np.subtract(bad, num, out=d), np.inf, out=d)  # a NaN from -inf - -inf becomes +inf
-    pos = d > 0
+    d = np.subtract(bad, num, out=...)
+    d = np.fmin(d, np.inf, out=d)  # a NaN from -inf - -inf becomes +inf
+    good = d <= 0
     e = np.exp(np.negative(np.abs(d, out=d), out=d), out=d)
     logf = np.add(np.maximum(num, bad, out=num), np.log1p(e, out=bad), out=num)
-    v = np.divide(np.where(pos, e, 1.0), np.add(1.0, e, out=e), out=e)
+    # 0 <= e <= 1, so max(e, 1) = 1 where the good part leads and max(e, 0) = e elsewhere
+    v = np.divide(np.maximum(e, good), np.add(1.0, e, out=e), out=e)
     return logf, np.minimum(np.maximum(v, _V_MIN, out=v), _V_MAX, out=v)
 
 

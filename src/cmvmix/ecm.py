@@ -209,18 +209,18 @@ def observed_loglik(data: Dataset, model: MixtureModel) -> float:
     return _e_pass(*_model_terms(data, model))[2]
 
 
-def _cm_step_1(xt, z, v, bad, etas_prev, ng):
-    """CM1 on units xt (r, p, N), posteriors z, v (G, N), bad = 1 - v and the
-    masses ng = z.sum(axis=1): weights, alphas (None for plain MVN, v None),
-    means and the effective weights u (G, N) that the scale updates reuse."""
-    r, p, n = xt.shape
-    weights = ng / n
+def _cm_step_1(x_cols, z, v, bad, etas_prev, ng):
+    """CM1 on the units as an N x r*p matrix x_cols, posteriors z, v (G, N),
+    bad = 1 - v and the masses ng = z.sum(axis=1): weights, alphas (None for
+    plain MVN, v None), means as (G, r*p) rows and the effective weights u
+    (G, N) that the scale updates reuse."""
+    weights = ng / x_cols.shape[0]
     alphas = None if v is None else np.minimum(
         np.maximum(np.add.reduce(z * v, 1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
     u = z.copy() if v is None else z * (v + bad / etas_prev[:, None])
-    means = (u @ xt.reshape(r * p, n).T).reshape(-1, r, p)
-    means /= np.add.reduce(u, 1)[:, None, None]
+    means = u @ x_cols
+    means /= np.add.reduce(u, 1)[:, None]
     return weights, alphas, means, u
 
 
@@ -238,25 +238,26 @@ def _eta(bad_mass, delta, eta_min, rp):
     return mean
 
 
-def _cm_half(xt, z, v, etas, psi_inv, work):
+def _cm_half(work: linalg.Work, z, v, etas, psi_inv):
     """CM1-CM4 of one ECM cycle over all G components, units on the last
-    axis: from units xt (r, p, N), posteriors z, v (G, N), the previous etas
-    and inverse column factors psi_inv (G, p, p) to theta' = (weights,
-    alphas, means, sigmas, psis, etas), the new psi_inv, distances (G, N)
-    and log determinants.  The (G, r, p, N) work arrays (residuals D, their
-    whitened copy Y, and Y's u-weighted copy U) are written in place.  D
-    whitened by the previous column inverse gives the row scale; D whitened
-    by the new row inverse, into Y, gives both the column scale and, whitened
-    by the new column inverse into U, the distances for eta and the E-pass.
-    Each scale is factored and inverted once.  Plain MVN is v None (v = 1, no
-    alpha or eta).  Raises DegenerateCluster when a component's mass falls
-    below r*p/2 effective units; fmin skips a NaN mass, so a NaN never hides
-    a component below the floor."""
-    r, p, _ = xt.shape
+    axis: from the units work.X (r, p, N), posteriors z, v (G, N), the
+    previous etas and inverse column factors psi_inv (G, p, p) to theta' =
+    (weights, alphas, means, sigmas, psis, etas), the new psi_inv, distances
+    (G, N) and log determinants.  The work set's (G, r, p, N) arrays (see
+    linalg.Work: residuals D, their whitened copy Y, and Y's u-weighted copy
+    U) are written in place through the views it holds, and u and the
+    masses are broadcast over them once for both scatters.  D whitened by the
+    previous column inverse gives the row scale; D whitened by the new row
+    inverse, into Y, gives both the column scale and, whitened by the new
+    column inverse into U, the distances for eta and the E-pass.  Each scale
+    is factored and inverted once.  Plain MVN is v None (v = 1, no alpha or
+    eta).  Raises DegenerateCluster when a component's mass falls below
+    r*p/2 effective units; fmin skips a NaN mass, so a NaN never hides a
+    component below the floor."""
+    r, p, _ = work.X.shape
     ng, floor = np.add.reduce(z, 1), r * p / 2.0
     if np.fmin.reduce(ng) < floor:
         raise DegenerateCluster(f"component mass fell below {floor:.3g}: {ng}")
-    D, Y, U = work
     # At the first iteration z and v are _run_chain's transposed views of the
     # initial (N, G) draws, so they are F-ordered, and so is every product of
     # them; a reduction over axis 1 adds in another order on an F-ordered
@@ -265,14 +266,16 @@ def _cm_half(xt, z, v, etas, psi_inv, work):
     # C-ordered copy of z: reusing z, or writing a product into an array of
     # another layout, changes the first iteration's sums.
     bad = None if v is None else 1.0 - v
-    weights, alphas, means, u = _cm_step_1(xt, z, v, bad, etas, ng)
-    linalg._residuals(xt, means, out=D)
-    sigmas = linalg._row_scatter(D, u, psi_inv, ng, out=(Y, U))
+    weights, alphas, means, u = _cm_step_1(work.X_cols, z, v, bad, etas, ng)
+    means = means.reshape(-1, r, p)
+    u4, ng3 = u[:, None, None], ng[:, None, None]
+    linalg._residuals(work, means)
+    sigmas = linalg._row_scatter(work, u4, psi_inv, ng3)
     L_sigma, sigma_inv = linalg.factor(sigmas, "sigma", inverse=True)
-    Z = linalg._whiten(sigma_inv, D, out=Y)
-    psis = linalg._col_scatter(Z, u, ng, out=U)
+    linalg._whiten(work, sigma_inv)
+    psis = linalg._col_scatter(work, u4, ng3)
     L_psi, psi_inv = linalg.factor(psis, "psi", inverse=True)
-    delta = linalg._whitened_distances(Z, psi_inv, out=U)
+    delta = linalg._whitened_distances(work, psi_inv)
     log_det = linalg._log_det_kron(L_sigma, L_psi)
     if v is not None:
         etas = _eta(z * bad, delta, ETA_MIN, r * p)
@@ -282,12 +285,12 @@ def _cm_half(xt, z, v, etas, psi_inv, work):
 
 def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities:
-    _cm_half then _e_pass, into work arrays allocated once, until the
+    _cm_half then _e_pass, on one work set made for the chain, until the
     log-likelihood's relative change falls below tol; returns _cm_half's
     theta' with (resp, trace, converged, iterations).  Raises
     DegenerateCluster / NotPositiveDefinite on collapse (a failed start)."""
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
-    r, p, n = xt.shape
+    r, p, _ = xt.shape
     g = config.g
     cmvn = kind is Kind.CMVN
 
@@ -295,12 +298,12 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     v = np.asarray(init_v, dtype=float).T if cmvn else None
     etas = np.full(g, _INIT_ETA)
     psi_inv = np.tile(np.eye(p), (g, 1, 1))
-    work = tuple(np.empty((g, r, p, n)) for _ in range(3))
+    work = linalg.Work.of(xt, g)
 
     trace = []
     converged = False
     for it in range(1, config.max_iter + 1):
-        theta, psi_inv, delta, log_det = _cm_half(xt, z, v, etas, psi_inv, work)
+        theta, psi_inv, delta, log_det = _cm_half(work, z, v, etas, psi_inv)
         weights, alphas, _, _, _, etas = theta
         z, v, ll = _e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         trace.append(ll)

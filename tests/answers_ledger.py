@@ -11,19 +11,23 @@ sweep ({mvn, cmvn} x G = 1..3, 20 starts, seed 0) on fit-ref's data before
 its change of coordinates (n = 150, data seed 7, unit 6 shifted by 10) and
 records its six BICs, the selected cell and the units that cell flags.
 
+The starts' log-likelihoods are held to 1e-12 relative, which a change
+that only reorders a sum can pass, so the ledger also holds one SHA-256
+digest per bench cell at ``SEEDS``, over every start's outcome, iteration
+count and trace, theta', z and v bytes (for a failed start, the bytes of
+the z, v, etas and psi_inv its failing cycle was given), from the runs that
+give the starts.  The digests read the same with one OpenBLAS thread and
+with the default two on a 2-core host.
+
 ``tests/test_answers_ledger.py`` compares ``build()`` with the checked-in
 ``answers_ledger.json``.  Rewrite that file only when a change is meant to
 move an entry, and list every moved entry with the change:
 
     PYTHONPATH=src python3 tests/answers_ledger.py
 
-The ledger holds log-likelihoods to 1e-12 relative, so a change that only
-reorders a sum can pass it.  ``--digest`` checks bitwise identity instead:
-it prints one SHA-256 per bench cell over every start's outcome,
-iteration count and trace, theta', z and v bytes (for a failed start, the
-bytes of the z, v, etas and psi_inv its failing cycle was given), from
-the same inputs and calls (at ``SEEDS``, or at the seeds given after it),
-and writes no file.  Run it on two trees and compare:
+``--digest`` prints the digests alone, from the same inputs and calls (at
+``SEEDS``, or at the seeds given after it), and writes no file.  Run it on
+two trees and compare:
 
     PYTHONPATH=src python3 tests/answers_ledger.py --digest [SEED ...]
 """
@@ -126,41 +130,46 @@ def dumps(obj, indent=""):
     return ends[0] + "\n" + ",\n".join(items) + "\n" + indent + ends[1]
 
 
-def build():
-    """The ledger as a JSON-ready dict."""
-    starts = {}
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            inp = workloads.make_inputs(workload, seed)
-            with recording_starts() as recorded:
-                workloads.run_op(workload, inp)
-            cells = starts.setdefault(f"{workload}@{seed}", {})
-            for cell, *record, _ in recorded:
-                cells.setdefault(cell, []).append(record)
-    return {**versions(), "starts": starts, "reference_sweep": reference_sweep()}
-
-
-def digests(seeds=SEEDS):
-    """{"workload@seed kind:G=g": SHA-256 hex} over every start in run
-    order: its outcome and iteration count, then the bytes of the arrays
-    ``recording_starts`` says it left."""
-    hashes = {}
+def recorded_runs(seeds):
+    """("workload@seed", the starts ``recording_starts`` recorded) for each
+    bench fit cell's operation at each seed, from the benchmark's inputs."""
     for workload in WORKLOADS:
         for seed in seeds:
             with recording_starts() as recorded:
                 workloads.run_op(workload, workloads.make_inputs(workload, seed))
-            for cell, outcome, iterations, _, left in recorded:
-                h = hashes.setdefault(f"{workload}@{seed} {cell}", hashlib.sha256())
-                h.update(f"{outcome} {iterations}".encode())
-                for a in left:
-                    if a is not None:
-                        h.update(np.asarray(a).tobytes())
+            yield f"{workload}@{seed}", recorded
+
+
+def digests(runs):
+    """{"workload@seed kind:G=g": SHA-256 hex} over every start of the
+    recorded runs in run order: its outcome and iteration count, then the
+    bytes of the arrays ``recording_starts`` says it left."""
+    hashes = {}
+    for key, recorded in runs:
+        for cell, outcome, iterations, _, left in recorded:
+            h = hashes.setdefault(f"{key} {cell}", hashlib.sha256())
+            h.update(f"{outcome} {iterations}".encode())
+            for a in left:
+                if a is not None:
+                    h.update(np.asarray(a).tobytes())
     return {cell: h.hexdigest() for cell, h in hashes.items()}
+
+
+def build():
+    """The ledger as a JSON-ready dict."""
+    runs = list(recorded_runs(SEEDS))
+    starts = {}
+    for key, recorded in runs:
+        cells = starts.setdefault(key, {})
+        for cell, *record, _ in recorded:
+            cells.setdefault(cell, []).append(record)
+    return {**versions(), "starts": starts, "reference_sweep": reference_sweep(),
+            "digests": digests(runs)}
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
-        for cell, digest in digests(tuple(map(int, sys.argv[2:])) or SEEDS).items():
+        for cell, digest in digests(recorded_runs(tuple(map(int, sys.argv[2:])) or SEEDS)).items():
             print(cell, digest)
     else:
         PATH.write_text(dumps(build()) + "\n")

@@ -24,6 +24,14 @@ def _factors(mats, name):
     return np.stack([linalg.factor(a, name) for a in mats])
 
 
+def _residuals(samples, means):
+    """A linalg.Work set for units samples (N, r, p) and G = len(means)
+    components, holding the residuals of every unit against every mean."""
+    work = linalg.Work.of(samples.transpose(1, 2, 0), len(means))
+    linalg._residuals(work, means)
+    return work
+
+
 def log_det_from_factor(L):
     """log determinant given a precomputed lower Cholesky factor, or one per
     factor of a stack (..., k, k)."""
@@ -37,9 +45,9 @@ def cm_step_1(data, resp, etas_prev):
     weights reused by the scale updates; alphas is None for plain MVN.
     """
     z, v = resp.z.T, None if resp.v is None else resp.v.T
-    w, alphas, means, u = ecm._cm_step_1(data.samples.transpose(1, 2, 0), z, v,
+    w, alphas, means, u = ecm._cm_step_1(data.samples.reshape(data.n, -1), z, v,
                                          None if v is None else 1.0 - v, etas_prev, z.sum(axis=1))
-    return w, alphas, means, u.T
+    return w, alphas, means.reshape(-1, data.r, data.p), u.T
 
 
 def cm_step_2_sigma(samples, u, ng, means, prev_psis):
@@ -49,16 +57,16 @@ def cm_step_2_sigma(samples, u, ng, means, prev_psis):
     when the component record is built, after the column scale is also
     updated, so the Kronecker product is preserved exactly.
     """
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
+    work = _residuals(samples, means)
     pi = np.linalg.inv(_factors(prev_psis, "psi"))
-    return list(linalg._row_scatter(d, u.T, pi, ng))
+    return list(linalg._row_scatter(work, u.T[:, None, None], pi, ng[:, None, None]))
 
 
 def cm_step_3_psi(samples, u, ng, means, new_sigmas):
     """Column-scale update: weighted scatter through the new row scale."""
-    si = np.linalg.inv(_factors(new_sigmas, "sigma"))
-    z = linalg._whiten(si, linalg._residuals(samples.transpose(1, 2, 0), means))
-    return list(linalg._col_scatter(z, u.T, ng))
+    work = _residuals(samples, means)
+    linalg._whiten(work, np.linalg.inv(_factors(new_sigmas, "sigma")))
+    return list(linalg._col_scatter(work, u.T[:, None, None], ng[:, None, None]))
 
 
 def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
@@ -66,9 +74,9 @@ def cm_step_4_eta(samples, z, v, means, sigmas, psis, eta_min):
     stationary point of the complete-data objective in eta), floored at
     eta_min."""
     _, r, p = samples.shape
-    d = linalg._residuals(samples.transpose(1, 2, 0), means)
-    w = linalg._whiten(np.linalg.inv(_factors(sigmas, "sigma")), d)
-    delta = linalg._whitened_distances(w, np.linalg.inv(_factors(psis, "psi")))
+    work = _residuals(samples, means)
+    linalg._whiten(work, np.linalg.inv(_factors(sigmas, "sigma")))
+    delta = linalg._whitened_distances(work, np.linalg.inv(_factors(psis, "psi")))
     return ecm._eta((z * (1.0 - v)).T, delta, eta_min, r * p)
 
 
@@ -101,9 +109,9 @@ def trace_quad_form(x, m, sigma, psi):
     inverses of the two Cholesky factors: it equals the squared Frobenius
     norm of ``L_sigma^-1 (x - m) L_psi^-T``.  Always >= 0; zero iff x == m.
     """
-    d = linalg._residuals(x[:, :, None], m[None])
-    w = linalg._whiten(np.linalg.inv(_factors([sigma], "sigma")), d)
-    return float(linalg._whitened_distances(w, np.linalg.inv(_factors([psi], "psi")))[0, 0])
+    work = _residuals(x[None], m[None])
+    linalg._whiten(work, np.linalg.inv(_factors([sigma], "sigma")))
+    return float(linalg._whitened_distances(work, np.linalg.inv(_factors([psi], "psi")))[0, 0])
 
 
 def logs_from_distances(delta, log_det, rp, alpha=None, eta=None):

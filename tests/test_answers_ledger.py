@@ -1,7 +1,8 @@
 """Every start of the benchmark's fit cells keeps its outcome, iteration count
-and final log-likelihood, and the reference sweep its six BICs, selected cell
-and flagged units, as the checked-in answers_ledger.json records them (see
-answers_ledger.py for what is run and how to rewrite the file)."""
+and final log-likelihood, every bench cell its digest, and the reference sweep
+its six BICs, selected cell and flagged units, as the checked-in
+answers_ledger.json records them (see answers_ledger.py for what is run and how
+to rewrite the file)."""
 
 import copy
 import json
@@ -24,8 +25,8 @@ def _close(a, b):
 
 def moved(want, got):
     """One line per entry of got that differs from the ledger want:
-    outcomes, iteration counts, the selected cell and its flagged units
-    exactly, log-likelihoods and BICs within LOGLIK_RTOL."""
+    outcomes, iteration counts, the cells' digests, the selected cell and its
+    flagged units exactly, log-likelihoods and BICs within LOGLIK_RTOL."""
     out = []
     for key in sorted(set(want["starts"]) | set(got["starts"])):
         w_cells, g_cells = want["starts"].get(key, {}), got["starts"].get(key, {})
@@ -36,6 +37,10 @@ def moved(want, got):
             for s, (ws, gs) in enumerate(zip(w, g)):
                 if ws[:2] != gs[:2] or not _close(gs[2], ws[2]):
                     out.append(f"{key} {cell} start {s}: {gs}, ledger {ws}")
+    w, g = want["digests"], got["digests"]
+    for cell in sorted(set(w) | set(g)):
+        if g.get(cell) != w.get(cell):
+            out.append(f"{cell}: digest {g.get(cell)}, ledger {w.get(cell)}")
     w, g = want["reference_sweep"], got["reference_sweep"]
     for cell in sorted(set(w["bic"]) | set(g["bic"])):
         got_bic, want_bic = g["bic"].get(cell), w["bic"].get(cell)
@@ -68,6 +73,9 @@ def test_ledger_counts_the_bench_cells(ledger):
     assert sum(s[1] for s in starts if s[2] is not None) == 10136
     ref = ledger["reference_sweep"]
     assert (ref["selected"], ref["bad_units"]) == ("cmvn:G=2", [6, 27])
+    # one digest per bench cell
+    assert sorted(ledger["digests"]) == sorted(
+        f"{key} {cell}" for key, cells in ledger["starts"].items() for cell in cells)
 
 
 def test_moved_names_each_changed_entry(ledger):
@@ -77,8 +85,11 @@ def test_moved_names_each_changed_entry(ledger):
     cell[1][2] *= 1 + 1e-10
     cell[2][2] *= 1 + 1e-14
     got["reference_sweep"]["bad_units"] = [6]
+    digest = ledger["digests"]["fit-large@5 cmvn:G=2"]
+    got["digests"]["fit-large@5 cmvn:G=2"] = "0" * 64
     assert moved(ledger, got) == [
         f"fit-ref@1 cmvn:G=2 start 0: {cell[0]}, ledger {want[0]}",
         f"fit-ref@1 cmvn:G=2 start 1: {cell[1]}, ledger {want[1]}",
+        f"fit-large@5 cmvn:G=2: digest {'0' * 64}, ledger {digest}",
         "reference sweep bad_units: [6], ledger [6, 27]",
     ]

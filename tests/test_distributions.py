@@ -162,6 +162,20 @@ class TestPosteriorGoodProb:
                 h_weight(d, 0.85, 5.0, 1, 1), rel=1e-12)
 
 
+def test_one_matrix_whose_distance_overflows_gives_the_floor_without_a_warning():
+    # the whitened residuals of x = 1e200 everywhere square to +inf, and the
+    # log-odds then meet -inf - -inf; filterwarnings = error makes a numpy
+    # warning on the way fail this test, and the caller's error state stays
+    base = MvnParams(np.zeros((2, 3)), np.eye(2), np.eye(3))
+    law = CmvnParams(base, 0.9, 2.0)
+    x = np.full((2, 3), 1e200)
+    caller = np.geterr()
+    assert mvn_log_density(x, base) == -np.inf
+    assert cmvn_log_density(x, law) == -np.inf
+    assert posterior_good_prob(x, law) == np.finfo(float).tiny
+    assert np.geterr() == caller
+
+
 def two_term_oracle(delta, log_det, rp, alpha, eta):
     """log f and v from the good and bad log terms through scipy's logsumexp."""
     const = -0.5 * (rp * LOG_2PI + log_det)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.stats import matrix_normal, multivariate_normal
 
-from cmvmix import ecm
+from cmvmix import ecm, linalg
 from cmvmix.data import Dataset
 from cmvmix.distributions import ETA_MIN, CmvnParams, MvnParams, sample_mvn_stack
 from cmvmix.ecm import (
@@ -497,9 +497,8 @@ class TestCmSteps:
         rng = np.random.default_rng(3)
         xt = rng.standard_normal((2, 2, 6))
         z = np.stack([[np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], np.full(6, rest)])
-        work = tuple(np.empty((2, 2, 2, 6)) for _ in range(3))
-        return ecm._cm_half(xt, z, None, np.full(2, _INIT_ETA), np.tile(np.eye(2), (2, 1, 1)),
-                            work)
+        return ecm._cm_half(linalg.Work.of(xt, 2), z, None, np.full(2, _INIT_ETA),
+                            np.tile(np.eye(2), (2, 1, 1)))
 
     def test_nan_mass_does_not_hide_a_component_below_the_floor(self):
         with pytest.raises(DegenerateCluster, match="component mass fell below 2"):
@@ -885,14 +884,14 @@ def drive_cycles(data, kind, init_z, init_v, k):
     one _cm_half at the last posteriors, then one _e_pass at its theta'.
     Returns per cycle (theta', z, v, loglik), posteriors as (G, N)."""
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
-    r, p, n = xt.shape
+    r, p, _ = xt.shape
     g = init_z.shape[1]
-    work = tuple(np.empty((g, r, p, n)) for _ in range(3))
+    work = linalg.Work.of(xt, g)
     z, v = init_z.T, (init_v.T if kind is Kind.CMVN else None)
     etas, psi_inv = np.full(g, _INIT_ETA), np.tile(np.eye(p), (g, 1, 1))
     cycles = []
     for _ in range(k):
-        theta, psi_inv, delta, log_det = ecm._cm_half(xt, z, v, etas, psi_inv, work)
+        theta, psi_inv, delta, log_det = ecm._cm_half(work, z, v, etas, psi_inv)
         weights, alphas, _, _, _, etas = theta
         z, v, ll = ecm._e_pass(delta, log_det, np.log(weights), r * p, alphas, etas)
         cycles.append((theta, z, v, ll))
@@ -962,6 +961,49 @@ def test_run_chain_only_drives_the_map(kind):
         np.testing.assert_array_equal(resp.v, cycles[-1][2].T)
 
 
+@settings(max_examples=60, deadline=None)
+@given(cm_problems(), st.integers(0, 2**32 - 1))
+def test_a_reused_work_set_gives_a_fresh_sets_cycle(problem, other_seed):
+    """One _cm_half + _e_pass cycle gives theta', psi_inv, the distances, log
+    determinants, z, v and the log-likelihood bit for bit on a work set whose
+    arrays a cycle from another state has written as on a fresh one, so no
+    view the set holds goes stale or aliases another array.  The state is
+    the chain's first (z and v the F-ordered transposes of the draws) or the
+    one after one to three cycles."""
+    data, kind, init_z, init_v, warm = problem
+    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
+    g, rp = init_z.shape[1], data.r * data.p
+
+    def first_state(z, v):
+        v = None if v is None else v.T
+        return z.T, v, np.full(g, _INIT_ETA), np.tile(np.eye(data.p), (g, 1, 1))
+
+    def cycle(work, z, v, etas, psi_inv):
+        theta, psi_inv, delta, log_det = ecm._cm_half(work, z, v, etas, psi_inv)
+        z, v, ll = ecm._e_pass(delta, log_det, np.log(theta[0]), rp, theta[1], theta[5])
+        return (*theta, psi_inv, delta, log_det, z, v, ll)
+
+    state = first_state(init_z, init_v)
+    try:
+        for _ in range(warm - 1):
+            out = cycle(linalg.Work.of(xt, g), *state)
+            state = (out[9], out[10], out[5], out[6])  # z, v, etas, psi_inv
+        want = cycle(linalg.Work.of(xt, g), *state)
+    except (DegenerateCluster, NotPositiveDefinite):
+        assume(False)
+    work = linalg.Work.of(xt, g)
+    other = ecm._initial_responsibilities(np.random.default_rng(other_seed), data.n, g, kind)
+    try:
+        cycle(work, *first_state(*other))
+    except (DegenerateCluster, NotPositiveDefinite):
+        pass  # a cycle that fails part way has written into the set as well
+    for got, ref in zip(cycle(work, *state), want):
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            got, ref = np.asarray(got), np.asarray(ref)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
 def test_public_scale_updates_are_the_chains(kind):
     """cm_step_2_sigma and cm_step_3_psi at one chain state (the chain's u,
@@ -973,7 +1015,8 @@ def test_public_scale_updates_are_the_chains(kind):
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     ng = z.sum(axis=1)
     bad = None if v is None else 1.0 - v
-    _, _, means, u = ecm._cm_step_1(xt, z, v, bad, prev[5], ng)
+    _, _, means, u = ecm._cm_step_1(xt.reshape(-1, data.n).T, z, v, bad, prev[5], ng)
+    means = means.reshape(theta[2].shape)
     np.testing.assert_array_equal(means, theta[2])
     sigmas = cm_step_2_sigma(data.samples, u.T, ng, means, prev[4])
     np.testing.assert_array_equal(sigmas, theta[3])

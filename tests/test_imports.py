@@ -115,26 +115,31 @@ def test_linalg_holds_only_the_chain_kernels():
     assert [name for mod, name in missed if mod == "linalg"] == []
 
 
+# the private numpy names linalg binds at import: LAPACK's gufuncs and the
+# error-state context variable factor sets around them
+PRIVATE = ("_umath_linalg", "_extobj_contextvar", "_make_extobj")
+
+
 def lapack_routes(source):
-    """Line numbers where source reaches numpy's linear algebra itself: an
-    attribute linalg of np or numpy (np.linalg.inv, numpy.linalg.cholesky),
-    an import of numpy.linalg or from it, ``from numpy import linalg``, or
-    the name _umath_linalg in any form."""
+    """Line numbers where source reaches numpy's linear algebra or the
+    private names linalg binds itself: an attribute linalg of np or numpy
+    (np.linalg.inv, numpy.linalg.cholesky), an import of numpy.linalg or from
+    it, ``from numpy import linalg``, or a name in PRIVATE in any form."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
-            hit = node.attr == "_umath_linalg" or (
+            hit = node.attr in PRIVATE or (
                 node.attr == "linalg" and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy"))
         elif isinstance(node, ast.Name):
-            hit = node.id == "_umath_linalg"
+            hit = node.id in PRIVATE
         elif isinstance(node, ast.Import):
             hit = any(a.name.startswith("numpy.linalg") for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             hit = (module.startswith("numpy.linalg") or "_umath_linalg" in module
-                   or (module == "numpy" and any(a.name in ("linalg", "_umath_linalg")
-                                                 for a in node.names)))
+                   or any(a.name in PRIVATE for a in node.names)
+                   or (module == "numpy" and any(a.name == "linalg" for a in node.names)))
         else:
             continue
         if hit:
@@ -152,14 +157,17 @@ def test_lapack_routes_flags_each_route():
               "y = numpy.linalg.cholesky\n"
               "z = nla._umath_linalg.cholesky_lo\n"
               "from . import linalg as own\n"
-              "w = own.factor(x) + linalg_sum(x)\n")
-    assert lapack_routes(source) == [2, 3, 4, 5, 6, 7, 8]
+              "w = own.factor(x) + linalg_sum(x)\n"
+              "from numpy._core.umath import _extobj_contextvar, _make_extobj\n"
+              "t = np._core.umath._extobj_contextvar.set(np._core.umath._make_extobj())\n"
+              "from numpy._core.umath import _get_extobj_dict\n")
+    assert lapack_routes(source) == [2, 3, 4, 5, 6, 7, 8, 11, 12]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"),
                          ids=lambda p: p.name)
 def test_only_linalg_calls_numpy_linear_algebra(path):
-    # linalg owns numpy's LAPACK gufuncs and the errstate that maps their
+    # linalg owns numpy's LAPACK gufuncs and the error state that maps their
     # failures to NotPositiveDefinite; a second caller would bring back
     # np.linalg's wrappers or a failure mapped another way
     assert lapack_routes(path.read_text()) == []

@@ -91,11 +91,13 @@ class TestForeignCalls:
     @pytest.mark.parametrize("fault", ["indefinite", "nan on the diagonal", "nan off it"])
     @pytest.mark.parametrize("k", [1, 2, 4, 6, 10])
     @pytest.mark.parametrize("g", [1, 2, 3])
-    @pytest.mark.parametrize("caller_errstate", ["ignore", "raise"])
+    @pytest.mark.parametrize("caller_errstate", ["ignore", "warn", "raise"])
     def test_refuses_by_name_without_warning(self, g, k, fault, caller_errstate):
         # the last member of the stack is faulty; the caller's own errstate
-        # does not change what factor raises
-        a = self.stack(g, k, 1e4, seed=7 * g + k)
+        # does not change what factor raises, and factor hands it back as it
+        # found it, after a refusal and after a factorization that succeeds
+        good = self.stack(g, k, 1e4, seed=7 * g + k)
+        a = good.copy()
         j = k - 1
         if fault == "indefinite":
             a[-1, j, j] = -1.0 if k == 1 else -abs(a[-1]).max()
@@ -106,8 +108,12 @@ class TestForeignCalls:
         for inverse in (False, True):
             with warnings.catch_warnings(), np.errstate(all=caller_errstate):
                 warnings.simplefilter("error")
+                caller = np.geterr()
                 with pytest.raises(NotPositiveDefinite, match="^psi is not positive definite$"):
                     linalg.factor(a, "psi", inverse=inverse)
+                assert np.geterr() == caller
+                linalg.factor(good, "psi", inverse=inverse)
+                assert np.geterr() == caller
 
 
 def log_det_spd(a):
@@ -240,14 +246,15 @@ class TestStackedKernels:
         ng = z.sum(axis=0)
         L_psi_prev = np.stack([linalg.factor(random_spd(rng, p)) for _ in range(g)])
 
-        d = linalg._residuals(xs.transpose(1, 2, 0), means)
-        inv = np.linalg.inv
-        sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
+        w = linalg.Work.of(xs.transpose(1, 2, 0), g)
+        linalg._residuals(w, means)
+        inv, u4, ng3 = np.linalg.inv, u.T[:, None, None], ng[:, None, None]
+        sigmas = linalg._row_scatter(w, u4, inv(L_psi_prev), ng3)
         L_sigma = linalg.factor(sigmas)
-        wd = linalg._whiten(inv(L_sigma), d)
-        psis = linalg._col_scatter(wd, u.T, ng)
+        linalg._whiten(w, inv(L_sigma))
+        psis = linalg._col_scatter(w, u4, ng3)
         L_psi = linalg.factor(psis)
-        delta = linalg._whitened_distances(wd, inv(L_psi)).T
+        delta = linalg._whitened_distances(w, inv(L_psi)).T
         log_det = p * log_det_from_factor(L_sigma) + r * log_det_from_factor(L_psi)
 
         want = per_component_steps(xs, means, u, ng, L_psi_prev)
@@ -291,12 +298,13 @@ class TestStackedKernels:
         u = z * rng.uniform(0.3, 1.0, size=(n, g))
         ng = z.sum(axis=0)
 
-        d = linalg._residuals(xs.transpose(1, 2, 0), means)
-        inv = np.linalg.inv
-        sigmas = linalg._row_scatter(d, u.T, inv(L_psi_prev), ng)
-        wd = linalg._whiten(inv(linalg.factor(sigmas)), d)
-        psis = linalg._col_scatter(wd, u.T, ng)
-        delta = linalg._whitened_distances(wd, inv(linalg.factor(psis))).T
+        w = linalg.Work.of(xs.transpose(1, 2, 0), g)
+        linalg._residuals(w, means)
+        inv, u4, ng3 = np.linalg.inv, u.T[:, None, None], ng[:, None, None]
+        sigmas = linalg._row_scatter(w, u4, inv(L_psi_prev), ng3)
+        linalg._whiten(w, inv(linalg.factor(sigmas)))
+        psis = linalg._col_scatter(w, u4, ng3)
+        delta = linalg._whitened_distances(w, inv(linalg.factor(psis))).T
 
         bound = 10 * np.finfo(float).eps * cond
         for got, ref in zip((sigmas, psis, delta), per_component_steps(xs, means, u, ng, L_psi_prev)):
@@ -304,8 +312,9 @@ class TestStackedKernels:
 
 
 class TestKernelsIntoBuffers:
-    """Each (G, r, p, N) kernel called with out= gives the same numbers,
-    bit for bit, as the allocating call, and writes them into out."""
+    """Each (G, r, p, N) kernel writes into its linalg.Work set's arrays, and
+    they and its result hold, bit for bit, what numpy's plain expressions on
+    fresh arrays give (the shapes include a row or a column of one)."""
 
     @staticmethod
     def inputs(g, r, p, n=17):
@@ -318,60 +327,85 @@ class TestKernelsIntoBuffers:
         Pi = np.linalg.inv(np.stack([linalg.factor(random_spd(rng, p)) for _ in range(g)]))
         return xt, means, u, ng, Si, Pi
 
+    @staticmethod
+    def row_whitened(Si, d):
+        g, r = Si.shape[:2]
+        return np.matmul(Si, d.reshape(g, r, -1)).reshape(d.shape)
+
     SHAPES = [(2, 3), (1, 3), (3, 1), (1, 1)]
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_work_views(self, g, shape):
+        xt = self.inputs(g, *shape)[0]
+        w = linalg.Work.of(xt, g)
+        assert w.X is xt
+        np.testing.assert_array_equal(w.X_cols, xt.reshape(-1, xt.shape[2]).T)
+        assert np.shares_memory(w.X_cols, xt)
+        for a, rows in ((w.D, w.D_rows), (w.Y, w.Y_rows), (w.U, w.U_rows)):
+            assert a.shape == (g, *xt.shape) and a.flags.c_contiguous
+            assert rows.base is a and rows.shape == (g, shape[0], shape[1] * xt.shape[2])
+        assert w.Y_rows_t.base is w.Y and w.Y_rows_t.shape == w.Y_rows.swapaxes(1, 2).shape
+        assert w.Y_t.base is w.Y and w.Y_t.shape == w.Y.swapaxes(2, 3).shape
+        assert not any(np.shares_memory(a, b) for a, b in ((w.D, w.Y), (w.D, w.U), (w.Y, w.U)))
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_residuals(self, g, shape):
         xt, means, *_ = self.inputs(g, *shape)
-        buf = np.empty((g, *xt.shape))
-        got = linalg._residuals(xt, means, out=buf)
-        assert got is buf
-        np.testing.assert_array_equal(got, linalg._residuals(xt, means))
+        w = linalg.Work.of(xt, g)
+        got = linalg._residuals(w, means)
+        assert got is w.D
+        np.testing.assert_array_equal(got, xt - means[..., None])
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_whiten(self, g, shape):
         xt, means, _, _, Si, _ = self.inputs(g, *shape)
-        d = linalg._residuals(xt, means)
-        buf = np.empty_like(d)
-        got = linalg._whiten(Si, d, out=buf)
-        assert np.shares_memory(got, buf)
-        np.testing.assert_array_equal(buf, got)
-        np.testing.assert_array_equal(got, linalg._whiten(Si, d))
+        w = linalg.Work.of(xt, g)
+        linalg._residuals(w, means)
+        got = linalg._whiten(w, Si)
+        assert got is w.Y
+        np.testing.assert_array_equal(got, self.row_whitened(Si, xt - means[..., None]))
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("swap", [False, True])
     def test_scatter(self, g, shape, swap):
-        # swap=True is the row-scale update: out is the pair that receives the
-        # residuals whitened by the column factors and their u-weighted copy;
-        # swap=False the column-scale update of the residuals whitened by the
-        # row factors: out receives their u-weighted copy
+        # swap=True is the row-scale update: Y receives the residuals whitened
+        # by the column factors and U their u-weighted copy; swap=False the
+        # column-scale update of the residuals whitened by the row factors in
+        # Y: U receives their u-weighted copy
         xt, means, u, ng, Si, Pi = self.inputs(g, *shape)
-        d = linalg._residuals(xt, means)
+        r, p = shape
+        d = xt - means[..., None]
+        w = linalg.Work.of(xt, g)
+        linalg._residuals(w, means)
+        u4, ng3 = u[:, None, None], ng[:, None, None]
         if swap:
-            bufs = (np.empty_like(d), np.empty_like(d))
-            want = linalg._row_scatter(d, u, Pi, ng)
-            got = linalg._row_scatter(d, u, Pi, ng, bufs)
+            got = linalg._row_scatter(w, u4, Pi, ng3)
             y = np.matmul(Pi[:, None], d)
-            np.testing.assert_array_equal(bufs[0], y)
-            np.testing.assert_array_equal(bufs[1], y * u[:, None, None])
+            s = np.matmul((y * u4).reshape(g, r, -1), y.reshape(g, r, -1).swapaxes(1, 2))
+            k = p
         else:
-            z = linalg._whiten(Si, d)
-            buf = np.empty_like(d)
-            want = linalg._col_scatter(z, u, ng)
-            got = linalg._col_scatter(z, u, ng, buf)
-            np.testing.assert_array_equal(buf, z * u[:, None, None])
-        np.testing.assert_array_equal(got, want)
+            y = self.row_whitened(Si, d)
+            linalg._whiten(w, Si)
+            got = linalg._col_scatter(w, u4, ng3)
+            s = np.matmul(y * u4, y.swapaxes(2, 3)).sum(axis=1)
+            k = r
+        np.testing.assert_array_equal(w.Y, y)
+        np.testing.assert_array_equal(w.U, y * u4)
+        np.testing.assert_array_equal(got, (s + s.swapaxes(1, 2)) / (2.0 * k * ng3))
         np.testing.assert_array_equal(got, got.swapaxes(1, 2))
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_whitened_distances(self, g, shape):
         xt, means, _, _, Si, Pi = self.inputs(g, *shape)
-        s = linalg._whiten(Si, linalg._residuals(xt, means))
-        buf = np.empty_like(s)
-        got = linalg._whitened_distances(s, Pi, out=buf)
-        np.testing.assert_array_equal(got, linalg._whitened_distances(s, Pi))
-        np.testing.assert_array_equal(buf, np.square(np.matmul(Pi[:, None], s)))
+        w = linalg.Work.of(xt, g)
+        linalg._residuals(w, means)
+        linalg._whiten(w, Si)
+        got = linalg._whitened_distances(w, Pi)
+        want = np.square(np.matmul(Pi[:, None], self.row_whitened(Si, xt - means[..., None])))
+        np.testing.assert_array_equal(w.U, want)
+        np.testing.assert_array_equal(got, want.sum(axis=(1, 2)))
