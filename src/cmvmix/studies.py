@@ -61,10 +61,13 @@ class ReplicationReport:
 
 def _select(data, seed, starts):
     """Best CMVN and MVN entries over G_VALUES: the CMVN entry and the row
-    fields cmvn_g, cmvn_bic, mvn_g and mvn_bic."""
+    fields cmvn_g, cmvn_bic, mvn_g, mvn_bic, cmvn_start (the selected CMVN
+    fit's winning start) and cmvn_bad_units (the 1-based units it flags)."""
     config = FitConfig(n_starts=starts, seed=seed)
     cm, mv = (sweep(data, [kind], G_VALUES, config).best_entry for kind in (Kind.CMVN, Kind.MVN))
-    return cm, {"cmvn_g": cm.g, "cmvn_bic": cm.bic, "mvn_g": mv.g, "mvn_bic": mv.bic}
+    return cm, {"cmvn_g": cm.g, "cmvn_bic": cm.bic, "mvn_g": mv.g, "mvn_bic": mv.bic,
+                "cmvn_start": cm.result.start_index,
+                "cmvn_bad_units": [int(i) + 1 for i in np.flatnonzero(cm.result.bad_flags)]}
 
 
 def run_single_outlier_study(seed: int, starts: int = FitConfig.n_starts,

@@ -20,10 +20,24 @@ give the starts.  The digests read the same with one OpenBLAS thread and
 with the default two on a 2-core host.
 
 ``tests/test_answers_ledger.py`` compares ``build()`` with the checked-in
-``answers_ledger.json``.  Rewrite that file only when a change is meant to
-move an entry, and list every moved entry with the change:
+``answers_ledger.json``.
 
-    PYTHONPATH=src python3 tests/answers_ledger.py
+``acceptance()`` records what acceptance criteria 4, 5 and 6 compute, from
+the runs their tests in ``tests/test_acceptance.py`` make: per seed (and
+shift) of the two studies, the CMVN and MVN selected G and BIC and the
+selected CMVN fit's winning start and flagged units, with ARI and MCR on the
+good units for the uniform-noise study; per recovery seed, the winning start,
+``m_err`` and ``kron_err``.  The criterion tests compare what they compute
+with the checked-in ``acceptance_ledger.json``.
+
+``moved()`` and ``acceptance_moved()`` name each entry that differs from a
+ledger: outcomes, counts, digests, selections, starts and flagged units
+exactly, log-likelihoods, BICs and the other numbers within ``LOGLIK_RTOL``.
+Rewrite both files only when a change is meant to move an entry, and list
+every moved entry with the change (``--moved`` prints them, in the text the
+tests fail with, and writes no file):
+
+    PYTHONPATH=src python3 tests/answers_ledger.py [--moved]
 
 ``--digest`` prints the digests alone, from the same inputs and calls (at
 ``SEEDS``, or at the seeds given after it), and writes no file.  Run it on
@@ -50,10 +64,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
 PATH = Path(__file__).with_name("answers_ledger.json")
+ACCEPTANCE_PATH = Path(__file__).with_name("acceptance_ledger.json")
 SEEDS = (1, 5)
 WORKLOADS = ("fit-ref", "sweep-noise", "fit-large")
 REF_CONFIG = FitConfig(n_starts=20, seed=0)
 _FAILURES = {DegenerateCluster: "degenerate", NotPositiveDefinite: "not_pd"}
+# Fixed before measuring.  Changes that only reorder roundoff have moved a
+# final log-likelihood by at most 6.4e-16 relative; a chain that takes one
+# step more or less moves it by about the stopping tolerance, 1e-8.
+LOGLIK_RTOL = 1e-12
+CRITERIA = ("criterion_4", "criterion_5", "criterion_6")
+# the study row fields each criterion 4 and 5 entry keeps
+STUDY_FIELDS = ("cmvn_g", "cmvn_bic", "mvn_g", "mvn_bic", "cmvn_start", "cmvn_bad_units")
 
 
 def versions():
@@ -167,10 +189,91 @@ def build():
             "digests": digests(runs)}
 
 
+def _close(a, b):
+    if a is None or b is None:
+        return a is b
+    return abs(a - b) <= LOGLIK_RTOL * abs(b)
+
+
+def moved(want, got):
+    """One line per entry of got that differs from the ledger want:
+    outcomes, iteration counts, the cells' digests, the selected cell and its
+    flagged units exactly, log-likelihoods and BICs within LOGLIK_RTOL."""
+    out = []
+    for key in sorted(set(want["starts"]) | set(got["starts"])):
+        w_cells, g_cells = want["starts"].get(key, {}), got["starts"].get(key, {})
+        for cell in sorted(set(w_cells) | set(g_cells)):
+            w, g = w_cells.get(cell, []), g_cells.get(cell, [])
+            if len(w) != len(g):
+                out.append(f"{key} {cell}: {len(g)} starts, ledger {len(w)}")
+            for s, (ws, gs) in enumerate(zip(w, g)):
+                if ws[:2] != gs[:2] or not _close(gs[2], ws[2]):
+                    out.append(f"{key} {cell} start {s}: {gs}, ledger {ws}")
+    w, g = want["digests"], got["digests"]
+    for cell in sorted(set(w) | set(g)):
+        if g.get(cell) != w.get(cell):
+            out.append(f"{cell}: digest {g.get(cell)}, ledger {w.get(cell)}")
+    w, g = want["reference_sweep"], got["reference_sweep"]
+    for cell in sorted(set(w["bic"]) | set(g["bic"])):
+        got_bic, want_bic = g["bic"].get(cell), w["bic"].get(cell)
+        if not _close(got_bic, want_bic):
+            out.append(f"reference sweep {cell}: BIC {got_bic}, ledger {want_bic}")
+    for name in ("selected", "bad_units"):
+        if g[name] != w[name]:
+            out.append(f"reference sweep {name}: {g[name]}, ledger {w[name]}")
+    return out
+
+
+def outlier_answers(reports):
+    """Criterion 4's entries from {seed: single-outlier report}."""
+    return {f"seed {s}": {f"c={row['c']}": {k: row[k] for k in STUDY_FIELDS} for row in rep.rows}
+            for s, rep in reports.items()}
+
+
+def noise_answers(reports):
+    """Criterion 5's entries from {seed: uniform-noise report}."""
+    return {f"seed {s}": {k: rep.rows[0][k] for k in (*STUDY_FIELDS, "ari_good", "mcr_good")}
+            for s, rep in reports.items()}
+
+
+def recovery_answers(recovered):
+    """Criterion 6's entries from {seed: (winning start, m_err, kron_err)}."""
+    return {f"seed {s}": dict(zip(("start", "m_err", "kron_err"), errs))
+            for s, errs in recovered.items()}
+
+
+def acceptance():
+    """The acceptance ledger as a JSON-ready dict, from the runs the
+    criterion tests make (about 25 s)."""
+    import test_acceptance as t
+
+    answers = (outlier_answers(t.outlier_reports()), noise_answers(t.noise_reports()),
+               recovery_answers(t.recovery_runs()))
+    return {**versions(), **dict(zip(CRITERIA, answers))}
+
+
+def acceptance_moved(want, got, path=""):
+    """One line per entry of the acceptance ledger got that differs from
+    want, named by its path of keys: floats within LOGLIK_RTOL, everything
+    else (selected G, starts, flagged units, a missing entry) exactly."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return [line for k in [*want, *(k for k in got if k not in want)]
+                for line in acceptance_moved(want.get(k), got.get(k), f"{path} {k}".strip())]
+    same = (_close(got, want) if isinstance(want, float) and isinstance(got, float)
+            else got == want)
+    return [] if same else [f"{path}: {got}, ledger {want}"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
         for cell, digest in digests(recorded_runs(tuple(map(int, sys.argv[2:])) or SEEDS)).items():
             print(cell, digest)
+    elif sys.argv[1:] == ["--moved"]:
+        lines = moved(json.loads(PATH.read_text()), build())
+        want, got = json.loads(ACCEPTANCE_PATH.read_text()), acceptance()
+        lines += acceptance_moved({c: want[c] for c in CRITERIA}, {c: got[c] for c in CRITERIA})
+        print(*lines, sep="\n")
     else:
-        PATH.write_text(dumps(build()) + "\n")
-        print(f"wrote {PATH}")
+        for path, make in ((PATH, build), (ACCEPTANCE_PATH, acceptance)):
+            path.write_text(dumps(make()) + "\n")
+            print(f"wrote {path}")

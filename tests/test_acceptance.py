@@ -7,6 +7,7 @@ pass quotas; everything else is exact or tolerance-checked against
 independent oracles.
 """
 
+import json
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -41,6 +42,8 @@ from cmvmix.metrics import adjusted_rand_index, adjusted_rand_index_exact, \
 from cmvmix.simulate import generate, reference_model
 from cmvmix.studies import run_single_outlier_study, run_uniform_noise_study
 
+from answers_ledger import ACCEPTANCE_PATH, acceptance_moved, noise_answers, outlier_answers, \
+    recovery_answers, versions
 from cm_reference import cm_step_1, cm_step_2_sigma, cm_step_3_psi, cm_step_4_eta, trace_quad_form
 from test_metrics import exhaustive_mcr
 
@@ -58,6 +61,21 @@ NOISE_SEEDS = (1, 2, 4, 5, 6)
 # draws), so this set keeps to draws where the bound is statistically
 # reachable at all.
 RECOVERY_SEEDS = (3, 9, 11, 12, 13)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    """The acceptance ledger (see answers_ledger.py): what criteria 4, 5 and
+    6 computed when it was written."""
+    return json.loads(ACCEPTANCE_PATH.read_text())
+
+
+def assert_ledger(ledger, criterion, got):
+    """Each entry of a criterion's answers matches the acceptance ledger:
+    selections, starts and flagged units exactly, numbers within 1e-12
+    relative.  Checked beside the criterion's own bounds, after its line."""
+    env = f"(ledger written with {ledger['numpy']}, {ledger['blas']}; running {versions()})"
+    assert acceptance_moved({criterion: ledger[criterion]}, {criterion: got}) == [], env
 
 
 @pytest.fixture
@@ -180,10 +198,18 @@ def test_criterion_3_eta_stationarity(report):
            f"max rel err = {worst:.2e}, {elapsed:.1f}s")
 
 
+def outlier_reports():
+    return {s: run_single_outlier_study(s, starts=10) for s in OUTLIER_SEEDS}
+
+
+def noise_reports():
+    return {s: run_uniform_noise_study(s, starts=20) for s in NOISE_SEEDS}
+
+
 @pytest.mark.slow
-def test_criterion_4_single_outlier_study(report):
+def test_criterion_4_single_outlier_study(report, ledger):
     t0 = time.monotonic()
-    results = {s: run_single_outlier_study(s, starts=10) for s in OUTLIER_SEEDS}
+    results = outlier_reports()
     by_check = {
         name: [dict((c.name, c) for c in rep.checks)[name].passed
                for rep in results.values()]
@@ -202,12 +228,13 @@ def test_criterion_4_single_outlier_study(report):
            f"C2={by_check['C2_perturbed_unit_detected']} "
            f"C3={by_check['C3_inflation_increases_with_shift']} "
            f"C4(recorded)={recorded} {elapsed:.0f}s")
+    assert_ledger(ledger, "criterion_4", outlier_answers(results))
 
 
 @pytest.mark.slow
-def test_criterion_5_uniform_noise_study(report):
+def test_criterion_5_uniform_noise_study(report, ledger):
     t0 = time.monotonic()
-    results = {s: run_uniform_noise_study(s, starts=20) for s in NOISE_SEEDS}
+    results = noise_reports()
     c5_flags, c6_ok, recorded = [], True, {}
     for s, rep in results.items():
         checks = {c.name: c for c in rep.checks}
@@ -221,6 +248,7 @@ def test_criterion_5_uniform_noise_study(report):
            sum(c5_flags) >= 4 and c6_ok and elapsed < 600.0,
            f"C5={c5_flags} C6 conditional ok={c6_ok} "
            f"C7(recorded)={recorded} {elapsed:.0f}s")
+    assert_ledger(ledger, "criterion_5", noise_answers(results))
 
 
 def _align_components(true_model, fitted):
@@ -236,24 +264,37 @@ def _align_components(true_model, fitted):
     return best
 
 
-@pytest.mark.slow
-def test_criterion_6_parameter_recovery(report):
-    t0 = time.monotonic()
+def recovery_errors(seed):
+    """Criterion 6's CMVN G=2 fit to N=600 draws of the reference model at
+    one seed: its winning start, the largest elementwise mean error and the
+    largest relative Frobenius error of psi (x) sigma, over the components
+    aligned to the truth."""
     truth = reference_model()
+    data = generate(truth, 600, seed=seed)
+    result = fit(data, FitConfig(g=2, n_starts=5, seed=seed), Kind.CMVN)
+    perm = _align_components(truth, result.model)
+    m_err = kron_err = 0.0
+    for j in range(2):
+        comp = result.model.components[perm[j]]
+        tc = truth.components[j]
+        m_err = max(m_err, float(np.abs(comp.base.m - tc.m).max()))
+        k_true = np.kron(tc.psi, tc.sigma)
+        k_fit = np.kron(comp.base.psi, comp.base.sigma)
+        kron_err = max(kron_err, float(np.linalg.norm(k_fit - k_true)
+                                       / np.linalg.norm(k_true)))
+    return result.start_index, m_err, kron_err
+
+
+def recovery_runs():
+    return {s: recovery_errors(s) for s in RECOVERY_SEEDS}
+
+
+@pytest.mark.slow
+def test_criterion_6_parameter_recovery(report, ledger):
+    t0 = time.monotonic()
+    results = recovery_runs()
     wins, details = 0, []
-    for s in RECOVERY_SEEDS:
-        data = generate(truth, 600, seed=s)
-        result = fit(data, FitConfig(g=2, n_starts=5, seed=s), Kind.CMVN)
-        perm = _align_components(truth, result.model)
-        m_err = kron_err = 0.0
-        for j in range(2):
-            comp = result.model.components[perm[j]]
-            tc = truth.components[j]
-            m_err = max(m_err, float(np.abs(comp.base.m - tc.m).max()))
-            k_true = np.kron(tc.psi, tc.sigma)
-            k_fit = np.kron(comp.base.psi, comp.base.sigma)
-            kron_err = max(kron_err, float(np.linalg.norm(k_fit - k_true)
-                                           / np.linalg.norm(k_true)))
+    for s, (_, m_err, kron_err) in results.items():
         ok = m_err < 0.15 and kron_err < 0.25
         wins += ok
         details.append(f"seed {s}: m_err={m_err:.3f} kron_err={kron_err:.3f}")
@@ -261,6 +302,7 @@ def test_criterion_6_parameter_recovery(report):
     report(f"criterion 6 (parameter recovery, N=600, seeds {RECOVERY_SEEDS})",
            wins >= 4 and elapsed < 300.0,
            f"{wins}/5 within tolerance; {'; '.join(details)}; {elapsed:.0f}s")
+    assert_ledger(ledger, "criterion_6", recovery_answers(results))
 
 
 def _pair_counting_ari(a, b):

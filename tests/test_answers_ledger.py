@@ -9,47 +9,8 @@ import json
 
 import pytest
 
-from answers_ledger import PATH, build, versions
-
-# Fixed before measuring.  Changes that only reorder roundoff have moved a
-# final log-likelihood by at most 6.4e-16 relative; a chain that takes one
-# step more or less moves it by about the stopping tolerance, 1e-8.
-LOGLIK_RTOL = 1e-12
-
-
-def _close(a, b):
-    if a is None or b is None:
-        return a is b
-    return abs(a - b) <= LOGLIK_RTOL * abs(b)
-
-
-def moved(want, got):
-    """One line per entry of got that differs from the ledger want:
-    outcomes, iteration counts, the cells' digests, the selected cell and its
-    flagged units exactly, log-likelihoods and BICs within LOGLIK_RTOL."""
-    out = []
-    for key in sorted(set(want["starts"]) | set(got["starts"])):
-        w_cells, g_cells = want["starts"].get(key, {}), got["starts"].get(key, {})
-        for cell in sorted(set(w_cells) | set(g_cells)):
-            w, g = w_cells.get(cell, []), g_cells.get(cell, [])
-            if len(w) != len(g):
-                out.append(f"{key} {cell}: {len(g)} starts, ledger {len(w)}")
-            for s, (ws, gs) in enumerate(zip(w, g)):
-                if ws[:2] != gs[:2] or not _close(gs[2], ws[2]):
-                    out.append(f"{key} {cell} start {s}: {gs}, ledger {ws}")
-    w, g = want["digests"], got["digests"]
-    for cell in sorted(set(w) | set(g)):
-        if g.get(cell) != w.get(cell):
-            out.append(f"{cell}: digest {g.get(cell)}, ledger {w.get(cell)}")
-    w, g = want["reference_sweep"], got["reference_sweep"]
-    for cell in sorted(set(w["bic"]) | set(g["bic"])):
-        got_bic, want_bic = g["bic"].get(cell), w["bic"].get(cell)
-        if not _close(got_bic, want_bic):
-            out.append(f"reference sweep {cell}: BIC {got_bic}, ledger {want_bic}")
-    for name in ("selected", "bad_units"):
-        if g[name] != w[name]:
-            out.append(f"reference sweep {name}: {g[name]}, ledger {w[name]}")
-    return out
+from answers_ledger import ACCEPTANCE_PATH, CRITERIA, PATH, acceptance_moved, build, moved, \
+    versions
 
 
 @pytest.fixture(scope="module")
@@ -92,4 +53,23 @@ def test_moved_names_each_changed_entry(ledger):
         f"fit-ref@1 cmvn:G=2 start 1: {cell[1]}, ledger {want[1]}",
         f"fit-large@5 cmvn:G=2: digest {'0' * 64}, ledger {digest}",
         "reference sweep bad_units: [6], ledger [6, 27]",
+    ]
+
+
+def test_acceptance_moved_names_each_changed_entry():
+    want = json.loads(ACCEPTANCE_PATH.read_text())
+    assert acceptance_moved(want, copy.deepcopy(want)) == []
+    got = copy.deepcopy(want)
+    row = got["criterion_4"]["seed 1"]["c=4"]
+    row["cmvn_bic"] *= 1 + 1e-14                  # within 1e-12: not a move
+    row["mvn_bic"] *= 1 + 1e-10
+    row["cmvn_start"] += 1
+    row["cmvn_bad_units"] = []
+    del got["criterion_6"]["seed 3"]
+    want_row = want["criterion_4"]["seed 1"]["c=4"]
+    assert acceptance_moved({c: want[c] for c in CRITERIA}, {c: got[c] for c in CRITERIA}) == [
+        f"criterion_4 seed 1 c=4 mvn_bic: {row['mvn_bic']}, ledger {want_row['mvn_bic']}",
+        f"criterion_4 seed 1 c=4 cmvn_start: {row['cmvn_start']}, ledger {want_row['cmvn_start']}",
+        f"criterion_4 seed 1 c=4 cmvn_bad_units: [], ledger {want_row['cmvn_bad_units']}",
+        f"criterion_6 seed 3: None, ledger {want['criterion_6']['seed 3']}",
     ]

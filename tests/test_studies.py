@@ -7,6 +7,7 @@ import pytest
 from cmvmix.data import Dataset
 from cmvmix.simulate import add_uniform_noise, generate, perturb, reference_model
 from cmvmix.studies import (
+    PERTURBED_UNIT,
     Check,
     ReplicationReport,
     run_single_outlier_study,
@@ -33,8 +34,10 @@ class TestSingleOutlierStudy:
             "C4_plain_mixture_overfits_groups",
         ]
         for row in rep.rows:
-            assert set(row) == {"c", "cmvn_g", "cmvn_bic", "mvn_g", "mvn_bic",
-                                "v_perturbed", "perturbed_flagged_bad", "eta_hat"}
+            assert set(row) == {"c", "cmvn_g", "cmvn_bic", "mvn_g", "mvn_bic", "cmvn_start",
+                                "cmvn_bad_units", "v_perturbed", "perturbed_flagged_bad",
+                                "eta_hat"}
+            assert row["perturbed_flagged_bad"] == (PERTURBED_UNIT in row["cmvn_bad_units"])
         assert rep.elapsed_seconds > 0
 
     def test_selection_and_detection_at_smoke_scale(self, outlier_report_small):
