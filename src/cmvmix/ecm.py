@@ -231,10 +231,10 @@ def _eta(bad_mass, delta, eta_min, rp):
     denom = np.add.reduce(bad_mass, 1)
     empty = denom < 1e-12
     mean = np.add.reduce(bad_mass * delta, 1)
-    mean /= np.where(empty, 1.0, denom)
+    mean /= np.maximum(denom, empty)  # 1 where empty: there denom < 1e-12
     mean /= rp
     np.maximum(eta_min, mean, out=mean)
-    np.copyto(mean, eta_min, where=empty)
+    np.fmin(mean, eta_min, out=mean, where=empty)  # >= eta_min or NaN before
     return mean
 
 
