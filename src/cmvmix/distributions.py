@@ -16,6 +16,9 @@ from .data import as_array, as_number
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 ETA_MIN = 1.0001
+# the least share of good matrices an ECM chain gives a component: a
+# contaminated component models a majority of good matrices
+ALPHA_MIN = 0.5
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _V_MIN, _V_MAX = np.finfo(float).tiny, np.nextafter(1.0, 0.0)  # v's open-interval clip
@@ -73,10 +76,10 @@ class CmvnParams:
     """Contaminated matrix normal: base law plus (alpha, eta).
 
     alpha is the proportion of good matrices; eta >= ETA_MIN inflates the
-    row scale of the bad component.  alpha is validated in (0, 1): the
-    intended operating range is (0.5, 1) (a majority-good model), but the
-    estimation updates are unconstrained closed forms, so construction only
-    rejects values outside the open unit interval.
+    row scale of the bad component.  ECM keeps alpha in [ALPHA_MIN, 1) (a
+    majority-good model), but construction accepts any alpha in the open
+    unit interval, so user-made laws and older fit files with alpha below
+    ALPHA_MIN still load.
     """
 
     base: MvnParams

@@ -5,8 +5,8 @@ then the row scale given the previous column scale, then the column scale
 given the new row scale, then the inflation parameter), followed by an
 E-step that refreshes the cluster and good-point posteriors and the
 observed log-likelihood.  Chains start from random responsibilities; fit()
-runs several independent chains and keeps the best admissible, converged
-one, falling back with warnings to a chain that is neither.
+runs several independent chains and keeps the best converged one, falling
+back with a warning to a chain that did not converge.
 """
 
 import enum
@@ -17,7 +17,14 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset, as_array, as_number
-from .distributions import ETA_MIN, CmvnParams, MvnParams, _distances, _logs_from_distances
+from .distributions import (
+    ALPHA_MIN,
+    ETA_MIN,
+    CmvnParams,
+    MvnParams,
+    _distances,
+    _logs_from_distances,
+)
 from .errors import (
     AllStartsFailed,
     DegenerateCluster,
@@ -25,7 +32,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-_ALPHA_EPS = 1e-12
+_ALPHA_EPS = 1e-12  # alpha's upper clip is 1 - _ALPHA_EPS, so log1p(-alpha) stays finite
 _INIT_ETA = 2.0
 
 
@@ -118,7 +125,9 @@ class FitConfig:
 class FitResult:
     """Converged model plus everything needed for reporting and replay, checked to hold
     together.  hard_labels and bad_flags are classify_from(resp, kind); warnings name each
-    alpha <= 0.5, then a start that did not converge; iterations is the trace's length."""
+    alpha <= 0.5 (from fit, a component on the bound ALPHA_MIN; the rule and its text predate
+    the bound and stay, because read_fit compares a file's warnings with these), then a start
+    that did not converge; iterations is the trace's length."""
 
     model: MixtureModel
     resp: Responsibilities
@@ -213,10 +222,14 @@ def _cm_step_1(x_cols, z, v, bad, etas_prev, ng):
     """CM1 on the units as an N x r*p matrix x_cols, posteriors z, v (G, N),
     bad = 1 - v and the masses ng = z.sum(axis=1): weights, alphas (None for
     plain MVN, v None), means as (G, r*p) rows and the effective weights u
-    (G, N) that the scale updates reuse."""
+    (G, N) that the scale updates reuse.  Each alpha is the closed form
+    sum(z v) / ng clipped to [ALPHA_MIN, 1 - _ALPHA_EPS].  The alpha part of
+    the expected complete log-likelihood, sum z v log(alpha) + sum z (1 - v)
+    log(1 - alpha), is concave in alpha with its peak at the closed form, so
+    the clip is its exact maximiser on that interval and ECM stays monotone."""
     weights = ng / x_cols.shape[0]
     alphas = None if v is None else np.minimum(
-        np.maximum(np.add.reduce(z * v, 1) / ng, _ALPHA_EPS), 1.0 - _ALPHA_EPS)
+        np.maximum(np.add.reduce(z * v, 1) / ng, ALPHA_MIN), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
     u = z.copy() if v is None else z * (v + bad / etas_prev[:, None])
     means = u @ x_cols
@@ -338,19 +351,23 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     Start s draws its initial responsibilities from a generator seeded with
     seed XOR s, so results are reproducible and independent of execution
     order.  A chain that degenerates or ends at a non-finite log-likelihood
-    is a failed start; raises AllStartsFailed when every start fails.
+    is a failed start; raises AllStartsFailed when every start fails.  The
+    best chain is the converged one with the highest final log-likelihood,
+    or a chain that ran to max_iter when none converged.  Every CMVN chain
+    keeps its alphas in [ALPHA_MIN, 1) (see _cm_step_1), so a returned
+    component may sit on the bound alpha = ALPHA_MIN.
     """
     kind = Kind(kind)
     cmvn = kind is Kind.CMVN
     if data.n < config.g:
         raise DimensionMismatch(f"need at least G={config.g} observations, have {data.n}")
     _check_spread(data.samples)
-    # Chains are ranked admissible-first, then converged, then by final
-    # log-likelihood.  A chain whose final alpha leaves (0.5, 1) sits outside
-    # the parameter space ("good" points must be the majority of every
-    # cluster), and a chain still climbing at max_iter is usually riding an
-    # unbounded likelihood spike; both are kept only as fallbacks, and the
-    # returned record carries a warning for each.
+    # Chains are ranked converged-first, then by final log-likelihood.  CM1
+    # keeps every alpha in [ALPHA_MIN, 1), so every chain stays in the
+    # parameter space, a component on the bound alpha = ALPHA_MIN included.
+    # A chain still climbing at max_iter is usually riding an unbounded
+    # likelihood spike; it is kept only as a fallback, and the returned
+    # record carries a warning.
     best = None
     best_key = None
     failures = []
@@ -365,7 +382,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         if not np.isfinite(trace[-1]):
             failures.append(f"start {s}: non-finite log-likelihood")
             continue
-        key = (not cmvn or not (theta[1] <= 0.5).any(), converged, trace[-1])
+        key = (converged, trace[-1])
         if best is None or key > best_key:
             best, best_key = (theta, resp, trace, converged, s), key
     if best is None:

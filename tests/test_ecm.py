@@ -1,5 +1,8 @@
 """Tests for the ECM engine: E-step, CM-steps, fit driver, classification."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +13,7 @@ from scipy.stats import matrix_normal, multivariate_normal
 
 from cmvmix import ecm, linalg
 from cmvmix.data import Dataset
-from cmvmix.distributions import ETA_MIN, CmvnParams, MvnParams, sample_mvn_stack
+from cmvmix.distributions import ALPHA_MIN, ETA_MIN, CmvnParams, MvnParams, sample_mvn_stack
 from cmvmix.ecm import (
     FitConfig,
     Kind,
@@ -25,7 +28,8 @@ from cmvmix.ecm import (
 )
 from cmvmix.errors import AllStartsFailed, DegenerateCluster, NotPositiveDefinite
 from cmvmix.metrics import adjusted_rand_index
-from cmvmix.simulate import generate, perturb, reference_model
+from cmvmix.simulate import add_uniform_noise, generate, perturb, reference_model
+from cmvmix.studies import DEFAULT_N, NOISE_FRACTION, NOISE_RANGE
 
 from cm_reference import (
     cm_step_1,
@@ -35,6 +39,9 @@ from cm_reference import (
     expected_complete_loglik,
 )
 from test_linalg import random_spd
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import ASCENT_RTOL as BENCH_ASCENT_RTOL, NOISE_STUDY_SEED  # noqa: E402
 
 
 def naive_ell_c3(samples, z, v, means, sigmas, psis, etas):
@@ -335,6 +342,30 @@ class TestCmSteps:
         ng = z.sum(axis=0)
         np.testing.assert_allclose(weights, ng / data.n, rtol=1e-14)
         np.testing.assert_allclose(alphas, (z * v).sum(axis=0) / ng, rtol=1e-12)
+
+    def test_noise_study_chains_keep_alpha_in_the_parameter_space(self):
+        # the uniform-noise study data the sweep-noise bench cell poses: at
+        # the parent, which clipped alpha only to (1e-12, 1 - 1e-12), CMVN
+        # G=3 chains here fell below one half
+        s = NOISE_STUDY_SEED
+        data = add_uniform_noise(generate(reference_model(), DEFAULT_N, s), NOISE_FRACTION,
+                                 *NOISE_RANGE, s + 1)
+        config = FitConfig(g=3, n_starts=20, seed=s)
+        returned = on_bound = 0
+        for start in range(config.n_starts):
+            init = ecm._initial_responsibilities(np.random.default_rng(s ^ start), data.n, 3,
+                                                 Kind.CMVN)
+            try:
+                theta, _, trace, _, _ = _run_chain(data, Kind.CMVN, config, *init)
+            except (DegenerateCluster, NotPositiveDefinite):
+                continue
+            alphas = theta[1]
+            assert (alphas >= ALPHA_MIN).all(), (start, alphas)
+            drop = trace[:-1] - trace[1:] - BENCH_ASCENT_RTOL * np.abs(trace[:-1])
+            assert drop.max(initial=0.0) <= 0.0, start
+            returned += 1
+            on_bound += bool((alphas == ALPHA_MIN).any())
+        assert returned and on_bound >= 1
 
     def test_mean_update_is_stationary_point(self):
         # finite-difference gradient of the complete-data objective vanishes
@@ -923,6 +954,38 @@ def cm_problems(draw):
 
 # fixed before measuring; over 2,000 cases the worst step was -2.9e-16 relative
 ASCENT_RTOL = 1e-12
+
+
+@st.composite
+def alpha_problems(draw):
+    """Posteriors z (G, N), positive, and v (G, N) whose per-component
+    powers push the closed-form alpha sum(z v) / sum(z) anywhere in (0, 1)."""
+    g, n = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    powers = np.array([10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(g)])
+    z = rng.uniform(1e-3, 1.0, (g, n))
+    v = rng.uniform(0.0, 1.0, (g, n)) ** powers[:, None]
+    return z, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_problems())
+def test_alpha_is_the_constrained_maximiser(problem):
+    """CM1's alpha is the closed form clipped to [ALPHA_MIN, 1 - _ALPHA_EPS],
+    and no point of a grid over that interval gives a larger alpha part of
+    the expected complete log-likelihood, sum z v log(alpha) + sum z (1 - v)
+    log(1 - alpha)."""
+    z, v = problem
+    ng = np.add.reduce(z, 1)
+    _, alphas, _, _ = ecm._cm_step_1(np.zeros((z.shape[1], 1)), z, v, 1.0 - v,
+                                      np.full(len(z), _INIT_ETA), ng)
+    closed = np.add.reduce(z * v, 1) / ng
+    grid = np.linspace(ALPHA_MIN, 1.0 - ecm._ALPHA_EPS, 2001)
+    for j, (alpha, alpha_hat) in enumerate(zip(alphas, closed)):
+        assert alpha == min(max(alpha_hat, ALPHA_MIN), 1.0 - ecm._ALPHA_EPS)
+        good, bad = np.sum(z[j] * v[j]), np.sum(z[j] * (1.0 - v[j]))
+        at = good * np.log(alpha) + bad * np.log1p(-alpha)
+        assert at >= np.max(good * np.log(grid) + bad * np.log1p(-grid)) - 1e-12 * abs(at)
 
 
 @settings(max_examples=100, deadline=None)
