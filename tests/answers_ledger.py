@@ -244,7 +244,7 @@ def recovery_answers(recovered):
 
 def acceptance():
     """The acceptance ledger as a JSON-ready dict, from the runs the
-    criterion tests make (about 25 s)."""
+    criterion tests make (about 20 s)."""
     import test_acceptance as t
 
     answers = (outlier_answers(t.outlier_reports()), noise_answers(t.noise_reports()),

@@ -344,9 +344,9 @@ class TestCmSteps:
         np.testing.assert_allclose(alphas, (z * v).sum(axis=0) / ng, rtol=1e-12)
 
     def test_noise_study_chains_keep_alpha_in_the_parameter_space(self):
-        # the uniform-noise study data the sweep-noise bench cell poses: at
-        # the parent, which clipped alpha only to (1e-12, 1 - 1e-12), CMVN
-        # G=3 chains here fell below one half
+        # the uniform-noise study data the sweep-noise bench cell poses, on
+        # which CMVN G=3 chains clipped only to (1e-12, 1 - 1e-12) fall below
+        # one half
         s = NOISE_STUDY_SEED
         data = add_uniform_noise(generate(reference_model(), DEFAULT_N, s), NOISE_FRACTION,
                                  *NOISE_RANGE, s + 1)
