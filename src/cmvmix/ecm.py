@@ -244,10 +244,10 @@ def _eta(bad_mass, delta, eta_min, rp):
     denom = np.add.reduce(bad_mass, 1)
     empty = denom < 1e-12
     mean = np.add.reduce(bad_mass * delta, 1)
-    mean /= np.maximum(denom, empty)  # 1 where empty: there denom < 1e-12
+    mean /= np.where(empty, 1.0, denom)
     mean /= rp
     np.maximum(eta_min, mean, out=mean)
-    np.fmin(mean, eta_min, out=mean, where=empty)  # >= eta_min or NaN before
+    np.copyto(mean, eta_min, where=empty)
     return mean
 
 
@@ -300,7 +300,8 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
     """One deterministic ECM chain from given initial responsibilities:
     _cm_half then _e_pass, on one work set made for the chain, until the
     log-likelihood's relative change falls below tol; returns _cm_half's
-    theta' with (resp, trace, converged, iterations).  Raises
+    theta' with ((z, v), trace, converged, iterations), where z and v are
+    (N, G) views of the last posteriors (v None for plain MVN).  Raises
     DegenerateCluster / NotPositiveDefinite on collapse (a failed start)."""
     xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     r, p, _ = xt.shape
@@ -324,7 +325,7 @@ def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
             converged = True
             break
 
-    return theta, Responsibilities(z=z.T, v=v.T if cmvn else None), np.array(trace), converged, it
+    return theta, (z.T, v.T if cmvn else None), np.array(trace), converged, it
 
 
 def _check_spread(samples):
@@ -346,28 +347,24 @@ def _initial_responsibilities(rng, n, g, kind):
 
 
 def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
-    """Multi-start ECM fit, building model records for the best chain only.
+    """Multi-start ECM fit, building records only for the start it returns.
 
     Start s draws its initial responsibilities from a generator seeded with
     seed XOR s, so results are reproducible and independent of execution
     order.  A chain that degenerates or ends at a non-finite log-likelihood
     is a failed start; raises AllStartsFailed when every start fails.  The
-    best chain is the converged one with the highest final log-likelihood,
-    or a chain that ran to max_iter when none converged.  Every CMVN chain
-    keeps its alphas in [ALPHA_MIN, 1) (see _cm_step_1), so a returned
-    component may sit on the bound alpha = ALPHA_MIN.
+    best chain is the converged one with the highest final log-likelihood.
+    A chain that ran to max_iter is usually riding an unbounded likelihood
+    spike, so it is only a fallback when none converged, and the returned
+    record warns of it.  Every CMVN chain keeps its alphas in
+    [ALPHA_MIN, 1) (see _cm_step_1), so a returned component may sit on the
+    bound alpha = ALPHA_MIN.
     """
     kind = Kind(kind)
     cmvn = kind is Kind.CMVN
     if data.n < config.g:
         raise DimensionMismatch(f"need at least G={config.g} observations, have {data.n}")
     _check_spread(data.samples)
-    # Chains are ranked converged-first, then by final log-likelihood.  CM1
-    # keeps every alpha in [ALPHA_MIN, 1), so every chain stays in the
-    # parameter space, a component on the bound alpha = ALPHA_MIN included.
-    # A chain still climbing at max_iter is usually riding an unbounded
-    # likelihood spike; it is kept only as a fallback, and the returned
-    # record carries a warning.
     best = None
     best_key = None
     failures = []
@@ -375,7 +372,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         rng = np.random.default_rng(config.seed ^ s)
         init_z, init_v = _initial_responsibilities(rng, data.n, config.g, kind)
         try:
-            theta, resp, trace, converged, _ = _run_chain(data, kind, config, init_z, init_v)
+            theta, post, trace, converged, _ = _run_chain(data, kind, config, init_z, init_v)
         except (DegenerateCluster, NotPositiveDefinite) as exc:
             failures.append(f"start {s}: {exc}")
             continue
@@ -384,13 +381,14 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
             continue
         key = (converged, trace[-1])
         if best is None or key > best_key:
-            best, best_key = (theta, resp, trace, converged, s), key
+            best, best_key = (theta, post, trace, converged, s), key
     if best is None:
         raise AllStartsFailed("; ".join(failures))
-    (weights, alphas, means, sigmas, psis, etas), resp, trace, converged, s = best
+    (weights, alphas, means, sigmas, psis, etas), (z, v), trace, converged, s = best
     bases = [MvnParams(*msp) for msp in zip(means, sigmas, psis)]
     comps = [CmvnParams(b, a, e) for b, a, e in zip(bases, alphas, etas)] if cmvn else bases
     model = MixtureModel(kind=kind, weights=weights, components=comps)
+    resp = Responsibilities(z=z, v=v)
     return FitResult(model=model, resp=resp, loglik_trace=trace, converged=converged,
                      config=config, start_index=s)
 

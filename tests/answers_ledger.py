@@ -94,9 +94,11 @@ def recording_starts():
     outcome one of converged, max_iter, degenerate and not_pd, the
     iterations the ECM cycles begun (``ecm._cm_half`` calls, the failing one
     included), and the loglik the trace's last value (None for a failed
-    start).  ``left`` holds the arrays the start ended with: theta', z, v
-    and the trace, or for a failed start the z, v, etas and psi_inv its
-    failing ``ecm._cm_half`` call was given.
+    start).  ``left`` holds the arrays the start ended with, read from
+    ``theta, (z, v), trace, converged`` of the chain's 5-tuple: theta', the
+    (N, G) posteriors z and v (v None for MVN) and the trace, or for a
+    failed start the z, v, etas and psi_inv its failing ``ecm._cm_half``
+    call was given.
     """
     starts, cycles, last = [], [0], [()]
     run_chain, cm_half = ecm._run_chain, ecm._cm_half
@@ -114,9 +116,9 @@ def recording_starts():
         except tuple(_FAILURES) as exc:
             starts.append([cell, _FAILURES[type(exc)], cycles[0], None, last[0][1:5]])
             raise
-        theta, resp, trace, converged = out[:4]
+        theta, (z, v), trace, converged = out[:4]
         starts.append([cell, "converged" if converged else "max_iter", cycles[0],
-                       float(trace[-1]), (*theta, resp.z, resp.v, trace)])
+                       float(trace[-1]), (*theta, z, v, trace)])
         return out
 
     ecm._run_chain, ecm._cm_half = recorded_chain, counted_cm_half

@@ -222,11 +222,11 @@ def test_chain_is_equivariant_under_orthogonal_maps(kind):
                       rng.normal(0.0, 2.0, (data.r, data.p)))
     cfg = FitConfig(g=2, max_iter=300)
     init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
-    _, resp, trace, converged, iters = _run_chain(data, kind, cfg, init_z, init_v)
-    _, resp_m, trace_m, converged_m, iters_m = _run_chain(moved, kind, cfg, init_z, init_v)
+    _, (z, _), trace, converged, iters = _run_chain(data, kind, cfg, init_z, init_v)
+    _, (z_m, _), trace_m, converged_m, iters_m = _run_chain(moved, kind, cfg, init_z, init_v)
     assert (converged_m, iters_m) == (converged, iters)
     np.testing.assert_allclose(trace_m, trace, rtol=1e-9)
-    np.testing.assert_allclose(resp_m.z, resp.z, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(z_m, z, rtol=1e-9, atol=1e-12)
 
 
 class TestRecordsReproduceChain:
@@ -677,8 +677,13 @@ class TestFit:
             else:
                 assert args[4] is None
             assert isinstance(out, tuple) and len(out) == 5
-            theta, resp, trace, converged, iters = out
-            assert len(theta) == 6 and isinstance(resp, Responsibilities)
+            theta, (z, v), trace, converged, iters = out
+            assert len(theta) == 6
+            assert isinstance(z, np.ndarray) and z.dtype == float and z.shape == (data.n, cfg.g)
+            if kind is Kind.CMVN:
+                assert isinstance(v, np.ndarray) and v.dtype == float and v.shape == z.shape
+            else:
+                assert v is None
             assert trace.shape == (iters,) and isinstance(converged, bool)
 
     def test_overflowing_spread_refused(self):
@@ -725,7 +730,7 @@ class TestFit:
 
         def stub(data, kind, config, init_z, init_v):
             s = next(starts)
-            return theta, resp, np.array([-1e3, final_logliks[s]]), True, 2
+            return theta, (resp.z, resp.v), np.array([-1e3, final_logliks[s]]), True, 2
 
         monkeypatch.setattr(ecm, "_run_chain", stub)
 
@@ -747,16 +752,20 @@ class TestFit:
         assert done.converged and not any("did not converge" in w for w in done.warnings)
 
     def test_builds_records_for_the_returned_start_only(self, monkeypatch):
-        built = []
+        built = {MixtureModel: [], Responsibilities: []}
 
-        def counting_model(*args, **kwargs):
-            built.append(MixtureModel(*args, **kwargs))
-            return built[-1]
+        def counting(record):
+            def build(*args, **kwargs):
+                built[record].append(record(*args, **kwargs))
+                return built[record][-1]
+            return build
 
-        monkeypatch.setattr(ecm, "MixtureModel", counting_model)
+        monkeypatch.setattr(ecm, "MixtureModel", counting(MixtureModel))
+        monkeypatch.setattr(ecm, "Responsibilities", counting(Responsibilities))
         data = generate(reference_model(), 50, seed=4)
         res = fit(data, FitConfig(g=2, n_starts=5, seed=5), Kind.CMVN)
-        assert len(built) == 1 and built[0] is res.model
+        assert len(built[MixtureModel]) == 1 and built[MixtureModel][0] is res.model
+        assert len(built[Responsibilities]) == 1 and built[Responsibilities][0] is res.resp
 
     def test_all_non_finite_starts_fail(self, monkeypatch):
         data = generate(reference_model(), 50, seed=4)
@@ -862,16 +871,16 @@ class TestChainAgainstReference:
             assert got_exc is want_exc
             if want_exc is not None:
                 continue
-            _, resp, trace, _, iterations = got
+            _, (z, v), trace, _, iterations = got
             z_ref, v_ref, trace_ref = want
             k = min(len(trace), len(trace_ref))
             np.testing.assert_allclose(trace[:k], trace_ref[:k], rtol=self.LOGLIK_RTOL, atol=0)
             assert len(trace) == len(trace_ref) == iterations
-            np.testing.assert_allclose(resp.z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
             if kind is Kind.CMVN:
-                np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+                np.testing.assert_allclose(v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
             else:
-                assert resp.v is None
+                assert v is None
 
     def test_same_collapse_mid_chain(self, monkeypatch):
         # 1x2 units, four outliers: both chains lose a component at iteration
@@ -902,12 +911,12 @@ class TestChainAgainstReference:
             srng = np.random.default_rng(start)
             init_z = srng.dirichlet(np.ones(g), size=data.n)
             init_v = srng.uniform(0.5, 1.0, size=(data.n, g))
-            _, resp, trace, _, iterations = _run_chain(data, Kind.CMVN, config, init_z, init_v)
+            _, (z, v), trace, _, iterations = _run_chain(data, Kind.CMVN, config, init_z, init_v)
             z_ref, v_ref, trace_ref = reference_chain(data, Kind.CMVN, config, init_z, init_v)
             np.testing.assert_allclose(trace, trace_ref, rtol=self.LOGLIK_RTOL, atol=0)
             assert len(trace_ref) == iterations
-            np.testing.assert_allclose(resp.z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
-            np.testing.assert_allclose(resp.v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=self.POSTERIOR_ATOL)
+            np.testing.assert_allclose(v, v_ref, rtol=0, atol=self.POSTERIOR_ATOL)
 
 
 def drive_cycles(data, kind, init_z, init_v, k):
@@ -1015,13 +1024,13 @@ def test_run_chain_only_drives_the_map(kind):
     k = 12
     init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
     cycles = drive_cycles(data, kind, init_z, init_v, k)
-    _, resp, trace, converged, iters = _run_chain(
+    _, (z, v), trace, converged, iters = _run_chain(
         data, kind, FitConfig(g=2, max_iter=k, tol=1e-300), init_z, init_v)
     assert (converged, iters) == (False, k)
     np.testing.assert_array_equal(trace, [c[3] for c in cycles])
-    np.testing.assert_array_equal(resp.z, cycles[-1][1].T)
+    np.testing.assert_array_equal(z, cycles[-1][1].T)
     if kind is Kind.CMVN:
-        np.testing.assert_array_equal(resp.v, cycles[-1][2].T)
+        np.testing.assert_array_equal(v, cycles[-1][2].T)
 
 
 @settings(max_examples=60, deadline=None)
