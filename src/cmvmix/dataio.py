@@ -28,28 +28,34 @@ SCHEMA_VERSION = 1
 _DATASET_KEYS = {"schema_version", "n", "r", "p", "samples", "labels", "good_flags", "names"}
 
 
-def _dump_canonical(doc, path):
-    """Write doc's JSONEncoder(indent=1) text, newline-ended, into a file
-    beside path, then rename it onto path, so a failed encode never leaves a
-    partly written target.  A numpy array value is written chunk by chunk
-    from repr (see _number_block); json encodes every other value."""
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """A text file beside path, renamed onto path when the block ends and
+    removed when it raises, so a failed write never leaves a partial target."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            sep = "{\n"
-            for key, val in doc.items():
-                if isinstance(val, np.ndarray):
-                    fh.write(f"{sep} {json.dumps(key)}: ")
-                    fh.writelines(_number_block(val))
-                else:  # the item as a one-key object, less its braces, is already at depth 1
-                    fh.write(sep + json.dumps({key: val}, indent=1)[2:-2])
-                sep = ",\n"
-            fh.write("\n}\n" if doc else "{}\n")
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _dump_canonical(doc, path):
+    """Write doc's JSONEncoder(indent=1) text, newline-ended, through
+    _replacing: an array value chunk by chunk (see _number_block), json the rest."""
+    with _replacing(path) as fh:
+        sep = "{\n"
+        for key, val in doc.items():
+            if isinstance(val, np.ndarray):
+                fh.write(f"{sep} {json.dumps(key)}: ")
+                fh.writelines(_number_block(val))
+            else:  # the item as a one-key object, less its braces, is already at depth 1
+                fh.write(sep + json.dumps({key: val}, indent=1)[2:-2])
+            sep = ",\n"
+        fh.write("\n}\n" if doc else "{}\n")
 
 
 # Units per repr call.  It exists for peak memory: building a whole file's
@@ -122,7 +128,7 @@ def write_dataset(data: Dataset, path) -> None:
     # it: str() of an int (labels via tolist(), twice as fast as int64 scalars), a float's repr
     cells = [f"{a},{b}," for a in range(1, data.r + 1) for b in range(1, data.p + 1)]
     labels = data.true_labels
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         fh.write("unit,row,col,value\r\n" if labels is None else "unit,row,col,value,label\r\n")
         for start, text in zip(range(0, data.n, _CHUNK), _repr_chunks(rows)):
             ends = (["\r\n"] * _CHUNK if labels is None

@@ -130,7 +130,7 @@ def _distances(xs, bases):
         raise DimensionMismatch(f"observations {xs.shape[1:]} vs params {sorted(shapes)}")
     L_sigma, sigma_inv = linalg.factor(np.stack([b.sigma for b in bases]), "sigma", inverse=True)
     L_psi, psi_inv = linalg.factor(np.stack([b.psi for b in bases]), "psi", inverse=True)
-    work = linalg.Work.of(xs.transpose(1, 2, 0), len(bases))
+    work = linalg.Work.of(xs, len(bases))
     linalg._residuals(work, np.stack([b.m for b in bases]))
     linalg._whiten(work, sigma_inv)
     return linalg._whitened_distances(work, psi_inv), linalg._log_det_kron(L_sigma, L_psi)

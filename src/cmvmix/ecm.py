@@ -231,7 +231,7 @@ def _cm_step_1(x_cols, z, v, bad, etas_prev, ng):
     alphas = None if v is None else np.minimum(
         np.maximum(np.add.reduce(z * v, 1) / ng, ALPHA_MIN), 1.0 - _ALPHA_EPS)
     # per-observation M-step weights z * (v + (1 - v)/eta)
-    u = z.copy() if v is None else z * (v + bad / etas_prev[:, None])
+    u = z if v is None else z * (v + bad / etas_prev[:, None])
     means = u @ x_cols
     means /= np.add.reduce(u, 1)[:, None]
     return weights, alphas, means, u
@@ -271,13 +271,6 @@ def _cm_half(work: linalg.Work, z, v, etas, psi_inv):
     ng, floor = np.add.reduce(z, 1), r * p / 2.0
     if np.fmin.reduce(ng) < floor:
         raise DegenerateCluster(f"component mass fell below {floor:.3g}: {ng}")
-    # At the first iteration z and v are _run_chain's transposed views of the
-    # initial (N, G) draws, so they are F-ordered, and so is every product of
-    # them; a reduction over axis 1 adds in another order on an F-ordered
-    # array than on a C-ordered one.  So each array derived from z or v (bad,
-    # u, z * bad) stays the fresh array numpy makes, and MVN's u stays a
-    # C-ordered copy of z: reusing z, or writing a product into an array of
-    # another layout, changes the first iteration's sums.
     bad = None if v is None else 1.0 - v
     weights, alphas, means, u = _cm_step_1(work.X_cols, z, v, bad, etas, ng)
     means = means.reshape(-1, r, p)
@@ -296,23 +289,21 @@ def _cm_half(work: linalg.Work, z, v, etas, psi_inv):
     return (weights, alphas, means, sigmas, psis, etas), psi_inv, delta, log_det
 
 
-def _run_chain(data: Dataset, kind: Kind, config: FitConfig, init_z, init_v):
-    """One deterministic ECM chain from given initial responsibilities:
-    _cm_half then _e_pass, on one work set made for the chain, until the
-    log-likelihood's relative change falls below tol; returns _cm_half's
-    theta' with ((z, v), trace, converged, iterations), where z and v are
-    (N, G) views of the last posteriors (v None for plain MVN).  Raises
-    DegenerateCluster / NotPositiveDefinite on collapse (a failed start)."""
-    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
-    r, p, _ = xt.shape
-    g = config.g
-    cmvn = kind is Kind.CMVN
+def _run_chain(work: linalg.Work, kind: Kind, config: FitConfig, init_z, init_v):
+    """One deterministic ECM chain on fit's work set, from initial (N, G)
+    responsibilities: _cm_half then _e_pass, each cycle on C-ordered (G, N)
+    posteriors (copies of the initial ones, then _e_pass's), until the
+    log-likelihood's relative change falls below tol.  Returns _cm_half's
+    theta' with ((z, v), trace, converged, iterations), z and v (N, G) views
+    of the last posteriors (v None for plain MVN), none a view into the set.
+    Raises DegenerateCluster / NotPositiveDefinite on collapse (a failed start)."""
+    r, p, _ = work.X.shape
+    g, cmvn = config.g, kind is Kind.CMVN
 
-    z = np.asarray(init_z, dtype=float).T
-    v = np.asarray(init_v, dtype=float).T if cmvn else None
+    z = np.asarray(init_z, dtype=float).T.copy()
+    v = np.asarray(init_v, dtype=float).T.copy() if cmvn else None
     etas = np.full(g, _INIT_ETA)
     psi_inv = np.tile(np.eye(p), (g, 1, 1))
-    work = linalg.Work.of(xt, g)
 
     trace = []
     converged = False
@@ -365,6 +356,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
     if data.n < config.g:
         raise DimensionMismatch(f"need at least G={config.g} observations, have {data.n}")
     _check_spread(data.samples)
+    work = linalg.Work.of(data.samples, config.g)
     best = None
     best_key = None
     failures = []
@@ -372,7 +364,7 @@ def fit(data: Dataset, config: FitConfig, kind: Kind = Kind.CMVN) -> FitResult:
         rng = np.random.default_rng(config.seed ^ s)
         init_z, init_v = _initial_responsibilities(rng, data.n, config.g, kind)
         try:
-            theta, post, trace, converged, _ = _run_chain(data, kind, config, init_z, init_v)
+            theta, post, trace, converged, _ = _run_chain(work, kind, config, init_z, init_v)
         except (DegenerateCluster, NotPositiveDefinite) as exc:
             failures.append(f"start {s}: {exc}")
             continue

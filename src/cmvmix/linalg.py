@@ -17,13 +17,14 @@ bound at import as well, so a numpy without them fails at import.  The
 stacked kernels (``_residuals`` and after) keep the N units on the last
 axis, so no whitening copies its residuals.  They take a ``Work`` set: the
 units, the three (G, r, p, N) arrays the kernels write, and the views of
-both that the kernels read, so the ECM chain allocates its arrays and makes
-their views once per chain.  No scatter multiplies an array by its own
-transpose, which numpy hands to the slower BLAS syrk: each is one gemm of
-the u-weighted copy of an array with the array, made exactly symmetric as
-(S + S')/2 (a float sum does not depend on its order).  Matrices are plain
-numpy arrays that the callers built or validated (``distributions.MvnParams``
-judges a law's parameters), so nothing here checks them.
+both that the kernels read, so a fit copies its units, allocates its arrays
+and makes their views once for all its chains.  No scatter multiplies an
+array by its own transpose, which numpy hands to the slower BLAS syrk:
+each is one gemm of the u-weighted copy of an array with the array, made
+exactly symmetric as (S + S')/2 (a float sum does not depend on its
+order).  Matrices are plain numpy arrays that the callers built or
+validated (``distributions.MvnParams`` judges a law's parameters), so
+nothing here checks them.
 """
 
 from typing import NamedTuple
@@ -75,8 +76,9 @@ class Work(NamedTuple):
     Y_t: np.ndarray
 
     @classmethod
-    def of(cls, xt, g):
-        """A work set with fresh arrays for units xt (r, p, N) and g components."""
+    def of(cls, samples, g):
+        """A work set with fresh arrays for a units-last copy of samples (N, r, p)."""
+        xt = np.ascontiguousarray(samples.transpose(1, 2, 0))
         r, p, n = xt.shape
         arrays = [np.empty((g, r, p, n)) for _ in range(3)]
         rows = [a.reshape(g, r, p * n) for a in arrays]

@@ -108,11 +108,11 @@ def recording_starts():
         last[0] = args
         return cm_half(*args)
 
-    def recorded_chain(data, kind, config, *rest):
+    def recorded_chain(work, kind, config, *rest):
         cycles[0] = 0
         cell = f"{Kind(kind).value}:G={config.g}"
         try:
-            out = run_chain(data, kind, config, *rest)
+            out = run_chain(work, kind, config, *rest)
         except tuple(_FAILURES) as exc:
             starts.append([cell, _FAILURES[type(exc)], cycles[0], None, last[0][1:5]])
             raise
@@ -274,7 +274,8 @@ if __name__ == "__main__":
         lines = moved(json.loads(PATH.read_text()), build())
         want, got = json.loads(ACCEPTANCE_PATH.read_text()), acceptance()
         lines += acceptance_moved({c: want[c] for c in CRITERIA}, {c: got[c] for c in CRITERIA})
-        print(*lines, sep="\n")
+        for line in lines:
+            print(line)
     else:
         for path, make in ((PATH, build), (ACCEPTANCE_PATH, acceptance)):
             path.write_text(dumps(make()) + "\n")

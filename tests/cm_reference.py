@@ -27,7 +27,7 @@ def _factors(mats, name):
 def _residuals(samples, means):
     """A linalg.Work set for units samples (N, r, p) and G = len(means)
     components, holding the residuals of every unit against every mean."""
-    work = linalg.Work.of(samples.transpose(1, 2, 0), len(means))
+    work = linalg.Work.of(samples, len(means))
     linalg._residuals(work, means)
     return work
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cmvmix import dataio
 from cmvmix.data import Dataset
 from cmvmix.dataio import (
     _CHUNK,
@@ -312,6 +313,24 @@ def test_csv_reader_matches_line_reader(text):
 
 
 class TestDatasetCsv:
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch):
+        # a write that stops after its first chunk of units leaves the old file
+        path = tmp_path / "keep.csv"
+        write_dataset(two_unit_dataset(), path)
+        before = path.read_bytes()
+        repr_chunks = dataio._repr_chunks
+
+        def first_chunk_only(arr):
+            yield next(repr_chunks(arr))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dataio, "_repr_chunks", first_chunk_only)
+        data = Dataset(np.random.default_rng(4).standard_normal((2 * _CHUNK, 2, 3)))
+        with pytest.raises(KeyboardInterrupt):
+            write_dataset(data, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["keep.csv"]
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         data = Dataset(rng.standard_normal((4, 2, 3)), true_labels=[1, 1, 2, 2])

@@ -211,6 +211,11 @@ def test_orthogonal_change_of_coordinates_keeps_posteriors(problem):
         observed_loglik(data, model), rel=1e-10)
 
 
+def run_chain(data, kind, config, init_z, init_v):
+    """_run_chain on a fresh work set of the data's units, as fit builds it."""
+    return _run_chain(linalg.Work.of(data.samples, config.g), kind, config, init_z, init_v)
+
+
 @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
 def test_chain_is_equivariant_under_orthogonal_maps(kind):
     """From the same initial responsibilities the chain on A X B' + C takes
@@ -222,8 +227,8 @@ def test_chain_is_equivariant_under_orthogonal_maps(kind):
                       rng.normal(0.0, 2.0, (data.r, data.p)))
     cfg = FitConfig(g=2, max_iter=300)
     init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
-    _, (z, _), trace, converged, iters = _run_chain(data, kind, cfg, init_z, init_v)
-    _, (z_m, _), trace_m, converged_m, iters_m = _run_chain(moved, kind, cfg, init_z, init_v)
+    _, (z, _), trace, converged, iters = run_chain(data, kind, cfg, init_z, init_v)
+    _, (z_m, _), trace_m, converged_m, iters_m = run_chain(moved, kind, cfg, init_z, init_v)
     assert (converged_m, iters_m) == (converged, iters)
     np.testing.assert_allclose(trace_m, trace, rtol=1e-9)
     np.testing.assert_allclose(z_m, z, rtol=1e-9, atol=1e-12)
@@ -356,7 +361,7 @@ class TestCmSteps:
             init = ecm._initial_responsibilities(np.random.default_rng(s ^ start), data.n, 3,
                                                  Kind.CMVN)
             try:
-                theta, _, trace, _, _ = _run_chain(data, Kind.CMVN, config, *init)
+                theta, _, trace, _, _ = run_chain(data, Kind.CMVN, config, *init)
             except (DegenerateCluster, NotPositiveDefinite):
                 continue
             alphas = theta[1]
@@ -528,8 +533,8 @@ class TestCmSteps:
         rng = np.random.default_rng(3)
         xt = rng.standard_normal((2, 2, 6))
         z = np.stack([[np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], np.full(6, rest)])
-        return ecm._cm_half(linalg.Work.of(xt, 2), z, None, np.full(2, _INIT_ETA),
-                            np.tile(np.eye(2), (2, 1, 1)))
+        return ecm._cm_half(linalg.Work.of(xt.transpose(2, 0, 1), 2), z, None,
+                            np.full(2, _INIT_ETA), np.tile(np.eye(2), (2, 1, 1)))
 
     def test_nan_mass_does_not_hide_a_component_below_the_floor(self):
         with pytest.raises(DegenerateCluster, match="component mass fell below 2"):
@@ -652,8 +657,9 @@ class TestFit:
     @pytest.mark.parametrize("kind", [Kind.MVN, Kind.CMVN])
     def test_one_run_chain_call_per_start(self, monkeypatch, kind):
         # bench/tracing.py's start ledger wraps ecm._run_chain and reads its
-        # (data, kind, config, ...) arguments and its 5-tuple, so fit must
-        # call it once per start with the start's initial responsibilities
+        # (work, kind, config, ...) arguments and its 5-tuple, so fit must
+        # call it once per start with the start's initial responsibilities,
+        # on the one work set it builds for the data
         data = generate(reference_model(), 40, seed=3)
         cfg = FitConfig(g=2, n_starts=4, seed=5)
         real, calls = ecm._run_chain, []
@@ -666,9 +672,12 @@ class TestFit:
         monkeypatch.setattr(ecm, "_run_chain", spy)
         fit(data, cfg, kind)
         assert len(calls) == cfg.n_starts
+        work = calls[0][0][0]
+        assert isinstance(work, linalg.Work)
+        np.testing.assert_array_equal(work.X, data.samples.transpose(1, 2, 0))
         for s, (args, kwargs, out) in enumerate(calls):
             assert kwargs == {} and len(args) == 5
-            assert args[0] is data and args[1] is kind and args[2] is cfg
+            assert args[0] is work and args[1] is kind and args[2] is cfg
             rng = np.random.default_rng(cfg.seed ^ s)
             want_z, want_v = ecm._initial_responsibilities(rng, data.n, cfg.g, kind)
             np.testing.assert_array_equal(args[3], want_z)
@@ -716,8 +725,8 @@ class TestFit:
         init_v = rng.uniform(0.5, 1.0, size=(data.n, 2))
         perm = np.random.default_rng(99).permutation(data.n)
         data_p = Dataset(data.samples[perm])
-        _, _, trace_a, _, _ = _run_chain(data, Kind.CMVN, cfg, init_z, init_v)
-        _, _, trace_b, _, _ = _run_chain(data_p, Kind.CMVN, cfg, init_z[perm], init_v[perm])
+        _, _, trace_a, _, _ = run_chain(data, Kind.CMVN, cfg, init_z, init_v)
+        _, _, trace_b, _, _ = run_chain(data_p, Kind.CMVN, cfg, init_z[perm], init_v[perm])
         assert trace_a[-1] == pytest.approx(trace_b[-1], rel=1e-9)
 
     @staticmethod
@@ -728,7 +737,7 @@ class TestFit:
         theta = (model.weights, None, np.stack([c.m for c in comps]),
                  np.stack([c.sigma for c in comps]), np.stack([c.psi for c in comps]), None)
 
-        def stub(data, kind, config, init_z, init_v):
+        def stub(work, kind, config, init_z, init_v):
             s = next(starts)
             return theta, (resp.z, resp.v), np.array([-1e3, final_logliks[s]]), True, 2
 
@@ -762,10 +771,32 @@ class TestFit:
 
         monkeypatch.setattr(ecm, "MixtureModel", counting(MixtureModel))
         monkeypatch.setattr(ecm, "Responsibilities", counting(Responsibilities))
+        of, works = linalg.Work.of, []
+
+        def counted_of(samples, g):
+            works.append(of(samples, g))
+            return works[-1]
+
+        monkeypatch.setattr(linalg.Work, "of", staticmethod(counted_of))
         data = generate(reference_model(), 50, seed=4)
         res = fit(data, FitConfig(g=2, n_starts=5, seed=5), Kind.CMVN)
         assert len(built[MixtureModel]) == 1 and built[MixtureModel][0] is res.model
         assert len(built[Responsibilities]) == 1 and built[Responsibilities][0] is res.resp
+        assert len(works) == 1  # one work set for the whole fit, not one per start
+
+    def test_returned_start_is_its_chain_on_a_fresh_work_set(self):
+        # on the reference data start 10 of 20 wins, so nine chains write into
+        # the shared work set after it: a returned array that viewed the set
+        # would differ from the winning start rerun alone
+        data = perturb(generate(reference_model(), DEFAULT_N, seed=7), 6, 10.0)
+        cfg = FitConfig(g=2, n_starts=20, seed=0)
+        res = fit(data, cfg, Kind.CMVN)
+        assert res.start_index == 10
+        init = ecm._initial_responsibilities(np.random.default_rng(cfg.seed ^ 10), data.n,
+                                             cfg.g, Kind.CMVN)
+        _, (z, v), trace, _, _ = run_chain(data, Kind.CMVN, cfg, *init)
+        for got, want in ((res.loglik_trace, trace), (res.resp.z, z), (res.resp.v, v)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_all_non_finite_starts_fail(self, monkeypatch):
         data = generate(reference_model(), 50, seed=4)
@@ -866,7 +897,7 @@ class TestChainAgainstReference:
         config = FitConfig(g=g, max_iter=60)
         for start in range(3):
             init_z, init_v = self.initial(data, g, start)
-            got, got_exc = _outcome(_run_chain, data, kind, config, init_z, init_v)
+            got, got_exc = _outcome(run_chain, data, kind, config, init_z, init_v)
             want, want_exc = _outcome(reference_chain, data, kind, config, init_z, init_v)
             assert got_exc is want_exc
             if want_exc is not None:
@@ -891,7 +922,7 @@ class TestChainAgainstReference:
         cycles, cm_half = [], ecm._cm_half
         monkeypatch.setattr(ecm, "_cm_half", lambda *args: cycles.append(1) or cm_half(*args))
         with pytest.raises(DegenerateCluster, match="fell below 1: "):
-            _run_chain(data, Kind.MVN, config, init_z, init_v)
+            run_chain(data, Kind.MVN, config, init_z, init_v)
         with pytest.raises(DegenerateCluster, match="iteration 28: "):
             reference_chain(data, Kind.MVN, config, init_z, init_v)
         assert len(cycles) == 28
@@ -911,7 +942,7 @@ class TestChainAgainstReference:
             srng = np.random.default_rng(start)
             init_z = srng.dirichlet(np.ones(g), size=data.n)
             init_v = srng.uniform(0.5, 1.0, size=(data.n, g))
-            _, (z, v), trace, _, iterations = _run_chain(data, Kind.CMVN, config, init_z, init_v)
+            _, (z, v), trace, _, iterations = run_chain(data, Kind.CMVN, config, init_z, init_v)
             z_ref, v_ref, trace_ref = reference_chain(data, Kind.CMVN, config, init_z, init_v)
             np.testing.assert_allclose(trace, trace_ref, rtol=self.LOGLIK_RTOL, atol=0)
             assert len(trace_ref) == iterations
@@ -923,11 +954,10 @@ def drive_cycles(data, kind, init_z, init_v, k):
     """k ECM cycles driven by hand from the chain's starting state: each is
     one _cm_half at the last posteriors, then one _e_pass at its theta'.
     Returns per cycle (theta', z, v, loglik), posteriors as (G, N)."""
-    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
-    r, p, _ = xt.shape
     g = init_z.shape[1]
-    work = linalg.Work.of(xt, g)
-    z, v = init_z.T, (init_v.T if kind is Kind.CMVN else None)
+    work = linalg.Work.of(data.samples, g)
+    r, p, _ = work.X.shape
+    z, v = init_z.T.copy(), (init_v.T.copy() if kind is Kind.CMVN else None)
     etas, psi_inv = np.full(g, _INIT_ETA), np.tile(np.eye(p), (g, 1, 1))
     cycles = []
     for _ in range(k):
@@ -1024,7 +1054,7 @@ def test_run_chain_only_drives_the_map(kind):
     k = 12
     init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
     cycles = drive_cycles(data, kind, init_z, init_v, k)
-    _, (z, v), trace, converged, iters = _run_chain(
+    _, (z, v), trace, converged, iters = run_chain(
         data, kind, FitConfig(g=2, max_iter=k, tol=1e-300), init_z, init_v)
     assert (converged, iters) == (False, k)
     np.testing.assert_array_equal(trace, [c[3] for c in cycles])
@@ -1040,15 +1070,14 @@ def test_a_reused_work_set_gives_a_fresh_sets_cycle(problem, other_seed):
     determinants, z, v and the log-likelihood bit for bit on a work set whose
     arrays a cycle from another state has written as on a fresh one, so no
     view the set holds goes stale or aliases another array.  The state is
-    the chain's first (z and v the F-ordered transposes of the draws) or the
-    one after one to three cycles."""
+    the chain's first (z and v C-ordered copies of the transposed draws) or
+    the one after one to three cycles."""
     data, kind, init_z, init_v, warm = problem
-    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
     g, rp = init_z.shape[1], data.r * data.p
 
     def first_state(z, v):
-        v = None if v is None else v.T
-        return z.T, v, np.full(g, _INIT_ETA), np.tile(np.eye(data.p), (g, 1, 1))
+        v = None if v is None else v.T.copy()
+        return z.T.copy(), v, np.full(g, _INIT_ETA), np.tile(np.eye(data.p), (g, 1, 1))
 
     def cycle(work, z, v, etas, psi_inv):
         theta, psi_inv, delta, log_det = ecm._cm_half(work, z, v, etas, psi_inv)
@@ -1058,12 +1087,12 @@ def test_a_reused_work_set_gives_a_fresh_sets_cycle(problem, other_seed):
     state = first_state(init_z, init_v)
     try:
         for _ in range(warm - 1):
-            out = cycle(linalg.Work.of(xt, g), *state)
+            out = cycle(linalg.Work.of(data.samples, g), *state)
             state = (out[9], out[10], out[5], out[6])  # z, v, etas, psi_inv
-        want = cycle(linalg.Work.of(xt, g), *state)
+        want = cycle(linalg.Work.of(data.samples, g), *state)
     except (DegenerateCluster, NotPositiveDefinite):
         assume(False)
-    work = linalg.Work.of(xt, g)
+    work = linalg.Work.of(data.samples, g)
     other = ecm._initial_responsibilities(np.random.default_rng(other_seed), data.n, g, kind)
     try:
         cycle(work, *first_state(*other))
@@ -1084,10 +1113,10 @@ def test_public_scale_updates_are_the_chains(kind):
     data = perturb(generate(reference_model(), 60, seed=7), 6, 10.0)
     init_z, init_v = ecm._initial_responsibilities(np.random.default_rng(11), data.n, 2, kind)
     (prev, z, v, _), (theta, _, _, _) = drive_cycles(data, kind, init_z, init_v, 2)
-    xt = np.ascontiguousarray(data.samples.transpose(1, 2, 0))
+    x_cols = linalg.Work.of(data.samples, 2).X_cols
     ng = z.sum(axis=1)
     bad = None if v is None else 1.0 - v
-    _, _, means, u = ecm._cm_step_1(xt.reshape(-1, data.n).T, z, v, bad, prev[5], ng)
+    _, _, means, u = ecm._cm_step_1(x_cols, z, v, bad, prev[5], ng)
     means = means.reshape(theta[2].shape)
     np.testing.assert_array_equal(means, theta[2])
     sigmas = cm_step_2_sigma(data.samples, u.T, ng, means, prev[4])

@@ -246,7 +246,7 @@ class TestStackedKernels:
         ng = z.sum(axis=0)
         L_psi_prev = np.stack([linalg.factor(random_spd(rng, p)) for _ in range(g)])
 
-        w = linalg.Work.of(xs.transpose(1, 2, 0), g)
+        w = linalg.Work.of(xs, g)
         linalg._residuals(w, means)
         inv, u4, ng3 = np.linalg.inv, u.T[:, None, None], ng[:, None, None]
         sigmas = linalg._row_scatter(w, u4, inv(L_psi_prev), ng3)
@@ -298,7 +298,7 @@ class TestStackedKernels:
         u = z * rng.uniform(0.3, 1.0, size=(n, g))
         ng = z.sum(axis=0)
 
-        w = linalg.Work.of(xs.transpose(1, 2, 0), g)
+        w = linalg.Work.of(xs, g)
         linalg._residuals(w, means)
         inv, u4, ng3 = np.linalg.inv, u.T[:, None, None], ng[:, None, None]
         sigmas = linalg._row_scatter(w, u4, inv(L_psi_prev), ng3)
@@ -328,6 +328,11 @@ class TestKernelsIntoBuffers:
         return xt, means, u, ng, Si, Pi
 
     @staticmethod
+    def work(xt, g):
+        """The work set of the units xt (r, p, N) and g components."""
+        return linalg.Work.of(xt.transpose(2, 0, 1), g)
+
+    @staticmethod
     def row_whitened(Si, d):
         g, r = Si.shape[:2]
         return np.matmul(Si, d.reshape(g, r, -1)).reshape(d.shape)
@@ -338,10 +343,11 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_work_views(self, g, shape):
         xt = self.inputs(g, *shape)[0]
-        w = linalg.Work.of(xt, g)
-        assert w.X is xt
+        w = self.work(xt, g)
+        np.testing.assert_array_equal(w.X, xt)
+        assert w.X.flags.c_contiguous
         np.testing.assert_array_equal(w.X_cols, xt.reshape(-1, xt.shape[2]).T)
-        assert np.shares_memory(w.X_cols, xt)
+        assert np.shares_memory(w.X_cols, w.X)
         for a, rows in ((w.D, w.D_rows), (w.Y, w.Y_rows), (w.U, w.U_rows)):
             assert a.shape == (g, *xt.shape) and a.flags.c_contiguous
             assert rows.base is a and rows.shape == (g, shape[0], shape[1] * xt.shape[2])
@@ -353,7 +359,7 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_residuals(self, g, shape):
         xt, means, *_ = self.inputs(g, *shape)
-        w = linalg.Work.of(xt, g)
+        w = self.work(xt, g)
         got = linalg._residuals(w, means)
         assert got is w.D
         np.testing.assert_array_equal(got, xt - means[..., None])
@@ -362,7 +368,7 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_whiten(self, g, shape):
         xt, means, _, _, Si, _ = self.inputs(g, *shape)
-        w = linalg.Work.of(xt, g)
+        w = self.work(xt, g)
         linalg._residuals(w, means)
         got = linalg._whiten(w, Si)
         assert got is w.Y
@@ -379,7 +385,7 @@ class TestKernelsIntoBuffers:
         xt, means, u, ng, Si, Pi = self.inputs(g, *shape)
         r, p = shape
         d = xt - means[..., None]
-        w = linalg.Work.of(xt, g)
+        w = self.work(xt, g)
         linalg._residuals(w, means)
         u4, ng3 = u[:, None, None], ng[:, None, None]
         if swap:
@@ -402,7 +408,7 @@ class TestKernelsIntoBuffers:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_whitened_distances(self, g, shape):
         xt, means, _, _, Si, Pi = self.inputs(g, *shape)
-        w = linalg.Work.of(xt, g)
+        w = self.work(xt, g)
         linalg._residuals(w, means)
         linalg._whiten(w, Si)
         got = linalg._whitened_distances(w, Pi)
