@@ -202,12 +202,20 @@ def _load_records(fh, with_label):
     return np.stack([rec["unit"], rec["row"], rec["col"]], axis=1), rec["value"].copy(), labels
 
 
+def _plain(parse, field):
+    """parse(field), refusing what int() and float() accept and np.loadtxt
+    does not: a digit separator "_" or a non-ASCII character."""
+    if "_" in field or not field.isascii():
+        raise ValueError(field)
+    return parse(field)
+
+
 def _read_records_by_line(path, with_label):
     """The records after the header, read one line at a time; the first
     faulty line raises its numbered message.  It stays beside _load_records,
-    whose errors count rows, not lines (blank ones go uncounted), and which
-    refuses forms that int() and float() accept, such as 1_0 and non-ASCII
-    digits.  The tests use it as the fast reader's oracle."""
+    whose errors count rows, not lines (blank ones go uncounted).  Like it,
+    it refuses a field with "_" or a non-ASCII character.  The tests use it
+    as the fast reader's oracle."""
     cells = array("q")  # unit, row, col of each record, in file order
     values = array("d")
     labels, first = array("q"), {}  # each record's label; each unit's first
@@ -218,9 +226,9 @@ def _read_records_by_line(path, with_label):
             if not row:
                 continue
             try:
-                unit = int(row[0])
-                cells.extend((unit, int(row[1]), int(row[2])))
-                value = float(row[3])
+                unit = _plain(int, row[0])
+                cells.extend((unit, _plain(int, row[1]), _plain(int, row[2])))
+                value = _plain(float, row[3])
             except (ValueError, IndexError, OverflowError):
                 raise ParseError(f"{path}: line {lineno}: malformed record {row!r}") from None
             if not math.isfinite(value):
@@ -228,7 +236,7 @@ def _read_records_by_line(path, with_label):
             values.append(value)
             if with_label:
                 try:
-                    labels.append(int(row[4]))  # OverflowError outside int64
+                    labels.append(_plain(int, row[4]))  # OverflowError outside int64
                 except (ValueError, IndexError, OverflowError):
                     raise ParseError(f"{path}: line {lineno}: malformed label") from None
                 if first.setdefault(unit, labels[-1]) != labels[-1]:
@@ -343,7 +351,9 @@ def read_fit(path) -> FitResult:
     (JSON type and value) what write_fit writes for the record they build."""
     doc = _load_doc(path)
     try:
-        cfg = dict(doc["config"])
+        cfg = doc["config"]
+        if not isinstance(cfg, dict):
+            raise TypeError("config must be a JSON object")
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
         result = FitResult(model=_model_from_doc(doc, Kind(doc["kind"])),

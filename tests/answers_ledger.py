@@ -19,25 +19,27 @@ the z, v, etas and psi_inv its failing cycle was given), from the runs that
 give the starts.  The digests read the same with one OpenBLAS thread and
 with the default two on a 2-core host.
 
-``tests/test_answers_ledger.py`` compares ``build()`` with the checked-in
-``answers_ledger.json``.
-
 ``acceptance()`` records what acceptance criteria 4, 5 and 6 compute, from
 the runs their tests in ``tests/test_acceptance.py`` make: per seed (and
 shift) of the two studies, the CMVN and MVN selected G and BIC and the
 selected CMVN fit's winning start and flagged units, with ARI and MCR on the
 good units for the uniform-noise study; per recovery seed, the winning start,
-``m_err`` and ``kron_err``.  The criterion tests compare what they compute
-with the checked-in ``acceptance_ledger.json``.
+``m_err`` and ``kron_err``.
 
-``moved()`` and ``acceptance_moved()`` name each entry that differs from a
-ledger: outcomes, counts, digests, selections, starts and flagged units
-exactly, log-likelihoods, BICs and the other numbers within ``LOGLIK_RTOL``.
-Rewrite both files only when a change is meant to move an entry, and list
-every moved entry with the change (``--moved`` prints them, in the text the
-tests fail with, and writes no file):
+One rule judges both ledgers: ``reconcile()``, which the ledger and
+criterion tests, ``--moved`` and the writer all call.  It walks dicts by key
+and lists of lists or dicts by item; anything else, such as a start's
+[outcome, iterations, loglik] or a set of flagged units, is one entry on one
+line of ``dumps``.  In an entry, floats agree within ``LOGLIK_RTOL`` and all
+else exactly.  The writer keeps the checked-in value of every entry that did
+not move, and the file's numpy and BLAS versions unless one moved, so after
 
     PYTHONPATH=src python3 tests/answers_ledger.py [--moved]
+
+``git diff tests/`` changes exactly the lines it printed.  ``--moved``
+prints the same lines, writes no file, and exits 1 if it printed any.
+Rewrite the ledgers only when a change is meant to move an entry, and list
+every moved entry with the change.
 
 ``--digest`` prints the digests alone, from the same inputs and calls (at
 ``SEEDS``, or at the seeds given after it), and writes no file.  Run it on
@@ -50,6 +52,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,8 @@ _FAILURES = {DegenerateCluster: "degenerate", NotPositiveDefinite: "not_pd"}
 # step more or less moves it by about the stopping tolerance, 1e-8.
 LOGLIK_RTOL = 1e-12
 CRITERIA = ("criterion_4", "criterion_5", "criterion_6")
+VERSION_KEYS = ("numpy", "blas")
+_ABSENT = object()  # the side of a key or item that only one ledger has
 # the study row fields each criterion 4 and 5 entry keeps
 STUDY_FIELDS = ("cmvn_g", "cmvn_bic", "mvn_g", "mvn_bic", "cmvn_start", "cmvn_bad_units")
 
@@ -141,13 +146,19 @@ def reference_sweep():
     }
 
 
+def _nested(obj):
+    """Whether obj is a list holding a list or a dict: dumps spreads it over
+    lines and reconcile compares it item by item."""
+    return isinstance(obj, list) and any(isinstance(x, (list, dict)) for x in obj)
+
+
 def dumps(obj, indent=""):
-    """JSON text with each list of plain values on one line, so a start
+    """JSON text with each list of plain values on one line, so an entry
     that moves is one changed line."""
     inner = indent + " "
     if isinstance(obj, dict):
         items, ends = [f"{inner}{json.dumps(k)}: {dumps(v, inner)}" for k, v in obj.items()], "{}"
-    elif isinstance(obj, list) and any(isinstance(x, (list, dict)) for x in obj):
+    elif _nested(obj):
         items, ends = [inner + dumps(x, inner) for x in obj], "[]"
     else:
         return json.dumps(obj)
@@ -191,41 +202,6 @@ def build():
             "digests": digests(runs)}
 
 
-def _close(a, b):
-    if a is None or b is None:
-        return a is b
-    return abs(a - b) <= LOGLIK_RTOL * abs(b)
-
-
-def moved(want, got):
-    """One line per entry of got that differs from the ledger want:
-    outcomes, iteration counts, the cells' digests, the selected cell and its
-    flagged units exactly, log-likelihoods and BICs within LOGLIK_RTOL."""
-    out = []
-    for key in sorted(set(want["starts"]) | set(got["starts"])):
-        w_cells, g_cells = want["starts"].get(key, {}), got["starts"].get(key, {})
-        for cell in sorted(set(w_cells) | set(g_cells)):
-            w, g = w_cells.get(cell, []), g_cells.get(cell, [])
-            if len(w) != len(g):
-                out.append(f"{key} {cell}: {len(g)} starts, ledger {len(w)}")
-            for s, (ws, gs) in enumerate(zip(w, g)):
-                if ws[:2] != gs[:2] or not _close(gs[2], ws[2]):
-                    out.append(f"{key} {cell} start {s}: {gs}, ledger {ws}")
-    w, g = want["digests"], got["digests"]
-    for cell in sorted(set(w) | set(g)):
-        if g.get(cell) != w.get(cell):
-            out.append(f"{cell}: digest {g.get(cell)}, ledger {w.get(cell)}")
-    w, g = want["reference_sweep"], got["reference_sweep"]
-    for cell in sorted(set(w["bic"]) | set(g["bic"])):
-        got_bic, want_bic = g["bic"].get(cell), w["bic"].get(cell)
-        if not _close(got_bic, want_bic):
-            out.append(f"reference sweep {cell}: BIC {got_bic}, ledger {want_bic}")
-    for name in ("selected", "bad_units"):
-        if g[name] != w[name]:
-            out.append(f"reference sweep {name}: {g[name]}, ledger {w[name]}")
-    return out
-
-
 def outlier_answers(reports):
     """Criterion 4's entries from {seed: single-outlier report}."""
     return {f"seed {s}": {f"c={row['c']}": {k: row[k] for k in STUDY_FIELDS} for row in rep.rows}
@@ -254,29 +230,52 @@ def acceptance():
     return {**versions(), **dict(zip(CRITERIA, answers))}
 
 
-def acceptance_moved(want, got, path=""):
-    """One line per entry of the acceptance ledger got that differs from
-    want, named by its path of keys: floats within LOGLIK_RTOL, everything
-    else (selected G, starts, flagged units, a missing entry) exactly."""
+def entries(ledger):
+    """The ledger without its numpy and BLAS versions."""
+    return {k: v for k, v in ledger.items() if k not in VERSION_KEYS}
+
+
+def _same(want, got):
+    """Whether got is the entry want: floats within LOGLIK_RTOL, all else exactly."""
+    if isinstance(want, float) and isinstance(got, float):
+        return abs(got - want) <= LOGLIK_RTOL * abs(want)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, want, got))
+    return got == want
+
+
+def reconcile(want, got, path=""):
+    """(lines, merged): lines names each entry of got that moved from the
+    checked-in want, as "path: got, ledger want", in want's order and new keys
+    last; merged has got's keys and items, with want's value where none moved."""
     if isinstance(want, dict) and isinstance(got, dict):
-        return [line for k in [*want, *(k for k in got if k not in want)]
-                for line in acceptance_moved(want.get(k), got.get(k), f"{path} {k}".strip())]
-    same = (_close(got, want) if isinstance(want, float) and isinstance(got, float)
-            else got == want)
-    return [] if same else [f"{path}: {got}, ledger {want}"]
+        parts = {k: reconcile(want.get(k, _ABSENT), got.get(k, _ABSENT), f"{path} {k}".strip())
+                 for k in [*want, *(k for k in got if k not in want)]}
+        return ([line for lines, _ in parts.values() for line in lines],
+                {k: merged for k, (_, merged) in parts.items() if k in got})
+    if _nested(want) and _nested(got):
+        parts = [reconcile(w, g, f"{path}[{i}]")
+                 for i, (w, g) in enumerate(zip_longest(want, got, fillvalue=_ABSENT))]
+        return [line for lines, _ in parts for line in lines], [m for _, m in parts[:len(got)]]
+    if _same(want, got):
+        return [], want
+    got_text, want_text = ("absent" if x is _ABSENT else x for x in (got, want))
+    return [f"{path}: {got_text}, ledger {want_text}"], got
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--digest"]:
         for cell, digest in digests(recorded_runs(tuple(map(int, sys.argv[2:])) or SEEDS)).items():
             print(cell, digest)
-    elif sys.argv[1:] == ["--moved"]:
-        lines = moved(json.loads(PATH.read_text()), build())
-        want, got = json.loads(ACCEPTANCE_PATH.read_text()), acceptance()
-        lines += acceptance_moved({c: want[c] for c in CRITERIA}, {c: got[c] for c in CRITERIA})
-        for line in lines:
-            print(line)
-    else:
-        for path, make in ((PATH, build), (ACCEPTANCE_PATH, acceptance)):
-            path.write_text(dumps(make()) + "\n")
-            print(f"wrote {path}")
+        sys.exit()
+    moved = []
+    for path, make in ((PATH, build), (ACCEPTANCE_PATH, acceptance)):
+        want, got = json.loads(path.read_text()), make()
+        lines, merged = reconcile(entries(want), entries(got))
+        moved += lines
+        if sys.argv[1:] != ["--moved"]:
+            stamp = {k: (got if lines else want)[k] for k in VERSION_KEYS}
+            path.write_text(dumps({**stamp, **merged}) + "\n")
+    for line in moved:
+        print(line)
+    sys.exit(1 if moved and sys.argv[1:] == ["--moved"] else 0)

@@ -42,7 +42,7 @@ from cmvmix.metrics import adjusted_rand_index, adjusted_rand_index_exact, \
 from cmvmix.simulate import generate, reference_model
 from cmvmix.studies import run_single_outlier_study, run_uniform_noise_study
 
-from answers_ledger import ACCEPTANCE_PATH, acceptance_moved, noise_answers, outlier_answers, \
+from answers_ledger import ACCEPTANCE_PATH, noise_answers, outlier_answers, reconcile, \
     recovery_answers, versions
 from cm_reference import cm_step_1, cm_step_2_sigma, cm_step_3_psi, cm_step_4_eta, trace_quad_form
 from test_metrics import exhaustive_mcr
@@ -75,7 +75,7 @@ def assert_ledger(ledger, criterion, got):
     selections, starts and flagged units exactly, numbers within 1e-12
     relative.  Checked beside the criterion's own bounds, after its line."""
     env = f"(ledger written with {ledger['numpy']}, {ledger['blas']}; running {versions()})"
-    assert acceptance_moved({criterion: ledger[criterion]}, {criterion: got}) == [], env
+    assert reconcile({criterion: ledger[criterion]}, {criterion: got})[0] == [], env
 
 
 @pytest.fixture

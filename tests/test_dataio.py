@@ -468,6 +468,19 @@ class TestDatasetCsv:
             with pytest.raises(ParseError, match="line 2: malformed label"):
                 read_dataset(path)
 
+    @pytest.mark.parametrize("header, record, message", [
+        ("unit,row,col,value", "1,1,1,0_5", "malformed record"),
+        ("unit,row,col,value", "1,1,1,\u0663", "malformed record"),  # an Arabic-Indic 3
+        ("unit,row,col,value", "\uff11,1,1,1.0", "malformed record"),  # a fullwidth 1
+        ("unit,row,col,value,label", "1,1,1,1.0,1_0", "malformed label"),
+    ], ids=["value-separator", "value-arabic-indic", "unit-fullwidth", "label-separator"])
+    def test_only_ascii_numbers_without_separators(self, tmp_path, header, record, message):
+        # np.loadtxt refuses these, so the line reader must too, not read 5, 3, 1 and 10
+        path = tmp_path / "forms.csv"
+        path.write_text(f"{header}\n{record}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            read_dataset(path)
+
     def test_inconsistent_label(self, tmp_path):
         path = tmp_path / "relabel.csv"
         path.write_text("unit,row,col,value,label\n1,1,1,1.0,1\n1,1,2,2.0,2\n")
@@ -637,6 +650,7 @@ class TestFitRoundTrip:
         ("config", lambda v: {**v, "n_starts": float(v["n_starts"])}),
         ("config", lambda v: {**v, "max_iter": True}),
         ("config", lambda v: {**v, "seed": float(v["seed"])}),
+        ("config", lambda v: list(v.items())),  # [key, value] pairs, not an object
         ("components", lambda v: [{**v[0], "eta": float("nan")}, *v[1:]]),
         ("components", lambda v: [{**v[0], "eta": float("inf")}, *v[1:]]),
         ("weights", lambda v: [float("nan"), *v[1:]]),
@@ -657,7 +671,7 @@ class TestFitRoundTrip:
             "g-not-components", "loglik-not-trace-end", "loglik-nan", "n-obs-not-z-rows",
             "n-params-not-model", "config-g-float",
             "config-g-not-model-g", "config-n-starts-float", "config-max-iter-bool",
-            "config-seed-float", "eta-nan", "eta-infinite", "weight-nan", "z-row-nan",
+            "config-seed-float", "config-pairs", "eta-nan", "eta-infinite", "weight-nan", "z-row-nan",
             "v-row-nan", "trace-nan-before-end", "trace-minus-inf-before-end", "trace-text",
             "weights-text", "z-row-text", "alpha-text", "m-entry-text"])
     def test_malformed_or_inconsistent_fields_are_parse_errors(self, tmp_path, fitted, key,
