@@ -12,9 +12,8 @@ import sys
 import numpy as np
 
 from . import dataio
-from .ecm import FitConfig, Kind, MixtureModel, fit
-from .errors import (CmvmixError, DimensionMismatch, NotPositiveDefinite, ParseError,
-                     SchemaError, ShapeError)
+from .ecm import FitConfig, Kind, fit
+from .errors import CmvmixError, ParseError, SchemaError, ShapeError
 from .metrics import adjusted_rand_index, misclassification_rate, outlier_report
 from .selection import bic_of, sweep
 from .simulate import add_uniform_noise, generate, perturb, reference_model
@@ -69,21 +68,6 @@ def _parse_g_range(text):
     return [g]
 
 
-def _read_model_spec(path) -> MixtureModel:
-    """A plain matrix normal mixture; generate draws no other kind, so a spec
-    naming another kind or carrying alpha or eta is malformed."""
-    doc = dataio._load_json(path)
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError("top level must be an object")
-        if doc.get("kind", Kind.MVN.value) != Kind.MVN.value or any(
-                "alpha" in c or "eta" in c for c in doc["components"]):
-            raise ValueError("simulate draws the plain matrix normal only (kind mvn, no alpha or eta)")
-        return dataio._model_from_doc(doc, Kind.MVN)
-    except (DimensionMismatch, KeyError, NotPositiveDefinite, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed model spec: {exc}") from None
-
-
 def _add_fit_options(p):
     """The chain options of fit and sweep, defaulting to FitConfig's."""
     p.add_argument("--starts", type=int, default=FitConfig.n_starts)
@@ -113,7 +97,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = _read_model_spec(args.spec) if args.spec else reference_model()
+    model = dataio.read_model_spec(args.spec) if args.spec else reference_model()
     data = generate(model, args.n, args.seed)
     if args.perturb:
         kv = _parse_kv(args.perturb, "--perturb", {"obs": int, "c": float})
@@ -188,9 +172,8 @@ def _cmd_replicate(args) -> int:
         report = run_single_outlier_study(args.seed, starts=args.starts)
     else:
         report = run_uniform_noise_study(args.seed, starts=args.starts)
-    doc = report.to_dict()
     if args.out:
-        dataio._dump_canonical(doc, args.out)
+        dataio.write_report(report, args.out)
     for check in report.checks:
         status = {True: "PASS", False: "FAIL", None: "noted"}[check.passed]
         print(f"[{status}] {check.name}: {check.observed}")

@@ -2,8 +2,8 @@
 
 Serialization is canonical: fixed key order, row-major flattening, floats
 written with Python's shortest round-trip repr (lossless), optionals
-omitted when absent.  Equal in-memory values therefore produce
-byte-identical files, and every read(write(x)) is exact.
+omitted when absent.  Equal in-memory values give byte-identical files;
+read(write(x)) is exact, but long CSV keeps only samples and labels.
 """
 
 import contextlib
@@ -26,6 +26,10 @@ from .selection import count_free_params
 SCHEMA_VERSION = 1
 
 _DATASET_KEYS = {"schema_version", "n", "r", "p", "samples", "labels", "good_flags", "names"}
+_SPEC_KEYS = {"kind", "weights", "components"}
+_COMPONENT_KEYS = {"m", "sigma", "psi", "alpha", "eta"}
+# what a malformed fit or spec raises inside its reader, reported as a ParseError
+_MALFORMED = (DimensionMismatch, KeyError, NotPositiveDefinite, TypeError, ValueError)
 
 
 @contextlib.contextmanager
@@ -88,16 +92,17 @@ def _number_block(arr):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    return doc
 
 
 def _load_doc(path):
     """A versioned JSON document: a top-level object at SCHEMA_VERSION."""
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"{path}: unsupported schema_version {version!r}")
@@ -328,20 +333,24 @@ def write_fit(result: FitResult, path) -> None:
     _dump_canonical(_fit_doc(result), path)
 
 
-def _model_from_doc(doc, kind: Kind) -> MixtureModel:
+def _model_from_doc(doc, kind: Kind, path) -> MixtureModel:
     """Mixture from the "weights" and "components" fields of a fit document
-    or a model spec; CMVN component records also carry alpha and eta.
-
-    Missing or malformed fields raise KeyError, TypeError, ValueError or
-    DimensionMismatch for the caller to report against its file.
-    """
+    or a model spec.  A component record is an object of m, sigma and psi,
+    and alpha and eta exactly when kind is cmvn; another field warns, naming
+    path and the component.  A fault raises one of _MALFORMED for the caller
+    to report."""
     comps = []
-    for rec in doc["components"]:
+    for j, rec in enumerate(doc["components"]):
+        if not isinstance(rec, dict):
+            raise TypeError(f"component {j} must be a JSON object")
         base = MvnParams(rec["m"], rec["sigma"], rec["psi"])
         if kind is Kind.CMVN:
             comps.append(CmvnParams(base, rec["alpha"], rec["eta"]))
+        elif "alpha" in rec or "eta" in rec:
+            raise ValueError(f"component {j}: an mvn component has no alpha or eta")
         else:
             comps.append(base)
+        _warn_unknown(rec, _COMPONENT_KEYS, f"{path}: component {j}")
     return MixtureModel(kind=kind, weights=doc["weights"], components=tuple(comps))
 
 
@@ -356,7 +365,7 @@ def read_fit(path) -> FitResult:
             raise TypeError("config must be a JSON object")
         known = {f.name for f in fields(FitConfig)}
         _warn_unknown(cfg, known, f"{path}: config")
-        result = FitResult(model=_model_from_doc(doc, Kind(doc["kind"])),
+        result = FitResult(model=_model_from_doc(doc, Kind(doc["kind"]), path),
                            resp=Responsibilities(z=doc["z"], v=doc.get("v")),
                            loglik_trace=doc["loglik_trace"], converged=doc["converged"],
                            config=FitConfig(**{k: v for k, v in cfg.items() if k in known}),
@@ -366,10 +375,23 @@ def read_fit(path) -> FitResult:
             want_text = json.dumps(want.get(key))
             if json.dumps(doc.get(key), allow_nan=False) != want_text:
                 raise ValueError(f"{key} must be {want_text[:40]}, as write_fit writes it")
-    except (DimensionMismatch, KeyError, NotPositiveDefinite, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise ParseError(f"{path}: malformed fit document: {exc}") from None
     _warn_unknown(doc, want, path)
     return result
+
+
+def read_model_spec(path) -> MixtureModel:
+    """A plain matrix normal mixture from a spec: "weights" and "components"
+    as in a fit document, and "kind" only if it is "mvn"."""
+    doc = _load_json(path)
+    try:
+        if doc.get("kind", Kind.MVN.value) != Kind.MVN.value:
+            raise ValueError("a model spec is a plain matrix normal mixture (kind mvn)")
+        _warn_unknown(doc, _SPEC_KEYS, path)
+        return _model_from_doc(doc, Kind.MVN, path)
+    except _MALFORMED as exc:
+        raise ParseError(f"{path}: malformed model spec: {exc}") from None
 
 
 def write_sweep(sweep_result, path) -> None:
@@ -384,4 +406,9 @@ def write_sweep(sweep_result, path) -> None:
         entries.append(rec)
     doc = {"schema_version": SCHEMA_VERSION, "entries": entries, "best": sweep_result.best}
     _dump_canonical(doc, path)
+
+
+def write_report(report, path) -> None:
+    """Persist a study report (a ReplicationReport) as its to_dict() document."""
+    _dump_canonical(report.to_dict(), path)
 

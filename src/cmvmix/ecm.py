@@ -144,8 +144,9 @@ class FitResult:
         cmvn = model.kind is Kind.CMVN
         if resp.z.shape[1] != model.g or (resp.v is None) == cmvn:
             raise ValueError(f"z must be N x {model.g}, with v exactly when kind is cmvn")
-        if not all(np.isfinite(a).all() for a in (resp.z, resp.v) if a is not None):
-            raise ValueError("z and v must be finite")
+        if not (all(np.all((a >= 0) & (a <= 1)) for a in (resp.z, resp.v) if a is not None)
+                and np.all(abs(resp.z.sum(1) - 1) <= 1e-12)):  # a NaN fails both
+            raise ValueError("z and v must be in [0, 1], each row of z summing to 1")
         if config.g != model.g:
             raise ValueError(f"config.g must be {model.g}, got {config.g!r}")
         trace = as_array(self.loglik_trace, "loglik_trace", float)

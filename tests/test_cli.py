@@ -397,6 +397,26 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "malformed fit document" in err and "Traceback" not in err
 
+    def test_posteriors_that_are_not_probabilities_are_io_error(self, tmp_path, fit_file,
+                                                                capsys):
+        doc = json.loads(fit_file.read_text())
+        doc["z"] = [[3 * x - 1 for x in row] for row in doc["z"]]  # rows still sum to 1
+        doc["v"] = [[1.9 * x for x in row] for row in doc["v"]]
+        path = tmp_path / "edited_fit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["detect", "--fit", str(path)]) == 3
+        assert "z and v must be in [0, 1]" in capsys.readouterr().err
+
+    def test_alpha_on_a_plain_mixture_is_io_error(self, tmp_path, dataset_file, capsys):
+        data = read_dataset(dataset_file)
+        path = tmp_path / "mvn.json"
+        write_fit(fit(data, FitConfig(g=2, n_starts=2, seed=0), Kind.MVN), path)
+        doc = json.loads(path.read_text())
+        doc["components"][0]["alpha"] = 0.9
+        path.write_text(json.dumps(doc))
+        assert main(["detect", "--fit", str(path)]) == 3
+        assert "component 0: an mvn component has no alpha or eta" in capsys.readouterr().err
+
     def test_rejects_plain_mixture(self, tmp_path, dataset_file):
         data = read_dataset(dataset_file)
         result = fit(data, FitConfig(g=2, n_starts=2, seed=0), Kind.MVN)
@@ -569,6 +589,24 @@ def test_hostile_numbers_end_in_an_exit_code(tmp_path, capsys, dataset_file, arg
         assert code == 2
     assert code in (0, 2, 3, 4, 5)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--noise", "lo=-1"], "--noise needs at least frac=<fraction>"),
+    (["simulate", "--perturb", "obs6"], "malformed --perturb descriptor 'obs6'"),
+    (["sweep", "--models", ","], "--models must name at least one of mvn,cmvn"),
+    (["sweep", "--g", "1:x"], "bad --g range '1:x'"),
+    (["sweep", "--g", "0"], "--g must be >= 1"),
+], ids=["noise-without-frac", "perturb-without-equals", "models-empty", "g-range-text",
+        "g-zero"])
+def test_malformed_options_are_usage_errors(tmp_path, capsys, dataset_file, argv, message):
+    cmd, *opts = argv
+    if cmd == "simulate":
+        argv = [cmd, "--paper-table1", "--n", "20", "--out", str(tmp_path / "sim.json"), *opts]
+    else:
+        argv = [cmd, "--data", str(dataset_file), *opts]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_import_loads_no_scipy():

@@ -23,6 +23,7 @@ from cmvmix.dataio import (
     _read_records_by_line,
     read_dataset,
     read_fit,
+    read_model_spec,
     write_dataset,
     write_fit,
     write_sweep,
@@ -514,6 +515,14 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(data.samples.ravel(), [0.5, 1.5])
 
 
+@pytest.fixture(scope="module")
+def mvn_fit(tmp_path_factory):
+    data = generate(reference_model(), 40, seed=5)
+    path = tmp_path_factory.mktemp("mvn") / "mvn.json"
+    write_fit(fit(data, FitConfig(g=2, n_starts=2, seed=6), Kind.MVN), path)
+    return path
+
+
 class TestFitRoundTrip:
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -782,6 +791,97 @@ class TestFitRoundTrip:
         assert back.bad_flags is None and back.resp.v is None
         np.testing.assert_array_equal(back.resp.z, result.resp.z)
 
+    @pytest.mark.parametrize("field", ["alpha", "eta"])
+    def test_alpha_or_eta_on_an_mvn_component_is_parse_error(self, tmp_path, mvn_fit, field):
+        doc = json.loads(mvn_fit.read_text())
+        doc["components"][0][field] = 0.9  # read silently, then dropped, before
+        path = tmp_path / "mvn_alpha.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as caught:
+            read_fit(path)
+        assert str(caught.value) == (
+            f"{path}: malformed fit document: component 0: an mvn component has no alpha or eta")
+
+    def test_unknown_component_field_ignored_with_warning(self, tmp_path, fitted):
+        _, result = fitted
+        path = tmp_path / "typo.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        doc["components"][0]["sigmaa"] = doc["components"][0]["sigma"]
+        path.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning) as caught:
+            back = read_fit(path)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: component 0: ignoring unknown fields ['sigmaa']"]
+        np.testing.assert_array_equal(back.model.components[0].base.sigma,
+                                      result.model.components[0].base.sigma)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(z=[[3 * x - 1 for x in row] for row in doc["z"]]),
+        lambda doc: doc.update(v=[[1.9 * x for x in row] for row in doc["v"]]),
+        lambda doc: doc.update(z=[[x * (1 - 1e-9) for x in row] for row in doc["z"]]),
+    ], ids=["z-3z-minus-1", "v-up-to-1.9", "z-rows-sum-below-1"])
+    def test_posteriors_that_are_not_probabilities_are_parse_errors(self, tmp_path, fitted,
+                                                                   edit):
+        _, result = fitted
+        path = tmp_path / "posteriors.json"
+        write_fit(result, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as caught:
+            read_fit(path)
+        assert str(caught.value) == (f"{path}: malformed fit document: "
+                                     "z and v must be in [0, 1], each row of z summing to 1")
+
+
+class TestModelSpec:
+    COMP = {"m": [[0.0, 0.0]], "sigma": [[1.0]], "psi": [[1.0, 0.0], [0.0, 1.0]]}
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "cmvn", "weights": [1.0], "components": [COMP]},
+         "a model spec is a plain matrix normal mixture (kind mvn)"),
+        ({"weights": [1.0], "components": [{**COMP, "alpha": 0.9}]},
+         "component 0: an mvn component has no alpha or eta"),
+        ({"weights": [1.0]}, "'components'"),
+        ({"weights": [1.0], "components": [[[0.0, 0.0]]]}, "component 0 must be a JSON object"),
+    ], ids=["kind-cmvn", "alpha", "no-components", "component-not-object"])
+    def test_refusals_name_the_file(self, tmp_path, doc, message):
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ParseError) as caught:
+            read_model_spec(path)
+        assert str(caught.value) == f"{path}: malformed model spec: {message}"
+
+    def test_unknown_fields_warn(self, tmp_path):
+        path = self.write(tmp_path, {"weights": [1.0], "components": [{**self.COMP, "sigmaa": 1}],
+                                     "note": "x"})
+        with pytest.warns(UserWarning) as caught:
+            read_model_spec(path)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: ignoring unknown fields ['note']",
+            f"{path}: component 0: ignoring unknown fields ['sigmaa']"]
+
+    def test_mvn_fit_reads_with_a_warning_for_its_fit_fields(self, mvn_fit):
+        with pytest.warns(UserWarning, match=r"ignoring unknown fields \['config', .*'z'\]"):
+            model = read_model_spec(mvn_fit)
+        np.testing.assert_array_equal(model.weights, read_fit(mvn_fit).model.weights)
+
+    def test_cmvn_fit_is_refused_without_a_warning(self, tmp_path):
+        data = generate(reference_model(), 40, seed=5)
+        path = tmp_path / "cmvn.json"
+        write_fit(fit(data, FitConfig(g=2, n_starts=2, seed=6), Kind.CMVN), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match="malformed model spec: .*kind mvn"):
+                read_model_spec(path)
+        assert caught == []
+
 
 class TestSweepDocument:
     def test_numpy_scalar_config_and_g_range_round_trip(self, tmp_path):
@@ -811,3 +911,12 @@ class TestSweepDocument:
         assert doc["schema_version"] == 1
         assert len(doc["entries"]) == 2
         assert doc["entries"][doc["best"]]["bic"] == max(e["bic"] for e in doc["entries"])
+
+    def test_failed_cell_writes_its_error(self, tmp_path):
+        # twelve 2x4 units cannot keep three components at the floor r*p/2 = 4
+        data = Dataset(generate(reference_model(), 150, seed=42).samples[:12])
+        res = sweep(data, [Kind.MVN], [1, 3], FitConfig(n_starts=2, seed=1))
+        write_sweep(res, tmp_path / "sweep.json")
+        failed = json.loads((tmp_path / "sweep.json").read_text())["entries"][1]
+        assert failed == {"kind": "mvn", "g": 3, "error": res.entries[1].error}
+        assert res.entries[1].error

@@ -318,6 +318,12 @@ class TestWeights:
         with pytest.raises(TypeError, match=f"{name} must be of type"):
             weight(*args)
 
+    @pytest.mark.parametrize("weight", [h_weight, w_weight])
+    @pytest.mark.parametrize("r, p", [(0, 2), (2, 0), (-1, 3)])
+    def test_empty_shape_refused(self, weight, r, p):
+        with pytest.raises(ValueError, match="r and p must be positive"):
+            weight(1.0, 0.8, 2.0, r, p)
+
     @pytest.mark.parametrize("delta, eta", [(np.nan, 2.0), (np.inf, 2.0), (1.0, np.nan),
                                             (1.0, np.inf)])
     def test_w_weight_refuses_non_finite(self, delta, eta):

@@ -26,7 +26,7 @@ from cmvmix.ecm import (
     fit,
     observed_loglik,
 )
-from cmvmix.errors import AllStartsFailed, DegenerateCluster, NotPositiveDefinite
+from cmvmix.errors import AllStartsFailed, DegenerateCluster, DimensionMismatch, NotPositiveDefinite
 from cmvmix.metrics import adjusted_rand_index
 from cmvmix.simulate import add_uniform_noise, generate, perturb, reference_model
 from cmvmix.studies import DEFAULT_N, NOISE_FRACTION, NOISE_RANGE
@@ -95,6 +95,13 @@ class TestEStep:
         data = Dataset(rng.standard_normal((8, 2, 3)))
         resp = e_step(data, model)
         np.testing.assert_allclose(resp.z, 0.5, atol=1e-14)
+
+    def test_data_of_another_shape_refused(self):
+        rng = np.random.default_rng(2)
+        model = random_cmvn_model(rng, 2, 2, 2)
+        shapes = r"observations \(2, 3\) vs params \[\(2, 2\)\]"
+        with pytest.raises(DimensionMismatch, match=shapes):
+            e_step(Dataset(rng.standard_normal((5, 2, 3))), model)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)

@@ -171,3 +171,44 @@ def test_only_linalg_calls_numpy_linear_algebra(path):
     # failures to NotPositiveDefinite; a second caller would bring back
     # np.linalg's wrappers or a failure mapped another way
     assert lapack_routes(path.read_text()) == []
+
+
+def private_reads(source):
+    """Line numbers where source reads a "_"-prefixed name of another module
+    of the package: ``from .m import _name``, ``from . import _m``, or
+    ``m._name`` where ``from . import m`` bound m."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            hit = any(alias.name.startswith("_") for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            hit = (node.attr.startswith("_") and isinstance(node.value, ast.Name)
+                   and node.value.id in modules)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_private_reads_flags_each_route():
+    source = ("import numpy as np\n"
+              "from . import dataio\n"
+              "from . import ecm as e\n"
+              "from .dataio import read_fit, _load_json\n"
+              "x = dataio._dump_canonical(dataio.read_fit)\n"
+              "y = e._run_chain\n"
+              "z = np._core + obj._private + dataio.write_report\n"
+              "from . import _private_module\n"
+              "from .errors import ParseError\n")
+    assert private_reads(source) == [4, 5, 6, 8]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # what a document may hold is dataio's rule: cli calls its public readers
+    # and writers, never the helpers behind them
+    assert private_reads((SRC / "cli.py").read_text()) == []

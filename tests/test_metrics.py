@@ -104,6 +104,11 @@ class TestAri:
         with pytest.raises(ValueError, match="mask must be of type bool"):
             score([1, 1, 2, 2], [1, 2, 2, 2], mask=mask)
 
+    @pytest.mark.parametrize("score", [adjusted_rand_index, misclassification_rate])
+    def test_mask_of_another_length_refused(self, score):
+        with pytest.raises(LengthMismatch, match=r"mask length \(3,\) vs labels \(4,\)"):
+            score([1, 1, 2, 2], [1, 2, 2, 2], mask=[True, False, True])
+
 
 class TestMcr:
     def test_identical(self):
@@ -114,6 +119,10 @@ class TestMcr:
 
     def test_crossed(self):
         assert misclassification_rate([1, 1, 2, 2], [1, 2, 1, 2]) == 0.5
+
+    def test_no_scored_units_refused(self):
+        with pytest.raises(LengthMismatch, match="no scored observations"):
+            misclassification_rate([1, 2], [1, 2], mask=[False, False])
 
     def test_random_match_exhaustive_oracle(self):
         rng = np.random.default_rng(3)

@@ -134,6 +134,13 @@ _FIT_FAULTS = [  # (kind, field the message names, one wrong input, exception)
      ValueError),
     (Kind.CMVN, "z", {"resp": Responsibilities(z=[[np.nan, 1.0], *_Z[1:]], v=_V)}, ValueError),
     (Kind.CMVN, "v", {"resp": Responsibilities(z=_Z, v=[[np.inf, 0.3], *_V[1:]])}, ValueError),
+    # each row of 3z - 1 still sums to 1 at G = 2
+    (Kind.CMVN, "z", {"resp": Responsibilities(z=[[3 * x - 1 for x in r] for r in _Z], v=_V)},
+     ValueError),
+    (Kind.MVN, "z", {"resp": Responsibilities(z=[[0.2, 0.8 + 1e-11], *_Z[1:]])}, ValueError),
+    (Kind.CMVN, "v", {"resp": Responsibilities(z=_Z, v=[[1.9 * x for x in r] for r in _V])},
+     ValueError),
+    (Kind.CMVN, "v", {"resp": Responsibilities(z=_Z, v=[[-0.1, 0.3], *_V[1:]])}, ValueError),
     (Kind.CMVN, r"config\.g", {"config": FitConfig(g=3)}, ValueError),
     (Kind.CMVN, "start_index", {"config": FitConfig(g=2, n_starts=20), "start_index": 25},
      ValueError),
@@ -147,12 +154,18 @@ _FIT_FAULTS = [  # (kind, field the message names, one wrong input, exception)
 
 
 @pytest.mark.parametrize("kind, name, extra, exc", _FIT_FAULTS, ids=[
-    "v-on-mvn", "no-v-on-cmvn", "z-one-column", "z-nan", "v-inf", "config-g-not-g",
+    "v-on-mvn", "no-v-on-cmvn", "z-one-column", "z-nan", "v-inf", "z-below-zero",
+    "z-row-sum-off-by-1e-11", "v-above-one", "v-below-zero", "config-g-not-g",
     "start-beyond-n-starts", "start-negative", "start-bool", "start-float", "trace-nan-inside",
     "trace-empty", "converged-text"])
 def test_fit_result_refuses_each_fault_by_name(kind, name, extra, exc):
     with pytest.raises(exc, match=rf"\b{name}\b"):
         _small_result(kind, **extra)
+
+
+def test_fit_result_takes_row_sums_within_1e_12():
+    z = [[0.2, 0.8 + 4e-13], *_Z[1:]]
+    assert _small_result(Kind.MVN, resp=Responsibilities(z=z)).resp.z[0, 1] == 0.8 + 4e-13
 
 
 def test_fit_result_stores_plain_converged_and_start_index():
@@ -199,6 +212,11 @@ def test_fit_result_derives_labels_flags_iterations_and_seed(kind):
     for name in ("hard_labels", "bad_flags", "iterations", "seed"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(result, name, None)
+
+
+def test_dataset_refuses_names_of_another_length():
+    with pytest.raises(DimensionMismatch, match="unit_names must have length 3, got 2"):
+        Dataset(np.zeros((3, 1, 1)), unit_names=["a", "b"])
 
 
 def test_dataset_refuses_a_str_of_names():
@@ -249,6 +267,21 @@ def test_mixture_model_refuses_non_finite_weights(weights):
     comp = MvnParams(np.zeros((1, 1)), np.eye(1), np.eye(1))
     with pytest.raises(ValueError, match="weights must be strictly positive"):
         MixtureModel(kind=Kind.MVN, weights=weights, components=(comp, comp))
+
+
+@pytest.mark.parametrize("weights, components, error, match", [
+    ([], (), ValueError, "weights must be a non-empty vector"),
+    ([0.5, 0.5], (_ONE,), ValueError, "weights and components disagree on G"),
+    ([1.0], (CmvnParams(_ONE, 0.9, 2.0),), TypeError, "mvn model requires MvnParams components"),
+], ids=["no-weights", "g-disagrees", "cmvn-component"])
+def test_mixture_model_refuses_each_fault(weights, components, error, match):
+    with pytest.raises(error, match=match):
+        MixtureModel(kind=Kind.MVN, weights=weights, components=components)
+
+
+def test_responsibilities_refuse_a_vector_of_posteriors():
+    with pytest.raises(DimensionMismatch, match="z must be N x G"):
+        Responsibilities(z=[0.5, 0.5])
 
 
 def test_responsibilities_keep_non_finite_posteriors():

@@ -124,6 +124,14 @@ class TestSweep:
                    key=lambda ie: (-ie[1].bic, ie[1].g, _KIND_ORDER[ie[1].kind]))[0]
         assert entries[best].kind is Kind.MVN and entries[best].g == 2
 
+    def test_every_cell_failing_raises(self, clean_data, monkeypatch):
+        def stub_fit(data, config, kind):
+            raise AllStartsFailed("start 0: stub failure")
+
+        monkeypatch.setattr(selection, "fit", stub_fit)
+        with pytest.raises(AllStartsFailed, match="^every sweep cell failed$"):
+            sweep(clean_data, [Kind.MVN, Kind.CMVN], [1, 2], FitConfig(n_starts=1))
+
     def test_empty_grid_rejected(self, clean_data):
         with pytest.raises(ValueError):
             sweep(clean_data, [], [1], FitConfig())

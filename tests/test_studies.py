@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cmvmix.data import Dataset
+from cmvmix.distributions import CmvnParams
+from cmvmix.ecm import Kind, MixtureModel
 from cmvmix.simulate import add_uniform_noise, generate, perturb, reference_model
 from cmvmix.studies import (
     PERTURBED_UNIT,
@@ -137,6 +139,8 @@ def test_perturb_refuses_non_finite_shift(c):
     (True, 1.0, TypeError, "obs must be of type int"),    # shifted unit 1 before
     (2.5, 1.0, TypeError, "obs must be of type int"),     # numpy's IndexError before
     (1, "1", TypeError, "c must be of type float"),
+    (4, 1.0, ValueError, r"obs must be in 1\.\.3, got 4"),
+    (0, 1.0, ValueError, r"obs must be in 1\.\.3, got 0"),
 ])
 def test_perturb_refuses_wrong_types_by_name(obs, c, error, match):
     with pytest.raises(error, match=match):
@@ -151,6 +155,13 @@ def test_perturb_refuses_wrong_types_by_name(obs, c, error, match):
 def test_generate_refuses_n_and_seed_by_name(n, seed, error, match):
     with pytest.raises(error, match=match):
         generate(reference_model(), n, seed)
+
+
+def test_generate_refuses_a_contaminated_model():
+    base = reference_model().components[0]
+    model = MixtureModel(kind=Kind.CMVN, weights=[1.0], components=(CmvnParams(base, 0.9, 2.0),))
+    with pytest.raises(ValueError, match="generate draws from plain MVN mixtures"):
+        generate(model, 5, 0)
 
 
 @pytest.mark.parametrize("frac, lo, hi, match", [
